@@ -11,9 +11,11 @@ because AB and BA share a spectrum.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Union
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -29,35 +31,61 @@ class CompileError(ValueError):
     """Missing or inconsistent error assignments at compile time."""
 
 
-@dataclass(frozen=True)
+# Weak intern tables: each distinct pulse or sequence value exists once
+# while anything refers to it, so equality and hashing are identity.
+_PULSES: WeakValueDictionary = WeakValueDictionary()
+_SEQUENCES: WeakValueDictionary = WeakValueDictionary()
+
+
+def _angle(theta: float) -> float:
+    if not math.isfinite(theta):
+        raise SequenceError("non-finite pulse angle")
+    return float(theta)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Pulse:
     """Simultaneous application of labeled Hamiltonian terms.
 
     Each term is (label, theta, hamiltonian); the systematic error of the
-    label multiplies theta at compile time.
+    label multiplies theta at compile time.  Pulses are interned: building
+    one whose terms equal a live pulse's (angles compared bit for bit, so
+    0.0 and -0.0 differ) returns that pulse.
     """
 
     terms: tuple[tuple[str, float, Hamiltonian], ...]
 
-    def __post_init__(self) -> None:
-        if not self.terms:
-            raise SequenceError("empty pulse")
-        sizes = {h.n_qubits for _, _, h in self.terms}
-        if len(sizes) > 1:
-            raise SequenceError(f"mixed qubit counts in pulse: {sorted(sizes)}")
-        for _, theta, _ in self.terms:
-            if not math.isfinite(theta):
-                raise SequenceError("non-finite pulse angle")
+    def __new__(cls, terms) -> "Pulse":
+        terms = tuple((label, _angle(theta), h) for label, theta, h in terms)
+        key = tuple((label, theta.hex(), h) for label, theta, h in terms)
+        node = _PULSES.get(key)
+        if node is None:
+            if not terms:
+                raise SequenceError("empty pulse")
+            sizes = {h.n_qubits for _, _, h in terms}
+            if len(sizes) > 1:
+                raise SequenceError(f"mixed qubit counts in pulse: {sorted(sizes)}")
+            node = object.__new__(cls)
+            object.__setattr__(node, "terms", terms)
+            _PULSES[key] = node
+        return node
+
+    def __reduce__(self):
+        return (Pulse, (self.terms,))
 
     @property
     def n_qubits(self) -> int:
         return self.terms[0][2].n_qubits
 
-    @property
+    @cached_property
     def labels(self) -> frozenset[str]:
         return frozenset(label for label, _, _ in self.terms)
 
     def inverse(self) -> "Pulse":
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "Pulse":
         return Pulse(tuple((l, -theta, h) for l, theta, h in self.terms))
 
     @classmethod
@@ -68,25 +96,40 @@ class Pulse:
 Item = Union[Pulse, "PulseSequence"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PulseSequence:
     """An ordered list of pulses; nested blocks memoize as units.
 
     ``items`` may mix pulses and sub-sequences (corrected blocks); the
     flattened pulse list is exposed as ``pulses``.  ``required_groups``
     lists label sets whose errors must resolve to one value at compile
-    time.
+    time.  Sequences are interned on their (already interned) items and
+    groups, so a repeated block is one shared node of a DAG and a
+    ``CompileCache`` key costs O(1).
     """
 
     items: tuple[Item, ...]
     required_groups: tuple[frozenset[str], ...] = ()
 
-    def __post_init__(self) -> None:
-        if not self.items:
-            raise SequenceError("empty pulse sequence")
-        sizes = {it.n_qubits for it in self.items}
-        if len(sizes) > 1:
-            raise SequenceError(f"mixed qubit counts in sequence: {sorted(sizes)}")
+    def __new__(cls, items, required_groups=()) -> "PulseSequence":
+        items = tuple(items)
+        required_groups = tuple(required_groups)
+        key = (items, required_groups)
+        node = _SEQUENCES.get(key)
+        if node is None:
+            if not items:
+                raise SequenceError("empty pulse sequence")
+            sizes = {it.n_qubits for it in items}
+            if len(sizes) > 1:
+                raise SequenceError(f"mixed qubit counts in sequence: {sorted(sizes)}")
+            node = object.__new__(cls)
+            object.__setattr__(node, "items", items)
+            object.__setattr__(node, "required_groups", required_groups)
+            _SEQUENCES[key] = node
+        return node
+
+    def __reduce__(self):
+        return (PulseSequence, (self.items, self.required_groups))
 
     @property
     def n_qubits(self) -> int:
@@ -103,13 +146,26 @@ class PulseSequence:
         return tuple(out)
 
     @cached_property
+    def pulse_count(self) -> int:
+        """Length of ``pulses``, summed over shared nodes without flattening."""
+        return sum(1 if isinstance(it, Pulse) else it.pulse_count for it in self.items)
+
+    @cached_property
     def labels(self) -> frozenset[str]:
         out: set[str] = set()
         for it in self.items:
             out |= it.labels
         return frozenset(out)
 
+    @cached_property
+    def _sorted_labels(self) -> tuple[str, ...]:
+        return tuple(sorted(self.labels))
+
     def inverse(self) -> "PulseSequence":
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "PulseSequence":
         return PulseSequence(
             tuple(it.inverse() for it in reversed(self.items)),
             required_groups=self.required_groups,
@@ -140,6 +196,9 @@ class ErrorAssignment:
 
     def __post_init__(self) -> None:
         resolved = dict(self.values)
+        for label, val in resolved.items():
+            if not math.isfinite(val):
+                raise CompileError(f"non-finite error {val!r} for label {label!r}")
         for group in self.groups:
             assigned = {resolved[l] for l in group if l in resolved}
             if len(assigned) > 1:
@@ -171,7 +230,10 @@ class ErrorAssignment:
 
 
 class CompileCache:
-    """Memo for compiled pulses and nested blocks, keyed by structure + errors."""
+    """Memo for compiled pulses and nested blocks, keyed by node + errors.
+
+    Nodes are interned, so a key hashes the node's identity, not its tree.
+    """
 
     def __init__(self) -> None:
         self._store: dict = {}
@@ -204,7 +266,7 @@ def _item_matrix(item: Item, errors: ErrorAssignment, cache: Optional[CompileCac
         if isinstance(item, Pulse):
             key = (item, tuple(errors.resolve(l) for l, _, _ in item.terms))
         else:
-            key = (item, tuple(errors.resolve(l) for l in sorted(item.labels)))
+            key = (item, tuple(errors.resolve(l) for l in item._sorted_labels))
         hit = cache.get(key)
         if hit is not None:
             return hit
@@ -326,6 +388,10 @@ def bb1_j(
     )
 
 
+# Compile cache for the self-checks of the substitution being built.
+_CHECK_CACHE: ContextVar[Optional[CompileCache]] = ContextVar("_CHECK_CACHE", default=None)
+
+
 def substitute(
     seq: PulseSequence,
     label: str,
@@ -337,8 +403,26 @@ def substitute(
     The builder maps a target angle to a replacement sequence; pulses with
     negative angles receive the reversed, angle-negated block.  Each
     distinct angle's replacement is verified once against the pulse's
-    ideal action at zero error (up to global phase).
+    ideal action at zero error (up to global phase).  The checks of one
+    top-level call, including those of substitutions its builder makes,
+    share one compile cache, so a block's check reuses the zero-error
+    matrices of its already-checked sub-blocks.
     """
+    if _CHECK_CACHE.get() is not None:
+        return _substitute(seq, label, builder, check_tol)
+    token = _CHECK_CACHE.set(CompileCache())
+    try:
+        return _substitute(seq, label, builder, check_tol)
+    finally:
+        _CHECK_CACHE.reset(token)
+
+
+def _substitute(
+    seq: PulseSequence,
+    label: str,
+    builder: Callable[[float], PulseSequence],
+    check_tol: float,
+) -> PulseSequence:
     checked: dict[float, PulseSequence] = {}
     groups: list[frozenset[str]] = list(seq.required_groups)
 
@@ -347,7 +431,9 @@ def substitute(
         mag = abs(theta)
         if mag not in checked:
             block = builder(mag)
-            ideal = compile_sequence(block, ErrorAssignment.zero(block.labels))
+            ideal = compile_sequence(
+                block, ErrorAssignment.zero(block.labels), _CHECK_CACHE.get()
+            )
             target = evolve([(mag, 0.0, h)])
             mismatch = distance(target, ideal, align_phase=True)
             if mismatch > check_tol:
@@ -377,8 +463,8 @@ def substitute(
             required_groups=item.required_groups,
         )
 
-    out = PulseSequence(tuple(walk(it) for it in seq.items))
-    return PulseSequence(out.items, required_groups=tuple(groups))
+    items = tuple(walk(it) for it in seq.items)
+    return PulseSequence(items, required_groups=tuple(groups))
 
 
 def bb1_wj(

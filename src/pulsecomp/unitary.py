@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,7 +42,7 @@ class Unitary:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise UnitaryError(f"not square: shape {m.shape}")
         defect = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-        if defect > 1e-10:
+        if not defect <= 1e-10:
             raise UnitaryError(f"not unitary: defect {defect:.3e}")
 
     @property
@@ -70,7 +71,7 @@ class Subspace:
             raise UnitaryError("subspace basis must be a 2-D array")
         object.__setattr__(self, "basis", b)
         defect = np.abs(b.conj().T @ b - np.eye(b.shape[1])).max()
-        if defect > 1e-12:
+        if not defect <= 1e-12:
             raise UnitaryError(f"basis not orthonormal: defect {defect:.3e}")
 
     @property
@@ -91,7 +92,16 @@ class FidelityReport:
     fidelity: float
     infidelity: float
     method: str
-    global_phase_aligned_distance: float
+
+
+@lru_cache(maxsize=256)
+def _word_matrix(letters: str) -> np.ndarray:
+    """Dense (read-only) tensor product of one Pauli word."""
+    m = _PAULI_MATS[letters[0]]
+    for letter in letters[1:]:
+        m = np.kron(m, _PAULI_MATS[letter])
+    m.flags.writeable = False
+    return m
 
 
 def matrix_of(h: Hamiltonian) -> np.ndarray:
@@ -99,10 +109,7 @@ def matrix_of(h: Hamiltonian) -> np.ndarray:
     dim = 2**h.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
     for coeff, string in h.terms:
-        m = _PAULI_MATS[string.letters[0]]
-        for letter in string.letters[1:]:
-            m = np.kron(m, _PAULI_MATS[letter])
-        out += coeff * m
+        out += coeff * _word_matrix(string.letters)
     return out
 
 
@@ -166,17 +173,12 @@ def _eigenphase_arc(eigvals: np.ndarray) -> float:
     return max(0.0, 2 * math.pi - max(gaps.max(initial=0.0), wrap))
 
 
-def _arc_report(arc: float, method: str, aligned_distance: float) -> FidelityReport:
+def _arc_report(arc: float, method: str) -> FidelityReport:
     if arc >= math.pi:
         infid = 1.0
     else:
         infid = min(1.0, 2.0 * math.sin(arc / 4.0) ** 2)
-    return FidelityReport(
-        fidelity=1.0 - infid,
-        infidelity=infid,
-        method=method,
-        global_phase_aligned_distance=aligned_distance,
-    )
+    return FidelityReport(fidelity=1.0 - infid, infidelity=infid, method=method)
 
 
 def fidelity(u: Unitary, v: Unitary) -> FidelityReport:
@@ -185,7 +187,7 @@ def fidelity(u: Unitary, v: Unitary) -> FidelityReport:
         raise UnitaryError(f"dimension mismatch: {u.dim} vs {v.dim}")
     m = u.matrix.conj().T @ v.matrix
     arc = _eigenphase_arc(np.linalg.eigvals(m))
-    return _arc_report(arc, "eigenphase-arc", distance(u, v, align_phase=True))
+    return _arc_report(arc, "eigenphase-arc")
 
 
 def distance(u: Unitary, v: Unitary, align_phase: bool = False) -> float:
@@ -322,17 +324,16 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     m = u.matrix.conj().T @ v.matrix
     b = s.basis
     c = b.conj().T @ m @ b
-    aligned = distance(u, v, align_phase=True)
     leak = np.abs(m @ b - b @ c).max()
     if leak < 1e-10:
         arc = _eigenphase_arc(np.linalg.eigvals(c))
-        return _arc_report(arc, "eigenphase-arc", aligned)
+        return _arc_report(arc, "eigenphase-arc")
     tr = np.trace(m)
     mu = float(np.angle(tr)) if abs(tr) > 0 else 0.0
     dev = np.linalg.norm(np.exp(-1j * mu) * m - np.eye(m.shape[0]), ord=2)
     if dev < 1e-4:
         infid = min(1.0, _worst_variance_infidelity(m, b, mu))
-        return FidelityReport(1.0 - infid, infid, "numerical-range", aligned)
+        return FidelityReport(1.0 - infid, infid, "numerical-range")
     trc = np.trace(c)
     muc = float(np.angle(trc)) if abs(trc) > 0 else 0.0
     delta = np.exp(-1j * muc) * c - np.eye(c.shape[0])
@@ -348,7 +349,7 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
         step = gammas[1] - gammas[0]
         infid = _golden_max(deficit, gammas[k] - step, gammas[k] + step, _REFINE_TOL)
         infid = min(1.0, max(0.0, infid))
-        return FidelityReport(1.0 - infid, infid, "numerical-range", aligned)
+        return FidelityReport(1.0 - infid, infid, "numerical-range")
     f = _numerical_range_distance(c)
     f = min(1.0, f)
-    return FidelityReport(f, 1.0 - f, "numerical-range", aligned)
+    return FidelityReport(f, 1.0 - f, "numerical-range")

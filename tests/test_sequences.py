@@ -1,6 +1,8 @@
 """Tests for the sequence builders and the memoizing compiler."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -106,6 +108,11 @@ class TestErrorAssignment:
         assert ErrorAssignment.zero(["a", "b"]).values == {"a": 0.0, "b": 0.0}
         assert ErrorAssignment.uniform(["a"], 0.3).values == {"a": 0.3}
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected_with_label(self, bad):
+        with pytest.raises(CompileError, match="'zz'"):
+            ErrorAssignment({"a": 0.1, "zz": bad})
+
 
 class TestBb1W:
     def test_collapse_at_zero(self):
@@ -183,6 +190,98 @@ class TestBb1Wj:
         assert direct.dump() == manual.dump()
 
 
+class TestInterning:
+    def test_equal_pulses_are_one_object(self):
+        p = Pulse.single("a", 0.5, HX)
+        assert Pulse.single("a", 0.5, Hamiltonian.single(0.5, "X")) is p
+        assert Pulse((("a", 0.5, HX),)) is p
+        assert Pulse.single("a", 0.25, HX) is not p
+        assert Pulse.single("b", 0.5, HX) is not p
+
+    def test_equal_sequences_are_one_object(self):
+        assert bb1_w(0.5, HX, HY, "a", "b") is bb1_w(0.5, HX, HY, "a", "b")
+        assert bb1_wj(0.5, HZZ, HX1, HY1, "a", "b", "c") is bb1_wj(
+            0.5, HZZ, HX1, HY1, "a", "b", "c"
+        )
+        items = (Pulse.single("a", 1.0, HX),)
+        grouped = PulseSequence(items, required_groups=(frozenset({"a", "b"}),))
+        assert PulseSequence(items) is not grouped
+        assert PulseSequence(items, (frozenset({"a", "b"}),)) is grouped
+
+    def test_double_inverse_is_identity(self):
+        for seq in (
+            bb1_w(0.5, HX, HY, "a", "b"),
+            bb1_wj(0.5, HZZ, HX1, HY1, "a", "b", "c"),
+            wj_chain(2, math.pi / 4),
+        ):
+            assert seq.inverse() is seq.inverse()
+            assert seq.inverse().inverse() is seq
+        p = Pulse.single("a", 0.5, HX)
+        assert p.inverse().inverse() is p
+
+    def test_signed_zero_angles_stay_distinct(self):
+        pos = Pulse.single("a", 0.0, HX)
+        neg = Pulse.single("a", -0.0, HX)
+        assert pos is not neg
+        assert pos.inverse() is neg
+        assert PulseSequence((pos,)).dump() == "a 0 0.5*X\n"
+        assert PulseSequence((neg,)).dump() == "a -0 0.5*X\n"
+
+    def test_bb1_wj_tilt_blocks_shared(self):
+        seq = bb1_wj(0.5, HZZ, HX1, HY1, "a", "b", "c")
+        blocks = [it for it in seq.items if isinstance(it, PulseSequence)]
+        assert len(blocks) == 6
+        # tilts -phi, phi, -3phi, 3phi, -phi, phi: two angles, each with
+        # its inverse
+        assert len({id(b) for b in blocks}) == 4
+        assert blocks[0] is blocks[4] and blocks[1] is blocks[5]
+        assert blocks[0] is blocks[1].inverse()
+        assert blocks[2] is blocks[3].inverse()
+
+    def test_copy_and_pickle_keep_identity(self):
+        seq = bb1_wj(0.5, HZZ, HX1, HY1, "a", "b", "c")
+        assert copy.deepcopy(seq) is seq
+        assert pickle.loads(pickle.dumps(seq)) is seq
+
+    def test_nodes_are_immutable(self):
+        seq = bb1_w(0.5, HX, HY, "a", "b")
+        with pytest.raises(AttributeError):
+            seq.items = ()
+        with pytest.raises(AttributeError):
+            seq.items[0].terms = ()
+
+    def test_compile_with_and_without_cache_bitwise(self):
+        for seq in (
+            bb1_wj(math.pi / 4, HZZ, HX1, HY1, "a", "b", "c"),
+            wj_chain(3, math.pi / 4).inverse(),
+        ):
+            errs = ErrorAssignment.uniform(seq.labels, 2e-3)
+            plain = compile_sequence(seq, errs)
+            cached = compile_sequence(seq, errs, CompileCache())
+            assert np.array_equal(plain.matrix, cached.matrix)
+
+
+class TestPulseCount:
+    def test_matches_flattened_length(self):
+        cases = [
+            (bb1_w(0.5, HX, HY, "a", "b"), 4),
+            (bb1_j(0.5, HZZ, HX1, "a", "b"), 10),
+            (bb1_wj(0.5, HZZ, HX1, HY1, "a", "b", "c"), 28),
+            (wj_chain(2, math.pi / 4), 172),
+            (wj_chain(3, math.pi / 4), 6220),
+        ]
+        for seq, count in cases:
+            assert seq.pulse_count == len(seq.pulses) == count
+
+    def test_deep_chains_follow_recurrence(self):
+        # L_k = 4 + 6 L_{k-1}, L_0 = 4, over 2(n - 1) levels
+        lengths = [4]
+        for _ in range(8):
+            lengths.append(4 + 6 * lengths[-1])
+        assert wj_chain(4, math.pi / 4).pulse_count == lengths[6] == 223948
+        assert wj_chain(5, math.pi / 4).pulse_count == lengths[8] == 8062156
+
+
 class TestSubstitute:
     def test_identity_substitution_preserves_output(self):
         seq = bb1_j(0.8, HZZ, HX1, "a", "b")
@@ -200,6 +299,19 @@ class TestSubstitute:
             substitute(
                 seq, "b", lambda x: PulseSequence((Pulse.single("b", x / 2, HX1),))
             )
+
+    def test_nested_check_failure_propagates(self):
+        from pulsecomp import sequences
+
+        def bad_inner(x):
+            return PulseSequence((Pulse.single("b", x / 2, HX1),))
+
+        def outer(x):
+            return substitute(bb1_j(x, HX1, HZZ, "b", "a"), "b", bad_inner)
+
+        with pytest.raises(SequenceError):
+            substitute(bb1_j(0.8, HZZ, HX1, "a", "b"), "b", outer)
+        assert sequences._CHECK_CACHE.get() is None
 
     def test_simultaneous_pulse_rejected(self):
         seq = PulseSequence((Pulse((("a", 1.0, HX), ("b", 1.0, HY))),))

@@ -38,6 +38,16 @@ class TestUnitaryType:
         with pytest.raises(UnitaryError):
             Unitary(np.eye(3)[:2])
 
+    def test_rejects_nan(self):
+        with pytest.raises(UnitaryError):
+            Unitary(np.full((2, 2), np.nan))
+
+    def test_rejects_partial_nan(self):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = np.nan
+        with pytest.raises(UnitaryError):
+            Unitary(m)
+
     def test_dagger_and_matmul(self):
         rng = np.random.default_rng(3)
         u = random_unitary(rng, 4)
@@ -48,6 +58,10 @@ class TestSubspace:
     def test_orthonormal_required(self):
         with pytest.raises(UnitaryError):
             Subspace(np.ones((4, 2)))
+
+    def test_nan_basis_rejected(self):
+        with pytest.raises(UnitaryError):
+            Subspace(np.full((4, 2), np.nan))
 
     def test_projector(self):
         s = Subspace(np.eye(4)[:, :2])
@@ -76,6 +90,13 @@ class TestMatrixOf:
     def test_qubit_one_is_most_significant(self):
         m = matrix_of(Hamiltonian.single(1.0, "ZI"))
         assert np.abs(m - np.diag([1.0, 1.0, -1.0, -1.0])).max() < 1e-15
+
+    def test_word_matrices_are_not_aliased(self):
+        m = matrix_of(Hamiltonian.single(0.5, "XZ"))
+        m[0, 0] = 99.0
+        again = matrix_of(Hamiltonian.single(0.5, "XZ"))
+        assert again[0, 0] == 0.0
+        assert np.array_equal(again, 0.5 * np.kron([[0, 1], [1, 0]], [[1, 0], [0, -1]]))
 
     def test_decomposition_roundtrip(self):
         h = Hamiltonian.single(0.3, "XZ") + Hamiltonian.single(-0.7, "YY")

@@ -101,9 +101,12 @@ def sweep(
 
     ``errors_for`` maps a grid magnitude to a full assignment;
     ``metric(target, compiled)`` defaults to the full-space worst-case
-    infidelity.  Grid points must be positive and ascending.
+    infidelity.  Grid points must be finite, positive and ascending.
     """
     pts = list(grid)
+    bad = [e for e in pts if not math.isfinite(e)]
+    if bad:
+        raise ValueError(f"grid point {bad[0]} is not finite")
     if any(e <= 0 for e in pts) or any(b <= a for a, b in zip(pts, pts[1:])):
         raise ValueError("grid must be positive and strictly ascending")
     if metric is None:

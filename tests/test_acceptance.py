@@ -29,20 +29,16 @@ from pulsecomp import (
     fit_sweep,
     heisenberg3_encoding,
     heisenberg_logical,
-    magnus_residual,
-    matrix_of,
     p3_bb1,
     p3_sequence,
     phi_of,
     random_sign_assignment,
     subspace_fidelity,
     sweep,
-    unit_su2_partner,
-    w_correction,
     wj_chain,
     xy3_encoding,
-    xy_coupling,
 )
+from pulsecomp.cli import VERIFY_CHECKS
 
 HX = Hamiltonian.single(0.5, "X")
 HY = Hamiltonian.single(0.5, "Y")
@@ -167,50 +163,14 @@ def test_criterion_4_bb1wj_gain_and_crossover():
 
 def test_criterion_5_magnus_oracle():
     c = _Criterion(5, "third-order model and toggled rewrite", 1.0)
-    phi = phi_of(THETA)
-    eps = np.geomspace(1e-3, 1e-1, 9)
-    resid = [magnus_residual(phi, e, HX, HY) for e in eps]
-    slope = float(np.polyfit(np.log(eps), np.log(resid), 1)[0])
-    c.check(abs(slope - 4.0) <= 0.2, f"remainder slope {slope:.3f} (want 4.0 +- 0.2)")
-    worst = 0.0
-    for e in (0.01, 0.05, 0.1):
-        orig = compile_sequence(
-            w_correction(phi, HX, HY, "a", "b"), ErrorAssignment.uniform(["a", "b"], e)
-        )
-        axis = lambda a: math.cos(a) * HX + math.sin(a) * HY
-        toggled = (
-            evolve([(math.pi * e, 0.0, axis(phi))])
-            @ evolve([(2 * math.pi * e, 0.0, axis(-phi))])
-            @ evolve([(math.pi * e, 0.0, axis(phi))])
-        )
-        worst = max(worst, fidelity(orig, toggled).infidelity)
-    c.check(worst <= 1e-12, f"toggled-form infidelity {worst:.2e} (want <= 1e-12)")
+    c.check(*VERIFY_CHECKS["magnus-order"]())
+    c.check(*VERIFY_CHECKS["toggling"]())
     c.finish()
 
 
 def test_criterion_6_conjugation_identity():
     c = _Criterion(6, "tilted-axis conjugation identity", 1.0)
-    h3 = unit_su2_partner(HZZ, HX1)
-    rng = np.random.Generator(np.random.Philox(key=20260823))
-    worst = 0.0
-    for _ in range(100):
-        theta = float(rng.uniform(-math.pi, math.pi))
-        phi = float(rng.uniform(0.0, 2 * math.pi))
-        conj = compile_sequence(
-            PulseSequence(
-                (
-                    Pulse.single("b", -phi, HX1),
-                    Pulse.single("a", theta, HZZ),
-                    Pulse.single("b", phi, HX1),
-                )
-            ),
-            ErrorAssignment.zero(["a", "b"]),
-        )
-        direct = evolve(
-            [(1.0, 0.0, theta * math.cos(phi) * HZZ - theta * math.sin(phi) * h3)]
-        )
-        worst = max(worst, np.abs(conj.matrix - direct.matrix).max())
-    c.check(worst <= 1e-12, f"max deviation {worst:.2e} over 100 draws (want <= 1e-12)")
+    c.check(*VERIFY_CHECKS["jones-conjugation"]())
     c.finish()
 
 
@@ -317,8 +277,5 @@ def test_criterion_9_chain():
 
 def test_criterion_10_negative_coupling():
     c = _Criterion(10, "pi pulse negates the neighbouring coupling", 1.0)
-    u = evolve([(math.pi, 0.0, xy_coupling(1, 2))]).matrix
-    a23 = matrix_of(xy_coupling(2, 3))
-    dev = np.abs(u @ a23 @ u.conj().T + a23).max()
-    c.check(dev <= 1e-12, f"conjugation deviation {dev:.2e} (want <= 1e-12)")
+    c.check(*VERIFY_CHECKS["exchange-conjugation"]())
     c.finish()

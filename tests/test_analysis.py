@@ -73,6 +73,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(seq, target, lambda e: ErrorAssignment.uniform(["a"], e), [0.0, 1e-3])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        # errors_for ignores the grid value, so only the grid check can stop
+        # a non-finite point from reaching the CSV.
+        seq = PulseSequence((Pulse.single("a", 0.5, HX),))
+        target = evolve([(0.5, 0.0, HX)])
+        with pytest.raises(ValueError, match=f"grid point {bad}"):
+            sweep(seq, target, lambda e: ErrorAssignment.uniform(["a"], 1e-3), [1e-3, bad])
+
     def test_csv_schema_and_determinism(self):
         seq = PulseSequence((Pulse.single("a", 0.5, HX),))
         target = evolve([(0.5, 0.0, HX)])

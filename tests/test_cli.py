@@ -33,7 +33,7 @@ class TestParseAngle:
         assert parse_angle(2) == 2.0
 
     def test_bad_literals(self):
-        for bad in ("pie", "pi/0", "two*pi", "1..5"):
+        for bad in ("pie", "pi/0", "two*pi", "1..5", "nan", "inf"):
             with pytest.raises(UsageError):
                 parse_angle(bad)
 
@@ -183,6 +183,36 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", str(path)) == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "malform,key",
+        [
+            (lambda c: c.update(controls=[{"label": "ZZ"}]), "hamiltonian"),
+            (lambda c: c.update(grid={"lo": 1e-4, "hi": 1e-2}), "points"),
+            (lambda c: [c], "must be a JSON object"),
+            (lambda c: c.update(errors={"random_signs": 3}), "random_signs"),
+            (lambda c: c.update(controls=5), "controls"),
+            (lambda c: c.update(controls=[["ZZ", 5], ["X1", "0.5*XI"]]), "hamiltonian"),
+            (lambda c: c.update(errors={"groups": 3}), "groups"),
+            (lambda c: c.update(errors={"fixed": [1]}), "fixed"),
+        ],
+        ids=[
+            "control-without-hamiltonian",
+            "grid-without-points",
+            "list",
+            "bad-random-signs",
+            "controls-not-a-list",
+            "non-string-hamiltonian",
+            "bad-groups",
+            "bad-fixed",
+        ],
+    )
+    def test_malformed_config_exits_two(self, tmp_path, capsys, malform, key):
+        path = self._config(tmp_path)
+        cfg = json.loads(path.read_text())
+        path.write_text(json.dumps(malform(cfg) or cfg))
+        assert run_cli("sweep", "--config", str(path)) == 2
+        assert key in capsys.readouterr().err
+
     def test_random_sign_model(self, tmp_path):
         cfg = self._config(
             tmp_path,
@@ -206,4 +236,7 @@ class TestUsage:
         assert exc.value.code == 2
 
     def test_bad_threads(self):
-        assert run_cli("--threads", "0", "verify") == 2
+        # There is no --threads option.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--threads", "1", "verify")
+        assert exc.value.code == 2

@@ -1,14 +1,17 @@
-"""Figure CSVs stay byte-identical to the recorded reference digests.
+"""Figure CSVs stay byte-identical to the recorded reference digests, and
+each figure's metadata sidecar describes the CSVs written beside it.
 
 The digests live in ``perfbench/reference.json``; this test only reads
 them.  A change that alters any figure CSV, even in the last digit, fails
 here.
 """
 
+import csv
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pulsecomp.cli import main
@@ -16,7 +19,14 @@ from pulsecomp.cli import main
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 # (figure id, --seed, key in the reference digests)
-CASES = [("wj", 0, "wj"), ("grid", 0, "grid"), ("chain", 0, "chain/seed0")]
+CASES = [
+    ("wj", 0, "wj"),
+    ("grid", 0, "grid"),
+    ("chain", 0, "chain/seed0"),
+    ("xy", 0, "xy"),
+    ("heisenberg", 0, "heisenberg"),
+]
+IDS = [c[0] for c in CASES]
 
 
 @pytest.fixture(scope="module")
@@ -24,11 +34,40 @@ def digests():
     return json.loads(REFERENCE.read_text(encoding="utf-8"))["digests"]
 
 
-@pytest.mark.parametrize("figure,seed,key", CASES, ids=[c[0] for c in CASES])
-def test_figure_csvs_match_reference(tmp_path, digests, figure, seed, key):
-    assert main(["--seed", str(seed), "figure", figure, "--out", str(tmp_path)]) == 0
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """Output directory of ``figure ID --seed S``, each written once per module."""
+    dirs = {}
+
+    def run(figure, seed):
+        if (figure, seed) not in dirs:
+            out = tmp_path_factory.mktemp(f"{figure}_seed{seed}")
+            assert main(["--seed", str(seed), "figure", figure, "--out", str(out)]) == 0
+            dirs[figure, seed] = out
+        return dirs[figure, seed]
+
+    return run
+
+
+@pytest.mark.parametrize("figure,seed,key", CASES, ids=IDS)
+def test_figure_csvs_match_reference(written, digests, figure, seed, key):
+    out = written(figure, seed)
     got = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.glob("*.csv"))
+        for path in sorted(out.glob("*.csv"))
     }
     assert got == digests[key]
+
+
+@pytest.mark.parametrize("figure,seed,key", CASES, ids=IDS)
+def test_sidecar_describes_written_csvs(written, figure, seed, key):
+    out = written(figure, seed)
+    meta = json.loads((out / f"{figure}_metadata.json").read_text(encoding="utf-8"))
+    assert meta["figure"] == figure and meta["seed"] == seed
+    assert sorted(meta["files"]) == sorted(p.name for p in out.glob("*.csv"))
+    grid = meta["grid"]
+    expect = np.geomspace(grid["lo"], grid["hi"], grid["points"])
+    for name in meta["files"]:
+        with open(out / name, newline="") as fh:
+            eps1 = sorted({float(row["eps1"]) for row in csv.DictReader(fh)})
+        assert np.array_equal(eps1, expect), name

@@ -1,7 +1,8 @@
 """Command-line front end: figure-data reproduction, configured sweeps,
 and the invariant verification suite.
 
-Exit codes: 0 success, 1 check failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 check failure or unwritable output, 2 usage or
+configuration error.
 All output is deterministic for a fixed config and seed; sweep points are
 evaluated sequentially and assembled in grid order.
 """
@@ -167,7 +168,7 @@ def _wj_curves(grid: np.ndarray, seed: int) -> dict[str, SweepResult]:
     return {
         "bb1_wj": sweep(
             seq, target, lambda e: _two_qubit_errors(e, _WJ_EPS2, nested=True), grid,
-            "bb1_wj", eps2=_WJ_EPS2, cache=CompileCache(),
+            "bb1_wj", eps2=_WJ_EPS2,
         ),
         "uncorrected": sweep(
             plain, target, lambda e: ErrorAssignment({"ZZ": e}), grid,
@@ -203,7 +204,7 @@ def _chain_curves(grid: np.ndarray, seed: int) -> dict[str, SweepResult]:
         out[f"chain_n{n}"] = sweep(
             wj_chain(n, THETA), target,
             lambda e: random_sign_assignment(seed, labels, e, correlated_pair=("X1", "Y1")),
-            grid, f"chain_n{n}", seed=seed, cache=CompileCache(),
+            grid, f"chain_n{n}",
         )
         out[f"uncorrected_n{n}"] = sweep(
             PulseSequence((Pulse.single(f"X{n}", THETA, hxn),)), target,
@@ -226,7 +227,7 @@ def _shared_error_curves(grid, plain: PulseSequence, curves) -> dict[str, SweepR
     return {
         name: sweep(
             seq, ideal, lambda e: ErrorAssignment.uniform([label], e), grid, name,
-            metric=metric, cache=CompileCache(),
+            metric=metric,
         )
         for name, seq, metric in curves
     }
@@ -469,22 +470,18 @@ def cmd_sweep(config_path: str, seed: int) -> int:
                 "to skip fitting)"
             )
         ideal = compile_sequence(seq, ErrorAssignment.zero(seq.labels))
-        result = sweep(
-            seq,
-            ideal,
-            errors_for,
-            grid,
-            cfg.get("sequence", {}).get("type", ""),
-            seed=seed,
-            cache=CompileCache(),
-        )
+        result = sweep(seq, ideal, errors_for, grid, cfg.get("sequence", {}).get("type", ""))
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_path = cfg.get("output")
     csv = result.to_csv()
     if out_path:
-        _write(Path(out_path), csv)
+        try:
+            _write(Path(out_path), csv)
+        except OSError as exc:
+            print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote {len(result.rows)} rows to {out_path}")
     else:
         sys.stdout.write(csv)

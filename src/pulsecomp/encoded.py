@@ -157,6 +157,17 @@ _XY_LABEL = "XY"
 _EX_LABEL = "EX"
 
 
+def _p3_pulses(theta: float) -> tuple[tuple[tuple[int, int], float], ...]:
+    """(coupled pair, angle) of each pulse of the five-pulse z rotation."""
+    return (
+        ((1, 2), math.pi / 4.0),
+        ((2, 3), 0.5 * math.pi),
+        ((1, 3), -theta / 2.0),
+        ((2, 3), -0.5 * math.pi),
+        ((1, 2), -math.pi / 4.0),
+    )
+
+
 def p3_sequence(theta: float) -> PulseSequence:
     """Five-pulse logical-Z rotation on the XY-coupled three-spin qubit.
 
@@ -164,19 +175,9 @@ def p3_sequence(theta: float) -> PulseSequence:
     zero error the sequence acts as a z rotation by theta on the code
     qubit, up to a global phase.
     """
-    a12 = xy_coupling(1, 2)
-    a13 = xy_coupling(1, 3)
-    a23 = xy_coupling(2, 3)
-    half_pi = 0.5 * math.pi
-    return PulseSequence(
-        (
-            Pulse.single(_XY_LABEL, math.pi / 4.0, a12),
-            Pulse.single(_XY_LABEL, half_pi, a23),
-            Pulse.single(_XY_LABEL, -theta / 2.0, a13),
-            Pulse.single(_XY_LABEL, -half_pi, a23),
-            Pulse.single(_XY_LABEL, -math.pi / 4.0, a12),
-        )
-    )
+    return PulseSequence(tuple(
+        Pulse.single(_XY_LABEL, angle, xy_coupling(*pair)) for pair, angle in _p3_pulses(theta)
+    ))
 
 
 # Partner coupling for each corrected pulse: the shared-qubit neighbour,
@@ -191,19 +192,11 @@ def p3_bb1(theta: float) -> PulseSequence:
     its shared-qubit partner coupling; all pulses keep the single shared
     error label, so the correction sees correlated errors.
     """
-    blocks = []
-    for pulse in p3_sequence(theta).items:
-        (_, angle, _h) = pulse.terms[0]
-        pair = next(
-            p for p in _P3_PARTNERS if xy_coupling(*p).terms == _h.terms
-        )
-        partner = _P3_PARTNERS[pair]
-        blocks.append(
-            _bb1_w_unchecked(
-                angle, xy_coupling(*pair), xy_coupling(*partner), _XY_LABEL, _XY_LABEL
-            )
-        )
-    return PulseSequence(tuple(blocks))
+    def block(pair: tuple[int, int], angle: float) -> PulseSequence:
+        partner = xy_coupling(*_P3_PARTNERS[pair])
+        return _bb1_w_unchecked(angle, xy_coupling(*pair), partner, _XY_LABEL, _XY_LABEL)
+
+    return PulseSequence(tuple(block(pair, angle) for pair, angle in _p3_pulses(theta)))
 
 
 def xy3_encoding() -> Encoding:
@@ -246,24 +239,27 @@ def xy3_encoding() -> Encoding:
     )
 
 
+# Logical Z and X generators of the exchange code, unrestricted (as applied
+# by pulses): E(1,2) and (E(1,2) + 2 E(2,3)) / sqrt(3).
+_EXCHANGE_Z = exchange(1, 2)
+_EXCHANGE_X = (1.0 / math.sqrt(3.0)) * (exchange(1, 2) + 2.0 * exchange(2, 3))
+
+
 def heisenberg3_encoding() -> Encoding:
     """The exchange code: the (S = 1/2, m_z = +1/2) doublet.
 
     E(1,2) restricts to logical Z; (E(1,2) + 2 E(2,3)) / sqrt(3) restricts
-    to logical X.  The generators are stored unrestricted, as applied by
-    pulses.
+    to logical X.
     """
     sectors = {
         (lab.total_spin, lab.m_z): sub
         for lab, sub in sector_decomposition("heisenberg")
     }
-    code = sectors[(0.5, 0.5)]
-    gx = (1.0 / math.sqrt(3.0)) * (exchange(1, 2) + 2.0 * exchange(2, 3))
     return Encoding(
         scheme="heisenberg3",
-        code=code,
-        logical_z=exchange(1, 2),
-        logical_x=gx,
+        code=sectors[(0.5, 0.5)],
+        logical_z=_EXCHANGE_Z,
+        logical_x=_EXCHANGE_X,
     )
 
 
@@ -286,9 +282,8 @@ def heisenberg_logical(
     generators under one shared error label; the pair closes as su(2) only
     on the code space, so the correction helps there and hurts outside.
     """
-    enc = heisenberg3_encoding()
-    hz = 0.5 * enc.logical_z
-    hx = 0.5 * enc.logical_x
+    hz = 0.5 * _EXCHANGE_Z
+    hx = 0.5 * _EXCHANGE_X
     h1, h2 = (hz, hx) if axis == "z" else (hx, hz)
     if not corrected:
         return PulseSequence((Pulse.single(_EX_LABEL, theta, h1),))

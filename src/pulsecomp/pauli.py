@@ -8,6 +8,7 @@ carried alongside the word.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -201,11 +202,11 @@ class Hamiltonian:
         parts = []
         for c, s in self.terms:
             if not parts:
-                parts.append(f"{c:g}*{s}")
+                parts.append(f"{c!r}*{s}")
             elif c < 0:
-                parts.append(f"- {-c:g}*{s}")
+                parts.append(f"- {-c!r}*{s}")
             else:
-                parts.append(f"+ {c:g}*{s}")
+                parts.append(f"+ {c!r}*{s}")
         return " ".join(parts)
 
 
@@ -316,13 +317,14 @@ def unit_su2_partner(
 
 # --- Hamiltonian expression mini-language -----------------------------------
 #
-# expression := term (("+" | "-") term)*
+# expression := ["+" | "-"] term (("+" | "-") term)*
 # term       := [coefficient "*"] word
-# coefficient:= decimal | integer "/" integer
+# coefficient:= decimal [exponent] | integer "/" integer
 # word       := one or more of I, X, Y, Z
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)|(?P<word>[A-Za-z]+)|(?P<op>[+\-*/]))"
+    r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+\-]?\d+)?)"
+    r"|(?P<word>[A-Za-z]+)|(?P<op>[+\-*/]))"
 )
 
 
@@ -353,9 +355,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 def parse_hamiltonian(text: str, n_qubits: Optional[int] = None) -> Hamiltonian:
     """Parse a Pauli-sum expression such as ``"0.5*XX + 0.5*YY"``.
 
-    Coefficients may be decimals or rationals (``"1/2*ZZ"``); a bare word
-    has coefficient 1.  All words must share one length, which must match
-    ``n_qubits`` when given.
+    Coefficients may be decimals, with an optional exponent, or rationals
+    of integers (``"1/2*ZZ"``); a bare word has coefficient 1, and the first
+    term may carry a sign.  All words must share one length, which must
+    match ``n_qubits`` when given.  ``str`` of a Hamiltonian parses back to
+    equal coefficients.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -363,6 +367,9 @@ def parse_hamiltonian(text: str, n_qubits: Optional[int] = None) -> Hamiltonian:
     terms: list[tuple[float, PauliString]] = []
     i = 0
     sign = 1.0
+    if tokens[0][0] == "op" and tokens[0][1] in "+-":
+        sign = 1.0 if tokens[0][1] == "+" else -1.0
+        i = 1
     expect_term = True
     while i < len(tokens):
         kind, value, col = tokens[i]
@@ -370,13 +377,17 @@ def parse_hamiltonian(text: str, n_qubits: Optional[int] = None) -> Hamiltonian:
             coeff = sign
             if kind == "num":
                 num = float(value)
+                if not math.isfinite(num):
+                    raise ExpressionError(f"coefficient {value!r} is not finite", col)
                 i += 1
                 if i < len(tokens) and tokens[i][:2] == ("op", "/"):
                     i += 1
                     if i >= len(tokens) or tokens[i][0] != "num":
                         raise ExpressionError("expected denominator", col)
                     denom = tokens[i][1]
-                    if "." in denom or float(denom) == 0.0:
+                    if not value.isdigit():
+                        raise ExpressionError(f"bad numerator {value!r}", col)
+                    if not denom.isdigit() or int(denom) == 0:
                         raise ExpressionError(f"bad denominator {denom!r}", tokens[i][2])
                     num = float(Fraction(int(value), int(denom)))
                     i += 1

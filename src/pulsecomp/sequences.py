@@ -255,29 +255,22 @@ class CompileCache:
         self._store[key] = value
 
 
-def _pulse_matrix(p: Pulse, errors: ErrorAssignment) -> np.ndarray:
-    return evolve(
-        [(theta, errors.resolve(l), h) for l, theta, h in p.terms]
-    ).matrix
-
-
-def _item_matrix(item: Item, errors: ErrorAssignment, cache: Optional[CompileCache]) -> np.ndarray:
-    if cache is not None:
-        if isinstance(item, Pulse):
-            key = (item, tuple(errors.resolve(l) for l, _, _ in item.terms))
-        else:
-            key = (item, tuple(errors.resolve(l) for l in item._sorted_labels))
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+def _item_matrix(item: Item, errors: ErrorAssignment, cache: CompileCache) -> np.ndarray:
     if isinstance(item, Pulse):
-        mat = _pulse_matrix(item, errors)
+        errs = tuple(errors.resolve(l) for l, _, _ in item.terms)
+    else:
+        errs = tuple(errors.resolve(l) for l in item._sorted_labels)
+    key = (item, errs)
+    mat = cache.get(key)
+    if mat is not None:
+        return mat
+    if isinstance(item, Pulse):
+        mat = evolve([(theta, e, h) for (_, theta, h), e in zip(item.terms, errs)]).matrix
     else:
         mat = np.eye(2**item.n_qubits, dtype=complex)
         for sub in item.items:
             mat = _item_matrix(sub, errors, cache) @ mat
-    if cache is not None:
-        cache.put(key, mat)
+    cache.put(key, mat)
     return mat
 
 
@@ -286,7 +279,11 @@ def compile_sequence(
     errors: ErrorAssignment,
     cache: Optional[CompileCache] = None,
 ) -> Unitary:
-    """Compile a sequence to a unitary; later pulses multiply on the left."""
+    """Compile a sequence to a unitary; later pulses multiply on the left.
+
+    Each distinct block is compiled once per call; pass a ``cache`` to share
+    compiled blocks across calls.
+    """
     missing = sorted(l for l in seq.labels if not errors.has(l))
     if missing:
         raise CompileError(f"unassigned labels: {', '.join(missing)}")
@@ -296,7 +293,7 @@ def compile_sequence(
             raise CompileError(
                 f"labels {sorted(group)} must share one error, got {sorted(vals)}"
             )
-    return Unitary(_item_matrix(seq, errors, cache))
+    return Unitary(_item_matrix(seq, errors, CompileCache() if cache is None else cache))
 
 
 def phi_of(theta: float) -> float:
@@ -467,6 +464,11 @@ def _substitute(
     return PulseSequence(items, required_groups=tuple(groups))
 
 
+def _nested_j(h1: Hamiltonian, h2: Hamiltonian, l1: str, l2: str, inner):
+    """The builder x -> bb1_j(x, h1, h2, l1, l2) with its l2 pulses replaced by ``inner``."""
+    return lambda x: substitute(bb1_j(x, h1, h2, l1, l2), l2, inner)
+
+
 def bb1_wj(
     theta: float,
     h1: Hamiltonian,
@@ -484,13 +486,8 @@ def bb1_wj(
     error before the independent H1 error.  The labels l2 and l4 must
     resolve to one shared error at compile time.
     """
-    skeleton = bb1_j(theta, h1, h2, l1, l2)
-    out = substitute(skeleton, l2, lambda x: bb1_w(x, h2, h4, l2, l4))
-    groups = out.required_groups
-    pair = frozenset({l2, l4})
-    if pair not in groups:
-        groups = (*groups, pair)
-    return PulseSequence(out.items, required_groups=groups)
+    out = _nested_j(h1, h2, l1, l2, lambda x: bb1_w(x, h2, h4, l2, l4))(theta)
+    return PulseSequence(out.items, required_groups=(frozenset({l2, l4}),))
 
 
 def _chain_hamiltonians(n: int):
@@ -525,22 +522,10 @@ def wj_chain(n: int, theta: float) -> PulseSequence:
     """
     if n < 1:
         raise SequenceError(f"chain length must be >= 1, got {n}")
-    hx, hy, hzz = _chain_hamiltonians(max(n, 1))
-
-    def corrected_x1(x: float) -> PulseSequence:
-        return bb1_w(x, hx[1], hy[1], "X1", "Y1")
-
-    builder = corrected_x1
+    hx, hy, hzz = _chain_hamiltonians(n)
+    builder = lambda x: bb1_w(x, hx[1], hy[1], "X1", "Y1")
     for j in range(1, n):
-        prev = builder
-
-        def corrected_zz(x: float, j=j, prev=prev) -> PulseSequence:
-            seq = bb1_j(x, hzz[j], hx[j], f"ZZ{j}{j + 1}", f"X{j}")
-            return substitute(seq, f"X{j}", prev)
-
-        def corrected_x(x: float, j=j, czz=corrected_zz) -> PulseSequence:
-            seq = bb1_j(x, hx[j + 1], hzz[j], f"X{j + 1}", f"ZZ{j}{j + 1}")
-            return substitute(seq, f"ZZ{j}{j + 1}", czz)
-
-        builder = corrected_x
+        zz = f"ZZ{j}{j + 1}"
+        corrected_zz = _nested_j(hzz[j], hx[j], zz, f"X{j}", builder)
+        builder = _nested_j(hx[j + 1], hzz[j], f"X{j + 1}", zz, corrected_zz)
     return builder(theta)

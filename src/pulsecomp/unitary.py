@@ -212,20 +212,32 @@ def _stable_deficit(w: complex) -> float:
     return -x / (1.0 + math.sqrt(max(0.0, 1.0 + x)))
 
 
+def _hermitian_part(c: np.ndarray, gamma: float) -> np.ndarray:
+    """Hermitian part of e^{i gamma} c."""
+    r = np.exp(1j * gamma) * c
+    return 0.5 * (r + r.conj().T)
+
+
 def _boundary_point(delta: np.ndarray, gamma: float) -> complex:
-    herm = 0.5 * (np.exp(1j * gamma) * delta + (np.exp(1j * gamma) * delta).conj().T)
-    w, v = np.linalg.eigh(herm)
+    w, v = np.linalg.eigh(_hermitian_part(delta, gamma))
     psi = v[:, 0]
     return complex(psi.conj() @ delta @ psi)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
+_GRID_POINTS = 720
+_REFINE_TOL = 1e-10
+
+
+def _scan_max(f) -> float:
+    """Maximum of a 2 pi-periodic f: a uniform scan, then golden-section refinement."""
+    gammas = np.linspace(0.0, 2 * math.pi, _GRID_POINTS, endpoint=False)
+    k = int(np.array([f(x) for x in gammas]).argmax())
+    step = gammas[1] - gammas[0]
     g = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - g * (b - a)
-    x2 = a + g * (b - a)
+    a, b = gammas[k] - step, gammas[k] + step
+    x1, x2 = b - g * (b - a), a + g * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    while b - a > _REFINE_TOL:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + g * (b - a)
@@ -235,25 +247,6 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
             x1 = b - g * (b - a)
             f1 = f(x1)
     return max(f1, f2)
-
-
-_GRID_POINTS = 720
-_REFINE_TOL = 1e-10
-
-
-def _numerical_range_distance(c: np.ndarray) -> float:
-    """Distance from the origin to the numerical range of c (0 if inside)."""
-    gammas = np.linspace(0.0, 2 * math.pi, _GRID_POINTS, endpoint=False)
-
-    def support(g: float) -> float:
-        herm = 0.5 * (np.exp(1j * g) * c + (np.exp(1j * g) * c).conj().T)
-        return float(np.linalg.eigvalsh(herm)[0])
-
-    vals = np.array([support(g) for g in gammas])
-    k = int(vals.argmax())
-    step = gammas[1] - gammas[0]
-    best = _golden_max(support, gammas[k] - step, gammas[k] + step, _REFINE_TOL)
-    return max(0.0, best)
 
 
 def _worst_variance_infidelity(m: np.ndarray, b: np.ndarray, mu: float) -> float:
@@ -340,16 +333,10 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     if np.linalg.norm(delta, ord=2) < 0.1:
         # |1+w| > 0 throughout, so the minimizer sits on the boundary of
         # the numerical range of delta.
-        def deficit(g: float) -> float:
-            return _stable_deficit(_boundary_point(delta, g))
-
-        gammas = np.linspace(0.0, 2 * math.pi, _GRID_POINTS, endpoint=False)
-        vals = np.array([deficit(g) for g in gammas])
-        k = int(vals.argmax())
-        step = gammas[1] - gammas[0]
-        infid = _golden_max(deficit, gammas[k] - step, gammas[k] + step, _REFINE_TOL)
+        infid = _scan_max(lambda g: _stable_deficit(_boundary_point(delta, g)))
         infid = min(1.0, max(0.0, infid))
         return FidelityReport(1.0 - infid, infid, "numerical-range")
-    f = _numerical_range_distance(c)
-    f = min(1.0, f)
+    # Far regime: distance from the origin to the numerical range of c (0 if inside).
+    f = _scan_max(lambda g: float(np.linalg.eigvalsh(_hermitian_part(c, g))[0]))
+    f = min(1.0, max(0.0, f))
     return FidelityReport(f, 1.0 - f, "numerical-range")

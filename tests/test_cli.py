@@ -222,6 +222,20 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", str(cfg)) == 0
         rows, _, _ = load_csv(tmp_path / "out.csv")
         assert all(r["signs"] for r in rows)
+        # the seed column names the config seed that drew the signs
+        assert all(r["seed"] == "9" for r in rows)
+
+    def test_seed_column_empty_without_random_signs(self, tmp_path):
+        assert run_cli("--seed", "4", "sweep", "--config", str(self._config(tmp_path))) == 0
+        rows, _, _ = load_csv(tmp_path / "out.csv")
+        assert all(r["seed"] == "" and r["signs"] == "" for r in rows)
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.csv"
+        cfg = self._config(tmp_path, output=str(out))
+        assert run_cli("sweep", "--config", str(cfg)) == 1
+        assert f"error: cannot write {out}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsage:

@@ -272,3 +272,20 @@ class TestParseHamiltonian:
     def test_roundtrip_through_str(self):
         h = parse_hamiltonian("0.5*XI - 0.25*ZZ")
         assert parse_hamiltonian(str(h)).coefficients == h.coefficients
+        assert str(h) == "0.5*XI - 0.25*ZZ"
+        third = 1.0 / math.sqrt(3.0)
+        for h in (
+            parse_hamiltonian("-0.5*ZZ"),
+            parse_hamiltonian("1e-20*ZZ"),
+            parse_hamiltonian("+XX - 2.5E+3*YY"),
+            Hamiltonian.single(third, "XX") + Hamiltonian.single(-third, "ZZ"),
+        ):
+            assert parse_hamiltonian(str(h)).coefficients == h.coefficients
+        assert parse_hamiltonian("-0.5*ZZ").coefficients == {"ZZ": -0.5}
+        assert parse_hamiltonian("1e-20*ZZ").coefficients == {"ZZ": 1e-20}
+
+    def test_bad_coefficients_rejected(self):
+        # rationals take integers only; an exponent may not overflow
+        for text in ("0.5/2*ZZ", "1e3/2*ZZ", "1/2.0*ZZ", "1/0*ZZ", "1e999*ZZ"):
+            with pytest.raises(ExpressionError):
+                parse_hamiltonian(text)

@@ -28,6 +28,7 @@ from pulsecomp import (
     w_correction,
     wj_chain,
 )
+from pulsecomp import sequences
 from pulsecomp.encoded import heisenberg_coupling
 
 HX = Hamiltonian.single(0.5, "X")
@@ -368,6 +369,20 @@ class TestCompile:
         again = compile_sequence(seq, errs, cache)
         assert np.array_equal(plain.matrix, cached.matrix)
         assert np.array_equal(cached.matrix, again.matrix)
+
+    def test_uncached_compile_memoizes_within_call(self, monkeypatch):
+        seq = wj_chain(3, math.pi / 4)
+        zero = ErrorAssignment.zero(seq.labels)
+        real, calls = sequences.evolve, []
+        monkeypatch.setattr(
+            sequences, "evolve", lambda terms: calls.append(terms) or real(terms)
+        )
+        plain = compile_sequence(seq, zero)
+        # each distinct pulse is evolved once, not each of the 6220 slots
+        assert seq.pulse_count == 6220
+        assert len(calls) < 300
+        cached = compile_sequence(seq, zero, CompileCache())
+        assert np.array_equal(plain.matrix, cached.matrix)
 
     def test_cache_hits_on_repeated_blocks(self):
         seq = wj_chain(2, math.pi / 4)

@@ -291,6 +291,31 @@ class TestSubspaceFidelity:
                 direct = max(direct, np.linalg.eigvalsh(herm)[0])
             assert rep.fidelity == pytest.approx(direct, rel=1e-4)
 
+    def test_leaky_far_branch_matches_dense_scan(self):
+        # a large deviation on a 2-dimensional subspace: the distance from
+        # the origin to the numerical range of the compression
+        rng = np.random.default_rng(29)
+        b = Subspace(np.eye(4)[:, :2])
+        k = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        k = 0.5 * (k + k.conj().T)
+        k /= np.linalg.norm(k, ord=2)
+        u = Unitary(np.eye(4))
+        w, vecs = np.linalg.eigh(0.6 * k)
+        v = Unitary(vecs @ np.diag(np.exp(-1j * w)) @ vecs.conj().T)
+        c = b.basis.conj().T @ v.matrix @ b.basis
+        delta = np.exp(-1j * np.angle(np.trace(c))) * c - np.eye(2)
+        assert np.linalg.norm(delta, ord=2) >= 0.1
+        rep = subspace_fidelity(u, v, b)
+        assert rep.method == "numerical-range"
+        grid = np.linspace(0, 2 * math.pi, 2881)
+        direct = 0.0
+        for g in grid:
+            herm = 0.5 * (np.exp(1j * g) * c + (np.exp(1j * g) * c).conj().T)
+            direct = max(direct, np.linalg.eigvalsh(herm)[0])
+        assert direct > 0.5
+        assert rep.fidelity == pytest.approx(direct, rel=1e-5)
+        assert rep.fidelity >= direct
+
     def test_ambient_mismatch(self):
         with pytest.raises(UnitaryError):
             subspace_fidelity(

@@ -159,6 +159,9 @@ class Hamiltonian:
                     f"term {string} has {string.n_qubits} qubits, expected {n_qubits}"
                 )
             merged[string.letters] = merged.get(string.letters, 0.0) + coeff
+        for w, c in merged.items():
+            if not math.isfinite(c):
+                raise PauliError(f"coefficient {c!r} of {w} is not finite")
         canon = tuple(
             (c, PauliString(w)) for w, c in sorted(merged.items()) if c != 0.0
         )
@@ -310,7 +313,7 @@ def unit_su2_partner(
     back1 = commutator_times_minus_i(h2, h3) - h1
     back2 = commutator_times_minus_i(h3, h1) - h2
     scale = max(h1.max_coeff(), h2.max_coeff(), 1.0)
-    if back1.max_coeff() > tol * scale or back2.max_coeff() > tol * scale:
+    if not (back1.max_coeff() <= tol * scale and back2.max_coeff() <= tol * scale):
         return None
     return h3
 

@@ -69,6 +69,8 @@ class Subspace:
         b = np.asarray(self.basis, dtype=complex)
         if b.ndim != 2:
             raise UnitaryError("subspace basis must be a 2-D array")
+        if b.shape[1] == 0:
+            raise UnitaryError("subspace basis needs at least one column")
         object.__setattr__(self, "basis", b)
         defect = np.abs(b.conj().T @ b - np.eye(b.shape[1])).max()
         if not defect <= 1e-12:
@@ -206,16 +208,16 @@ def distance(u: Unitary, v: Unitary, align_phase: bool = False) -> float:
     return float(np.linalg.norm(u.matrix - vm, ord=2))
 
 
-def _stable_deficit(w: complex) -> float:
-    """1 - |1 + w| evaluated without cancellation for small w."""
-    x = 2.0 * w.real + abs(w) ** 2
-    return -x / (1.0 + math.sqrt(max(0.0, 1.0 + x)))
+def _stable_deficit(w: complex | np.ndarray) -> float | np.ndarray:
+    """1 - |1 + w| evaluated without cancellation for small w (elementwise)."""
+    x = 2.0 * np.real(w) + np.abs(w) ** 2
+    return -x / (1.0 + np.sqrt(np.maximum(0.0, 1.0 + x)))
 
 
-def _hermitian_part(c: np.ndarray, gamma: float) -> np.ndarray:
-    """Hermitian part of e^{i gamma} c."""
-    r = np.exp(1j * gamma) * c
-    return 0.5 * (r + r.conj().T)
+def _hermitian_part(c: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
+    """Hermitian part of e^{i gamma} c, stacked over the shape of gamma."""
+    r = np.exp(1j * np.asarray(gamma))[..., None, None] * c
+    return 0.5 * (r + np.swapaxes(r, -1, -2).conj())
 
 
 def _boundary_point(delta: np.ndarray, gamma: float) -> complex:
@@ -224,14 +226,25 @@ def _boundary_point(delta: np.ndarray, gamma: float) -> complex:
     return complex(psi.conj() @ delta @ psi)
 
 
+def _boundary_points(delta: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """_boundary_point at every angle of gammas from one stacked eigh."""
+    _, v = np.linalg.eigh(_hermitian_part(delta, gammas))
+    psi = v[..., 0]
+    return np.einsum("ki,ij,kj->k", psi.conj(), delta, psi)
+
+
 _GRID_POINTS = 720
 _REFINE_TOL = 1e-10
 
 
-def _scan_max(f) -> float:
-    """Maximum of a 2 pi-periodic f: a uniform scan, then golden-section refinement."""
+def _scan_max(f, f_scan) -> float:
+    """Maximum of a 2 pi-periodic f: a uniform scan, then golden-section refinement.
+
+    f_scan is f over an array of angles; it only picks the bracket, and
+    the refinement calls the scalar f.
+    """
     gammas = np.linspace(0.0, 2 * math.pi, _GRID_POINTS, endpoint=False)
-    k = int(np.array([f(x) for x in gammas]).argmax())
+    k = int(f_scan(gammas).argmax())
     step = gammas[1] - gammas[0]
     g = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = gammas[k] - step, gammas[k] + step
@@ -246,7 +259,7 @@ def _scan_max(f) -> float:
             b, x2, f2 = x2, x1, f1
             x1 = b - g * (b - a)
             f1 = f(x1)
-    return max(f1, f2)
+    return float(max(f1, f2))
 
 
 def _worst_variance_infidelity(m: np.ndarray, b: np.ndarray, mu: float) -> float:
@@ -307,6 +320,11 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     identity (after global-phase removal) switches to a second-order
     expansion in the deviation generator, which keeps relative precision
     when the infidelity sits below machine epsilon in fidelity.
+
+    The support-angle scan is one stacked eigendecomposition over all
+    grid angles; it only picks the bracket.  The golden-section refinement
+    evaluates one angle at a time, so the returned value is independent of
+    the stacked arithmetic and output stays byte-stable.
     """
     if u.dim != v.dim:
         raise UnitaryError(f"dimension mismatch: {u.dim} vs {v.dim}")
@@ -333,10 +351,16 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     if np.linalg.norm(delta, ord=2) < 0.1:
         # |1+w| > 0 throughout, so the minimizer sits on the boundary of
         # the numerical range of delta.
-        infid = _scan_max(lambda g: _stable_deficit(_boundary_point(delta, g)))
+        infid = _scan_max(
+            lambda g: _stable_deficit(_boundary_point(delta, g)),
+            lambda gs: _stable_deficit(_boundary_points(delta, gs)),
+        )
         infid = min(1.0, max(0.0, infid))
         return FidelityReport(1.0 - infid, infid, "numerical-range")
     # Far regime: distance from the origin to the numerical range of c (0 if inside).
-    f = _scan_max(lambda g: float(np.linalg.eigvalsh(_hermitian_part(c, g))[0]))
+    def support(g):
+        return np.linalg.eigvalsh(_hermitian_part(c, g))[..., 0]
+
+    f = _scan_max(support, support)
     f = min(1.0, max(0.0, f))
     return FidelityReport(f, 1.0 - f, "numerical-range")

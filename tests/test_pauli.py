@@ -189,6 +189,19 @@ class TestHamiltonian:
         with pytest.raises(PauliError):
             Hamiltonian.single(1.0, "X") + Hamiltonian.single(1.0, "XX")
 
+    @pytest.mark.parametrize(
+        "build, word",
+        [
+            (lambda: Hamiltonian.single(math.inf, "X"), "X"),
+            (lambda: Hamiltonian.single(math.nan, "XZ"), "XZ"),
+            (lambda: Hamiltonian.single(1e308, "YI") + Hamiltonian.single(1e308, "YI"), "YI"),
+            (lambda: math.inf * Hamiltonian.single(0.5, "ZZ"), "ZZ"),
+        ],
+    )
+    def test_non_finite_coefficient_rejected(self, build, word):
+        with pytest.raises(PauliError, match=f"of {word} is not finite"):
+            build()
+
     def test_commutator_is_hermitian(self):
         h1 = Hamiltonian.single(0.5, "ZZ") + Hamiltonian.single(0.25, "XY")
         h2 = Hamiltonian.single(0.5, "XI") + Hamiltonian.single(-0.5, "YY")
@@ -234,6 +247,13 @@ class TestSu2Triple:
     def test_unit_partner_rejects_scaled_pair(self):
         # closes as su(2) but with non-unit structure constants
         h3 = unit_su2_partner(Hamiltonian.single(1.0, "X"), Hamiltonian.single(1.0, "Y"))
+        assert h3 is None
+
+    def test_unit_partner_nan_bound_rejects(self):
+        # a NaN in the residual comparison fails the closure check
+        h3 = unit_su2_partner(
+            Hamiltonian.single(1.0, "X"), Hamiltonian.single(0.3, "Y"), tol=math.nan
+        )
         assert h3 is None
 
 

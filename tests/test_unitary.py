@@ -4,18 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsecomp import (
+    ErrorAssignment,
     Hamiltonian,
     Subspace,
     Unitary,
     UnitaryError,
+    compile_sequence,
     distance,
     evolve,
     fidelity,
     matrix_of,
     subspace_fidelity,
 )
+from pulsecomp import unitary
+from pulsecomp.encoded import get_encoding, heisenberg_logical, p3_bb1, p3_sequence
 from pulsecomp.unitary import matrix_to_hamiltonian
 
 
@@ -62,6 +68,10 @@ class TestSubspace:
     def test_nan_basis_rejected(self):
         with pytest.raises(UnitaryError):
             Subspace(np.full((4, 2), np.nan))
+
+    def test_empty_basis_rejected(self):
+        with pytest.raises(UnitaryError, match="at least one column"):
+            Subspace(np.zeros((4, 0)))
 
     def test_projector(self):
         s = Subspace(np.eye(4)[:, :2])
@@ -321,3 +331,95 @@ class TestSubspaceFidelity:
             subspace_fidelity(
                 Unitary(np.eye(2)), Unitary(np.eye(2)), Subspace(np.eye(4)[:, :2])
             )
+
+
+def _record_scans(monkeypatch) -> list:
+    """Make unitary._scan_max record each (f, f_scan) pair it is given."""
+    real, scans = unitary._scan_max, []
+    monkeypatch.setattr(
+        unitary, "_scan_max", lambda *fs: scans.append(fs) or real(*fs)
+    )
+    return scans
+
+
+def _leaky_pair(seed: int, scale: float, d: int) -> tuple[Unitary, Unitary, Subspace]:
+    """I and exp(-i scale K) for a random unit-norm Hermitian K on C^4,
+    with a random d-dimensional subspace."""
+    rng = np.random.default_rng(seed)
+    k = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    k = 0.5 * (k + k.conj().T)
+    k /= np.linalg.norm(k, ord=2)
+    w, vecs = np.linalg.eigh(scale * k)
+    v = Unitary(vecs @ np.diag(np.exp(-1j * w)) @ vecs.conj().T)
+    basis = random_unitary(rng, 4).matrix[:, :d]
+    return Unitary(np.eye(4)), v, Subspace(basis)
+
+
+class TestSupportScan:
+    """The stacked scan matches the scalar objective whose bracket it picks."""
+
+    @staticmethod
+    def assert_scans_agree(scans) -> None:
+        gammas = np.linspace(0.0, 2 * math.pi, unitary._GRID_POINTS, endpoint=False)
+        for f, f_scan in scans:
+            stacked = f_scan(gammas)
+            scalar = np.array([f(g) for g in gammas])
+            assert stacked.shape == scalar.shape
+            assert np.abs(stacked - scalar).max() <= 1e-14
+            assert stacked.argmax() == scalar.argmax()
+
+    def test_code_space_curves(self, monkeypatch):
+        theta = math.pi / 4
+        curves = [
+            ("xy3", p3_sequence(theta), p3_sequence(theta)),
+            ("xy3", p3_sequence(theta), p3_bb1(theta)),
+        ]
+        for axis in ("z", "x"):
+            plain = heisenberg_logical(axis, theta)
+            corrected = heisenberg_logical(axis, theta, corrected=True)
+            curves += [("heisenberg3", plain, plain), ("heisenberg3", plain, corrected)]
+        scans = _record_scans(monkeypatch)
+        for name, plain, seq in curves:
+            label = next(iter(plain.labels))
+            ideal = compile_sequence(plain, ErrorAssignment.zero([label]))
+            code = get_encoding(name).code
+            for eps in np.geomspace(1e-4, 0.9, 16):
+                actual = compile_sequence(seq, ErrorAssignment.uniform([label], eps))
+                subspace_fidelity(ideal, actual, code)
+        # the far regime scans one function in both forms; the near regime two
+        assert any(f is f_scan for f, f_scan in scans)
+        assert any(f is not f_scan for f, f_scan in scans)
+        self.assert_scans_agree(scans)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-3.0, 0.3),
+        d=st.sampled_from([1, 2, 3]),
+    )
+    def test_random_compressions(self, seed, log_scale, d):
+        u, v, s = _leaky_pair(seed, 10.0**log_scale, d)
+        with pytest.MonkeyPatch.context() as mp:
+            scans = _record_scans(mp)
+            subspace_fidelity(u, v, s)
+        assert len(scans) == 1
+        self.assert_scans_agree(scans)
+
+    def test_near_regime_call_is_one_stacked_eigh(self, monkeypatch):
+        theta = math.pi / 4
+        seq = p3_sequence(theta)
+        label = next(iter(seq.labels))
+        ideal = compile_sequence(seq, ErrorAssignment.zero([label]))
+        actual = compile_sequence(seq, ErrorAssignment.uniform([label], 1e-2))
+        scans, calls = _record_scans(monkeypatch), []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, real=real, **kw: calls.append(1) or real(*a, **kw)
+            )
+        rep = subspace_fidelity(ideal, actual, get_encoding("xy3").code)
+        assert rep.method == "numerical-range"
+        # one stacked scan plus the scalar golden-section steps, not 720 + those
+        assert len(calls) < 100
+        [(f, f_scan)] = scans
+        assert f is not f_scan  # the near regime

@@ -208,8 +208,8 @@ def random_sign_assignment(
     order; the correlated pair shares the draw of its first-sorted member.
     The realized pattern (sorted label order) is recorded in ``signs``.
     """
-    if magnitude < 0:
-        raise ValueError("magnitude must be >= 0")
+    if not 0 <= magnitude < math.inf:
+        raise ValueError(f"magnitude must be finite and >= 0, got {magnitude!r}")
     ordered = sorted(set(labels))
     rng = np.random.Generator(np.random.Philox(key=seed))
     pair = frozenset(correlated_pair) if correlated_pair else frozenset()

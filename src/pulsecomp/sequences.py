@@ -298,6 +298,8 @@ def compile_sequence(
 
 def phi_of(theta: float) -> float:
     """Correction-pulse angle acos(-theta / 4 pi)."""
+    if not math.isfinite(theta):
+        raise SequenceError(f"theta = {theta!r} is not finite")
     x = -theta / (4.0 * math.pi)
     if abs(x) > 1.0:
         raise SequenceError(f"|theta| = {abs(theta):g} exceeds 4*pi")

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import Hamiltonian, PauliError, square_identity_coefficient
+from .pauli import Hamiltonian, PauliError, PauliString, PhasedPauli, multiply
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -24,6 +24,14 @@ _PAULI_MATS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+@lru_cache(maxsize=32)
+def _identity(dim: int, dtype: type = float) -> np.ndarray:
+    """Read-only np.eye(dim, dtype=dtype)."""
+    m = np.eye(dim, dtype=dtype)
+    m.flags.writeable = False
+    return m
 
 
 class UnitaryError(ValueError):
@@ -41,7 +49,7 @@ class Unitary:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise UnitaryError(f"not square: shape {m.shape}")
-        defect = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
+        defect = np.abs(m.conj().T @ m - _identity(m.shape[0])).max()
         if not defect <= 1e-10:
             raise UnitaryError(f"not unitary: defect {defect:.3e}")
 
@@ -106,20 +114,25 @@ def _word_matrix(letters: str) -> np.ndarray:
     return m
 
 
+def _pauli_sum(dim: int, pairs) -> np.ndarray:
+    """sum of coeff * word matrix over (coeff, matrix) pairs, zeros skipped."""
+    out = np.zeros((dim, dim), dtype=complex)
+    for coeff, m in pairs:
+        if coeff != 0.0:
+            out += coeff * m
+    return out
+
+
 def matrix_of(h: Hamiltonian) -> np.ndarray:
     """Dense Hermitian matrix of a Pauli-sum Hamiltonian."""
-    dim = 2**h.n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    for coeff, string in h.terms:
-        out += coeff * _word_matrix(string.letters)
-    return out
+    return _pauli_sum(
+        2**h.n_qubits, ((c, _word_matrix(s.letters)) for c, s in h.terms)
+    )
 
 
 def matrix_to_hamiltonian(m: np.ndarray, n_qubits: int, tol: float = 1e-12) -> Hamiltonian:
     """Exact Pauli decomposition of a Hermitian matrix (small n only)."""
     from itertools import product
-
-    from .pauli import PauliString
 
     dim = 2**n_qubits
     terms = []
@@ -134,34 +147,109 @@ def matrix_to_hamiltonian(m: np.ndarray, n_qubits: int, tol: float = 1e-12) -> H
     return Hamiltonian.from_terms(n_qubits, terms)
 
 
+class _Synthesis:
+    """The Pauli structure of one pulse, derived once from its Hamiltonians.
+
+    For the simultaneous terms of a pulse this holds the merged, sorted
+    words, each word's (term index, coefficient) contributions, the word
+    matrices, and the products of word pairs that form A^2.  ``evolve``
+    then needs only float arithmetic, done in the order that summing the
+    Hamiltonians, ``square_identity_coefficient`` and ``matrix_of`` do it,
+    so its results are bit for bit those of the Pauli algebra.
+    """
+
+    def __init__(self, hams: tuple[Hamiltonian, ...]):
+        sizes = {h.n_qubits for h in hams}
+        if len(sizes) > 1:
+            raise PauliError(f"mixed qubit counts in evolve: {sorted(sizes)}")
+        n = sizes.pop()
+        contributions: dict[str, list] = {}
+        for t, h in enumerate(hams):
+            for coeff, string in h.terms:
+                contributions.setdefault(string.letters, []).append((t, coeff))
+        self.dim = 2**n
+        self.words = tuple(sorted(contributions))
+        self.contributions = tuple(tuple(contributions[w]) for w in self.words)
+        self.matrices = tuple(_word_matrix(w) for w in self.words)
+        # A^2 as (i, j, phase) per product word, both in the nested order
+        # of _product_terms, so each word's sum is formed as it does.
+        phased = [PhasedPauli(0, PauliString(w)) for w in self.words]
+        groups: dict[str, list] = {}
+        for i, p in enumerate(phased):
+            for j, q in enumerate(phased):
+                pq = multiply(p, q)
+                groups.setdefault(pq.string.letters, []).append((i, j, pq.phase))
+        ident = "I" * n
+        self.square_groups = tuple((w == ident, tuple(g)) for w, g in groups.items())
+
+    def coefficients(self, scales: list[float]) -> list[float]:
+        """Merged coefficient per word for per-term scales theta(1+eps)."""
+        out = []
+        for word, contributions in zip(self.words, self.contributions):
+            a = 0.0
+            for t, coeff in contributions:
+                a = a + scales[t] * coeff
+            if not math.isfinite(a):
+                raise PauliError(f"coefficient {a!r} of {word} is not finite")
+            out.append(a)
+        return out
+
+    def square_coefficient(self, a: list[float]) -> float | None:
+        """c with A^2 = c I for merged coefficients a, or None.
+
+        The product sums and the 1e-14 relative test are those of
+        square_identity_coefficient.  A word whose coefficient is exactly
+        zero, which a Hamiltonian would drop, adds only signed zeros here:
+        the test and c are unchanged up to the sign of a zero c, and c = +-0
+        takes the same branch of evolve.  The identity sum comes first (word 0
+        squared) and is never NaN, so neither is the scale.
+        """
+        sums = []
+        for is_identity, group in self.square_groups:
+            s = 0.0
+            for i, j, phase in group:
+                s = s + a[i] * a[j] * phase
+            sums.append((is_identity, s))
+        scale = max((abs(s) for _, s in sums), default=0.0)
+        tol = 1e-14 * max(scale, 1.0)
+        c = 0.0
+        for is_identity, s in sums:
+            if is_identity:
+                c = s.real
+            elif abs(s) > tol:
+                return None
+        return c
+
+
+@lru_cache(maxsize=256)
+def _synthesis(hams: tuple[Hamiltonian, ...]) -> _Synthesis:
+    return _Synthesis(hams)
+
+
 def evolve(terms: list[tuple[float, float, Hamiltonian]]) -> Unitary:
     """exp(-i sum theta(1+eps) H) for simultaneous terms (theta, eps, H).
 
     When the summed operator A satisfies A^2 = c I (detected exactly in
     the Pauli algebra) the closed form cos(sqrt(c)) I - i sinc * A is used;
-    otherwise a Hermitian eigendecomposition.
+    otherwise a Hermitian eigendecomposition.  The Pauli structure of the
+    Hamiltonians is derived once per distinct tuple (a cached plan), so a
+    call is float arithmetic in the order of the Hamiltonian algebra.
     """
     if not terms:
         raise UnitaryError("evolve requires at least one term")
-    sizes = {h.n_qubits for _, _, h in terms}
-    if len(sizes) > 1:
-        raise PauliError(f"mixed qubit counts in evolve: {sorted(sizes)}")
-    n = sizes.pop()
-    total = Hamiltonian.zero(n)
-    for theta, eps, h in terms:
-        total = total + (theta * (1.0 + eps)) * h
-    dim = 2**n
-    c = square_identity_coefficient(total)
+    plan = _synthesis(tuple(h for _, _, h in terms))
+    a = plan.coefficients([theta * (1.0 + eps) for theta, eps, _ in terms])
+    c = plan.square_coefficient(a)
+    dim = plan.dim
+    amat = _pauli_sum(dim, zip(a, plan.matrices))
     if c is not None and c >= 0.0:
-        a = matrix_of(total)
         r = math.sqrt(c)
         if r < 1e-150:
-            u = np.eye(dim, dtype=complex) - 1j * a
+            u = _identity(dim, complex) - 1j * amat
         else:
-            u = math.cos(r) * np.eye(dim) - 1j * (math.sin(r) / r) * a
+            u = math.cos(r) * _identity(dim) - 1j * (math.sin(r) / r) * amat
         return Unitary(u)
-    hmat = matrix_of(total)
-    w, v = np.linalg.eigh(hmat)
+    w, v = np.linalg.eigh(amat)
     return Unitary((v * np.exp(-1j * w)) @ v.conj().T)
 
 

@@ -207,6 +207,11 @@ class TestRandomSigns:
         with pytest.raises(ValueError):
             random_sign_assignment(0, ["a"], -0.1)
 
+    @pytest.mark.parametrize("magnitude", [math.nan, math.inf])
+    def test_non_finite_magnitude_rejected(self, magnitude):
+        with pytest.raises(ValueError, match="magnitude must be finite and >= 0"):
+            random_sign_assignment(0, ["a"], magnitude)
+
 
 class TestCrossover:
     @staticmethod

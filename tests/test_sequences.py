@@ -28,7 +28,7 @@ from pulsecomp import (
     w_correction,
     wj_chain,
 )
-from pulsecomp import sequences
+from pulsecomp import pauli, sequences, unitary
 from pulsecomp.encoded import heisenberg_coupling
 
 HX = Hamiltonian.single(0.5, "X")
@@ -51,6 +51,10 @@ class TestPhiOf:
     def test_domain_error(self):
         with pytest.raises(SequenceError):
             phi_of(4.5 * math.pi)
+
+    def test_nan_rejected(self):
+        with pytest.raises(SequenceError, match="theta = nan is not finite"):
+            phi_of(math.nan)
 
 
 class TestPulseTypes:
@@ -383,6 +387,27 @@ class TestCompile:
         assert len(calls) < 300
         cached = compile_sequence(seq, zero, CompileCache())
         assert np.array_equal(plain.matrix, cached.matrix)
+
+    def test_pulse_structure_derived_once(self, monkeypatch):
+        seq = wj_chain(3, math.pi / 4)
+        unitary._synthesis.cache_clear()
+        calls, real = [], pauli.multiply
+
+        def counting(p, q):
+            calls.append(1)
+            return real(p, q)
+
+        monkeypatch.setattr(pauli, "multiply", counting)
+        monkeypatch.setattr(unitary, "multiply", counting)
+        counts = []
+        for magnitude in (1e-3, 1e-2, 1e-1):
+            before = len(calls)
+            errors = ErrorAssignment.uniform(seq.labels, magnitude)
+            compile_sequence(seq, errors, CompileCache())
+            counts.append(len(calls) - before)
+        # the first compile derives each pulse's word products; later ones reuse them
+        assert counts[0] > 0
+        assert counts[1:] == [0, 0]
 
     def test_cache_hits_on_repeated_blocks(self):
         seq = wj_chain(2, math.pi / 4)

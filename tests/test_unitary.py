@@ -22,7 +22,51 @@ from pulsecomp import (
 )
 from pulsecomp import unitary
 from pulsecomp.encoded import get_encoding, heisenberg_logical, p3_bb1, p3_sequence
+from pulsecomp.pauli import PauliError, PauliString, square_identity_coefficient
 from pulsecomp.unitary import matrix_to_hamiltonian
+
+
+def algebra_evolve(terms):
+    """evolve through the Pauli algebra: a Hamiltonian sum, its exact square
+    test, its dense matrix, then the closed form or an eigendecomposition."""
+    n = terms[0][2].n_qubits
+    total = Hamiltonian.zero(n)
+    for theta, eps, h in terms:
+        total = total + (theta * (1.0 + eps)) * h
+    dim = 2**n
+    c = square_identity_coefficient(total)
+    a = matrix_of(total)
+    if c is not None and c >= 0.0:
+        r = math.sqrt(c)
+        if r < 1e-150:
+            return Unitary(np.eye(dim, dtype=complex) - 1j * a)
+        return Unitary(math.cos(r) * np.eye(dim) - 1j * (math.sin(r) / r) * a)
+    w, v = np.linalg.eigh(a)
+    return Unitary((v * np.exp(-1j * w)) @ v.conj().T)
+
+
+@st.composite
+def simultaneous_terms(draw):
+    """1-3 simultaneous terms on 1-3 qubits whose words repeat across terms."""
+    n = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=6))
+    coeff = st.sampled_from([0.5, -0.5, 1.0, 1 / math.sqrt(3)]) | st.floats(-2.0, 2.0)
+    theta = st.sampled_from([0.0, math.pi, -math.pi, 2 * math.pi, 1e308]) | st.floats(-10.0, 10.0)
+    eps = st.sampled_from([0.0, -1.0, 1e-12]) | st.floats(-0.5, 0.5)
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        pairs = draw(st.lists(st.tuples(coeff, st.sampled_from(pool)), min_size=1, max_size=4))
+        h = Hamiltonian.from_terms(n, [(c, PauliString(w)) for c, w in pairs])
+        terms.append((draw(theta), draw(eps), h))
+    return terms
+
+
+def outcome(f, terms):
+    """The matrix bytes of f(terms), or the type of the exception it raises."""
+    try:
+        return f(terms).matrix.tobytes()
+    except Exception as exc:
+        return type(exc)
 
 
 def random_unitary(rng, dim):
@@ -156,6 +200,16 @@ class TestEvolve:
         with pytest.raises(Exception):
             evolve([(1.0, 0.0, Hamiltonian.single(0.5, "X")),
                     (1.0, 0.0, Hamiltonian.single(0.5, "XX"))])
+
+    @settings(max_examples=300, deadline=None)
+    @given(simultaneous_terms())
+    def test_bitwise_equal_to_pauli_algebra(self, terms):
+        assert outcome(evolve, terms) == outcome(algebra_evolve, terms)
+
+    @pytest.mark.parametrize("theta, eps", [(1e308, 1.0), (0.5, math.nan)])
+    def test_non_finite_scale_names_word(self, theta, eps):
+        with pytest.raises(PauliError, match="of ZZ is not finite"):
+            evolve([(theta, eps, Hamiltonian.single(0.5, "ZZ"))])
 
 
 class TestFidelity:

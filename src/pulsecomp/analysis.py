@@ -82,7 +82,7 @@ class CrossoverReport:
 
 
 def infidelity_of(target: Unitary, actual: Unitary) -> float:
-    """Worst-case infidelity, clamped at the numeric floor."""
+    """Worst-case infidelity, clamped at 0 (INFIDELITY_FLOOR applies only in fits)."""
     return max(fidelity(target, actual).infidelity, 0.0)
 
 
@@ -92,16 +92,16 @@ def sweep(
     errors_for: Callable[[float], ErrorAssignment],
     grid: Sequence[float],
     sequence_id: str = "",
-    seed: Optional[int] = None,
-    metric: Optional[Callable[[Unitary, Unitary], float]] = None,
+    metric: Callable[[Unitary, Unitary], float] = infidelity_of,
     eps2: Optional[float] = None,
     cache: Optional[CompileCache] = None,
 ) -> SweepResult:
     """Compile the sequence at each error magnitude and record infidelity.
 
-    ``errors_for`` maps a grid magnitude to a full assignment;
-    ``metric(target, compiled)`` defaults to the full-space worst-case
-    infidelity.  Grid points must be finite, positive and ascending.
+    ``errors_for`` maps a grid magnitude to a full assignment, whose
+    ``seed`` and ``signs`` fill the row's columns; ``metric(target,
+    compiled)`` defaults to the full-space worst-case infidelity.  Grid
+    points must be finite, positive and ascending.
     """
     pts = list(grid)
     bad = [e for e in pts if not math.isfinite(e)]
@@ -109,8 +109,6 @@ def sweep(
         raise ValueError(f"grid point {bad[0]} is not finite")
     if any(e <= 0 for e in pts) or any(b <= a for a, b in zip(pts, pts[1:])):
         raise ValueError("grid must be positive and strictly ascending")
-    if metric is None:
-        metric = infidelity_of
     if cache is None:
         cache = CompileCache()
     rows = []
@@ -126,7 +124,7 @@ def sweep(
                 eps2=eps2,
                 infidelity=metric(target, compiled),
                 sequence=sequence_id,
-                seed=seed if seed is not None else errs.seed,
+                seed=errs.seed,
                 signs=errs.signs,
             )
         )
@@ -226,44 +224,43 @@ def random_sign_assignment(
     return ErrorAssignment(values, groups=all_groups, seed=seed, signs=signs)
 
 
-def local_slope(infid_fn: Callable[[float], float], eps: float, h: float = 1.15) -> float:
+# local_slope's step; locate_crossover's scan range and points, target slope and bracket.
+_SLOPE_STEP = 1.15
+_CROSSOVER_LO, _CROSSOVER_HI, _CROSSOVER_POINTS = 1e-8, 0.05, 25
+_CROSSOVER_SLOPE, _CROSSOVER_BRACKET = 4.0, 1.2
+
+
+def local_slope(infid_fn: Callable[[float], float], eps: float) -> float:
     """Two-point log-log slope of infid_fn around eps."""
-    lo, hi = infid_fn(eps / h), infid_fn(eps * h)
+    lo, hi = infid_fn(eps / _SLOPE_STEP), infid_fn(eps * _SLOPE_STEP)
     if lo <= INFIDELITY_FLOOR or hi <= INFIDELITY_FLOOR:
         return float("nan")
-    return math.log(hi / lo) / (2.0 * math.log(h))
+    return math.log(hi / lo) / (2.0 * math.log(_SLOPE_STEP))
 
 
-def locate_crossover(
-    infid_fn: Callable[[float], float],
-    lo: float = 1e-8,
-    hi: float = 0.05,
-    scan_points: int = 25,
-    target_slope: float = 4.0,
-    bracket_factor: float = 1.2,
-) -> Optional[float]:
+def locate_crossover(infid_fn: Callable[[float], float]) -> Optional[float]:
     """Error magnitude where the local log-log slope crosses 4.
 
     The slope transitions from 2 to 6 as the error grows; bisection in log
-    space narrows the crossing to within ``bracket_factor``.  Returns None
-    when no slope change is found in range.
+    space narrows the crossing to within ``_CROSSOVER_BRACKET``.  Returns
+    None when no slope change is found in range.
     """
-    grid = np.geomspace(lo, hi, scan_points)
+    grid = np.geomspace(_CROSSOVER_LO, _CROSSOVER_HI, _CROSSOVER_POINTS)
     slopes = [local_slope(infid_fn, e) for e in grid]
     bracket = None
     for (e1, s1), (e2, s2) in zip(zip(grid, slopes), zip(grid[1:], slopes[1:])):
         if math.isnan(s1) or math.isnan(s2):
             continue
-        if (s1 - target_slope) * (s2 - target_slope) < 0:
+        if (s1 - _CROSSOVER_SLOPE) * (s2 - _CROSSOVER_SLOPE) < 0:
             bracket = (e1, e2)
             break
     if bracket is None:
         return None
     a, b = bracket
-    sa = local_slope(infid_fn, a) - target_slope
-    while b / a > bracket_factor:
+    sa = local_slope(infid_fn, a) - _CROSSOVER_SLOPE
+    while b / a > _CROSSOVER_BRACKET:
         mid = math.sqrt(a * b)
-        sm = local_slope(infid_fn, mid) - target_slope
+        sm = local_slope(infid_fn, mid) - _CROSSOVER_SLOPE
         if math.isnan(sm):
             return None
         if sa * sm <= 0:
@@ -276,7 +273,6 @@ def locate_crossover(
 def crossover_power(
     infid_fn2: Callable[[float, float], float],
     eps2_values: Sequence[float],
-    **kwargs,
 ) -> CrossoverReport:
     """Fit the power of the crossover location against the fixed error.
 
@@ -286,7 +282,7 @@ def crossover_power(
     """
     stars = []
     for eps2 in eps2_values:
-        star = locate_crossover(lambda e1: infid_fn2(e1, eps2), **kwargs)
+        star = locate_crossover(lambda e1: infid_fn2(e1, eps2))
         if star is None:
             raise ValueError(f"no crossover found for eps2 = {eps2:g}")
         stars.append(star)

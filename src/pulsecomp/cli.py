@@ -292,9 +292,9 @@ _FIGURES: dict[str, _Figure] = {
             "one sign), drawn from the Philox counter generator"
         ),
         "notes": (
-            "Magnitude axis sampled logarithmically (the sampling is not "
-            "fixed by the source data); n = 6 is a long-running optional "
-            "target and is not produced by default."
+            "Magnitude axis sampled logarithmically (not fixed by the source "
+            "data). Written for n = 2 and 3: wj_chain(5) fails the 1e-10 unitarity "
+            "check on compile (defect 1.676e-10) until its rounding is bounded."
         ),
     }),
     "xy": _Figure((1e-3, 1e-1, 13), _xy_curves, {
@@ -337,6 +337,21 @@ def _write_figure(figure_id: str, out_dir: Path, seed: int) -> None:
 # --- sweep command -----------------------------------------------------------
 
 
+def _number(value, what: str, kind: type = float):
+    """``kind(value)`` for a config value; else a UsageError naming ``what``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _labels(value, what: str) -> list:
+    """``value`` if it is a list of label strings; else a UsageError."""
+    if not isinstance(value, list) or not all(isinstance(l, str) for l in value):
+        raise UsageError(f"{what} must be a list of label strings")
+    return value
+
+
 # type -> (number of control labels, builder(spec, theta, labels, hams)).  The
 # builders look their sequence builder up by module-level name at call time.
 _SEQUENCE_TYPES = {
@@ -344,7 +359,8 @@ _SEQUENCE_TYPES = {
     "bb1_w": (2, lambda spec, t, l, h: bb1_w(t, h[0], h[1], l[0], l[1])),
     "bb1_j": (2, lambda spec, t, l, h: bb1_j(t, h[0], h[1], l[0], l[1])),
     "bb1_wj": (3, lambda spec, t, l, h: bb1_wj(t, *h[:3], *l[:3])),
-    "wj_chain": (0, lambda spec, t, l, h: wj_chain(int(spec.get("chain_n", 2)), t)),
+    "wj_chain": (0, lambda spec, t, l, h: wj_chain(
+        _number(spec.get("chain_n", 2), "sequence.chain_n", int), t)),
 }
 
 
@@ -372,8 +388,8 @@ def _config_controls(cfg) -> dict[str, Hamiltonian]:
             label, expr = entry
         else:
             raise UsageError(f"control {entry!r} is neither [label, expr] nor an object")
-        if not isinstance(expr, str):
-            raise UsageError(f"control {label!r}: 'hamiltonian' must be a string")
+        if not isinstance(label, str) or not isinstance(expr, str):
+            raise UsageError(f"control {label!r}: 'label' and 'hamiltonian' must be strings")
         try:
             out[label] = parse_hamiltonian(expr, n_qubits)
         except ExpressionError as exc:
@@ -384,15 +400,13 @@ def _config_controls(cfg) -> dict[str, Hamiltonian]:
 
 
 def _config_sequence(cfg: dict, controls: dict[str, Hamiltonian]) -> PulseSequence:
-    spec = cfg.get("sequence")
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise UsageError("config needs a sequence object with a 'type'")
+    spec = _object(cfg.get("sequence"), "config 'sequence'", "type")
     kind = spec["type"]
-    if kind not in _SEQUENCE_TYPES:
+    if not isinstance(kind, str) or kind not in _SEQUENCE_TYPES:
         raise UsageError(f"unknown sequence type {kind!r}")
     arity, build = _SEQUENCE_TYPES[kind]
     theta = parse_angle(spec.get("theta", "pi/4"))
-    labels = spec.get("controls", list(controls)) if arity else []
+    labels = _labels(spec.get("controls", list(controls)), "sequence.controls") if arity else []
     if len(labels) < arity:
         raise UsageError(f"sequence {kind!r} needs {arity} control labels")
     missing = [l for l in labels if l not in controls]
@@ -407,35 +421,35 @@ def _config_sequence(cfg: dict, controls: dict[str, Hamiltonian]) -> PulseSequen
 def _config_grid(cfg: dict) -> list[float]:
     grid = cfg.get("grid")
     if isinstance(grid, list):
-        return [float(g) for g in grid]
+        return [_number(g, "grid point") for g in grid]
     if isinstance(grid, dict):
         _object(grid, "grid", "lo", "hi", "points")
-        return list(np.geomspace(float(grid["lo"]), float(grid["hi"]), int(grid["points"])))
+        lo, hi = _number(grid["lo"], "grid.lo"), _number(grid["hi"], "grid.hi")
+        return list(np.geomspace(lo, hi, _number(grid["points"], "grid.points", int)))
     raise UsageError("config needs a grid (list of points, or lo/hi/points)")
 
 
 def _config_errors(cfg: dict, seq: PulseSequence, seed: int):
     spec = _object(cfg.get("errors", {}), "errors")
     groups = spec.get("groups", [])
-    if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
+    if not isinstance(groups, list):
         raise UsageError("errors 'groups' must be a list of label lists")
-    groups = tuple(frozenset(g) for g in groups)
-    fixed = {l: float(v) for l, v in _object(spec.get("fixed", {}), "errors.fixed").items()}
+    groups = tuple(frozenset(_labels(g, "errors.groups entry")) for g in groups)
+    fixed = _object(spec.get("fixed", {}), "errors.fixed")
+    fixed = {l: _number(v, f"errors.fixed.{l}") for l, v in fixed.items()}
     rand = spec.get("random_signs")
     if rand is not None:
-        pair = _object(rand, "errors.random_signs").get("correlated_pair")
-        rseed = int(rand.get("seed", seed))
+        pair = _object(rand, "errors.random_signs").get("correlated_pair") or []
+        pair = tuple(_labels(pair, "errors.random_signs.correlated_pair")) or None
+        rseed = _number(rand.get("seed", seed), "errors.random_signs.seed", int)
         labels = sorted(seq.labels)
 
         def errors_for(e: float) -> ErrorAssignment:
-            return random_sign_assignment(
-                rseed, labels, e, tuple(pair) if pair else None, groups
-            )
+            return random_sign_assignment(rseed, labels, e, pair, groups)
 
         return errors_for
     vary = spec.get("vary", sorted(seq.labels - set(fixed)))
-    if isinstance(vary, str):
-        vary = [vary]
+    vary = _labels([vary] if isinstance(vary, str) else vary, "errors.vary")
 
     def errors_for(e: float) -> ErrorAssignment:
         values = dict(fixed)
@@ -470,11 +484,13 @@ def cmd_sweep(config_path: str, seed: int) -> int:
                 "to skip fitting)"
             )
         ideal = compile_sequence(seq, ErrorAssignment.zero(seq.labels))
+        out_path = cfg.get("output")
+        if out_path is not None and not isinstance(out_path, str):
+            raise UsageError("config 'output' must be a path string")
         result = sweep(seq, ideal, errors_for, grid, cfg.get("sequence", {}).get("type", ""))
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_path = cfg.get("output")
     csv = result.to_csv()
     if out_path:
         try:

@@ -387,6 +387,9 @@ def bb1_j(
     )
 
 
+# Largest distance, up to global phase, of a replacement from its pulse at zero error.
+_CHECK_TOL = 1e-10
+
 # Compile cache for the self-checks of the substitution being built.
 _CHECK_CACHE: ContextVar[Optional[CompileCache]] = ContextVar("_CHECK_CACHE", default=None)
 
@@ -395,7 +398,6 @@ def substitute(
     seq: PulseSequence,
     label: str,
     builder: Callable[[float], PulseSequence],
-    check_tol: float = 1e-10,
 ) -> PulseSequence:
     """Replace every pulse carrying ``label`` by a corrected block.
 
@@ -408,10 +410,10 @@ def substitute(
     matrices of its already-checked sub-blocks.
     """
     if _CHECK_CACHE.get() is not None:
-        return _substitute(seq, label, builder, check_tol)
+        return _substitute(seq, label, builder)
     token = _CHECK_CACHE.set(CompileCache())
     try:
-        return _substitute(seq, label, builder, check_tol)
+        return _substitute(seq, label, builder)
     finally:
         _CHECK_CACHE.reset(token)
 
@@ -420,7 +422,6 @@ def _substitute(
     seq: PulseSequence,
     label: str,
     builder: Callable[[float], PulseSequence],
-    check_tol: float,
 ) -> PulseSequence:
     checked: dict[float, PulseSequence] = {}
     groups: list[frozenset[str]] = list(seq.required_groups)
@@ -435,7 +436,7 @@ def _substitute(
             )
             target = evolve([(mag, 0.0, h)])
             mismatch = distance(target, ideal, align_phase=True)
-            if mismatch > check_tol:
+            if mismatch > _CHECK_TOL:
                 raise SequenceError(
                     f"replacement for {label!r} at angle {mag:g} deviates from "
                     f"the ideal pulse by {mismatch:.3e}"

@@ -308,31 +308,24 @@ def _hermitian_part(c: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
     return 0.5 * (r + np.swapaxes(r, -1, -2).conj())
 
 
-def _boundary_point(delta: np.ndarray, gamma: float) -> complex:
-    w, v = np.linalg.eigh(_hermitian_part(delta, gamma))
-    psi = v[:, 0]
-    return complex(psi.conj() @ delta @ psi)
-
-
-def _boundary_points(delta: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """_boundary_point at every angle of gammas from one stacked eigh."""
-    _, v = np.linalg.eigh(_hermitian_part(delta, gammas))
+def _boundary_points(delta: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
+    """Point of the numerical range of delta minimizing Re(e^{i gamma} w), per angle."""
+    _, v = np.linalg.eigh(_hermitian_part(delta, gamma))
     psi = v[..., 0]
-    return np.einsum("ki,ij,kj->k", psi.conj(), delta, psi)
+    return (psi.conj()[..., None, :] @ delta @ psi[..., :, None])[..., 0, 0]
 
 
 _GRID_POINTS = 720
 _REFINE_TOL = 1e-10
 
 
-def _scan_max(f, f_scan) -> float:
+def _scan_max(f) -> float:
     """Maximum of a 2 pi-periodic f: a uniform scan, then golden-section refinement.
 
-    f_scan is f over an array of angles; it only picks the bracket, and
-    the refinement calls the scalar f.
+    f is elementwise: called once on all grid angles, then on one angle at a time.
     """
     gammas = np.linspace(0.0, 2 * math.pi, _GRID_POINTS, endpoint=False)
-    k = int(f_scan(gammas).argmax())
+    k = int(f(gammas).argmax())
     step = gammas[1] - gammas[0]
     g = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = gammas[k] - step, gammas[k] + step
@@ -409,10 +402,9 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     expansion in the deviation generator, which keeps relative precision
     when the infidelity sits below machine epsilon in fidelity.
 
-    The support-angle scan is one stacked eigendecomposition over all
-    grid angles; it only picks the bracket.  The golden-section refinement
-    evaluates one angle at a time, so the returned value is independent of
-    the stacked arithmetic and output stays byte-stable.
+    Each leaky regime has one elementwise evaluator over support angles:
+    the scan applies it to all grid angles at once (one stacked
+    eigendecomposition), the golden-section refinement to one angle at a time.
     """
     if u.dim != v.dim:
         raise UnitaryError(f"dimension mismatch: {u.dim} vs {v.dim}")
@@ -439,16 +431,10 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     if np.linalg.norm(delta, ord=2) < 0.1:
         # |1+w| > 0 throughout, so the minimizer sits on the boundary of
         # the numerical range of delta.
-        infid = _scan_max(
-            lambda g: _stable_deficit(_boundary_point(delta, g)),
-            lambda gs: _stable_deficit(_boundary_points(delta, gs)),
-        )
+        infid = _scan_max(lambda g: _stable_deficit(_boundary_points(delta, g)))
         infid = min(1.0, max(0.0, infid))
         return FidelityReport(1.0 - infid, infid, "numerical-range")
     # Far regime: distance from the origin to the numerical range of c (0 if inside).
-    def support(g):
-        return np.linalg.eigvalsh(_hermitian_part(c, g))[..., 0]
-
-    f = _scan_max(support, support)
+    f = _scan_max(lambda g: np.linalg.eigvalsh(_hermitian_part(c, g))[..., 0])
     f = min(1.0, max(0.0, f))
     return FidelityReport(f, 1.0 - f, "numerical-range")

@@ -255,7 +255,6 @@ def test_criterion_9_chain():
                     seed, sorted(seq.labels), e, correlated_pair=("X1", "Y1")
                 ),
                 grid,
-                seed=seed,
                 cache=cache,
             ).infidelities()
             uncorrected = np.array(

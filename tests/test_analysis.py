@@ -90,10 +90,9 @@ class TestSweep:
             return sweep(
                 seq,
                 target,
-                lambda e: ErrorAssignment.uniform(["a"], e),
+                lambda e: ErrorAssignment({"a": e}, seed=7),
                 [1e-3, 1e-2],
                 "seq-id",
-                seed=7,
                 eps2=0.01,
             ).to_csv()
 

@@ -194,6 +194,19 @@ class TestSweepCommand:
             (lambda c: c.update(controls=[["ZZ", 5], ["X1", "0.5*XI"]]), "hamiltonian"),
             (lambda c: c.update(errors={"groups": 3}), "groups"),
             (lambda c: c.update(errors={"fixed": [1]}), "fixed"),
+            (lambda c: c["sequence"].update(controls=5), "sequence.controls"),
+            (lambda c: c.update(grid=[[1e-3]]), "grid point"),
+            (lambda c: c["grid"].update(lo=[1]), "grid.lo"),
+            (lambda c: c["errors"].update(vary=5), "errors.vary"),
+            (lambda c: c["errors"]["fixed"].update(X1=[1]), "errors.fixed.X1"),
+            (lambda c: c.update(sequence={"type": "wj_chain", "chain_n": [2]}), "chain_n"),
+            (
+                lambda c: c.update(errors={"random_signs": {"correlated_pair": 5}}),
+                "correlated_pair",
+            ),
+            (lambda c: c.update(controls=[[["ZZ"], "0.5*ZZ"]]), "label"),
+            (lambda c: c["sequence"].update(type=["bb1_j"]), "sequence type"),
+            (lambda c: c.update(output=5), "output"),
         ],
         ids=[
             "control-without-hamiltonian",
@@ -204,6 +217,16 @@ class TestSweepCommand:
             "non-string-hamiltonian",
             "bad-groups",
             "bad-fixed",
+            "sequence-controls-not-a-list",
+            "nested-grid-point",
+            "non-numeric-grid-lo",
+            "vary-not-a-list",
+            "non-numeric-fixed-error",
+            "non-numeric-chain-n",
+            "pair-not-a-list",
+            "non-string-label",
+            "unhashable-sequence-type",
+            "non-string-output",
         ],
     )
     def test_malformed_config_exits_two(self, tmp_path, capsys, malform, key):

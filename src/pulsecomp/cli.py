@@ -338,11 +338,21 @@ def _write_figure(figure_id: str, out_dir: Path, seed: int) -> None:
 
 
 def _number(value, what: str, kind: type = float):
-    """``kind(value)`` for a config value; else a UsageError naming ``what``."""
+    """``kind(value)`` for a JSON number; else a UsageError naming ``what``.
+
+    Booleans and strings are not numbers, and an ``int`` must be integral.
+    """
+    if kind is int:
+        ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    else:
+        ok = isinstance(value, (int, float))
+    if isinstance(value, bool) or not ok:
+        expected = "an integer" if kind is int else "a number"
+        raise UsageError(f"{what} must be {expected}, got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"{what} must be a number, got {value!r}") from exc
+    except OverflowError as exc:
+        raise UsageError(f"{what} is out of range, got {value!r}") from exc
 
 
 def _labels(value, what: str) -> list:
@@ -376,6 +386,10 @@ def _object(value, what: str, *keys: str) -> dict:
 
 def _config_controls(cfg) -> dict[str, Hamiltonian]:
     n_qubits = _object(cfg, "config").get("n_qubits")
+    if n_qubits is not None:
+        n_qubits = _number(n_qubits, "config.n_qubits", int)
+        if n_qubits < 1:
+            raise UsageError(f"config.n_qubits must be positive, got {n_qubits}")
     out: dict[str, Hamiltonian] = {}
     entries = cfg.get("controls", [])
     if not isinstance(entries, list):

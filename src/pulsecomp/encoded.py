@@ -14,35 +14,16 @@ from typing import Literal
 
 import numpy as np
 
-from .pauli import Hamiltonian, PauliError
-from .sequences import Pulse, PulseSequence, _bb1_w_unchecked
+from .pauli import Hamiltonian, PauliError, PauliString
+from .sequences import (
+    ErrorAssignment,
+    Pulse,
+    PulseSequence,
+    SequenceError,
+    _bb1_w_unchecked,
+    compile_sequence,
+)
 from .unitary import Subspace, matrix_of, matrix_to_hamiltonian
-
-CouplingKind = Literal["xy", "heisenberg", "exchange"]
-
-
-@dataclass(frozen=True)
-class Coupling:
-    kind: CouplingKind
-    pair: tuple[int, int]
-    n_qubits: int
-
-    def __post_init__(self) -> None:
-        i, j = self.pair
-        if not 1 <= i < j <= self.n_qubits:
-            raise PauliError(f"invalid coupling pair {self.pair} on {self.n_qubits} qubits")
-
-
-@dataclass(frozen=True)
-class SectorLabel:
-    """Conserved-quantity labels: total spin S and projection m_z."""
-
-    total_spin: float
-    m_z: float
-
-    def __post_init__(self) -> None:
-        if abs(self.m_z) > self.total_spin + 1e-12:
-            raise ValueError(f"|m_z| = {abs(self.m_z)} exceeds S = {self.total_spin}")
 
 
 @dataclass(frozen=True)
@@ -53,37 +34,27 @@ class Encoding:
     logical_x: Hamiltonian
 
 
-def _pair_word(i: int, j: int, n: int, letter: str) -> str:
-    return "".join(letter if k in (i, j) else "I" for k in range(1, n + 1))
-
-
-def coupling_hamiltonian(c: Coupling) -> Hamiltonian:
-    """The XY, Heisenberg, or exchange Hamiltonian of a qubit pair."""
-    i, j = c.pair
-    n = c.n_qubits
-    xx = Hamiltonian.single(1.0, _pair_word(i, j, n, "X"))
-    yy = Hamiltonian.single(1.0, _pair_word(i, j, n, "Y"))
-    zz = Hamiltonian.single(1.0, _pair_word(i, j, n, "Z"))
-    if c.kind == "xy":
-        return 0.5 * (xx + yy)
-    if c.kind == "heisenberg":
-        return xx + yy + zz
-    if c.kind == "exchange":
-        ident = Hamiltonian.single(1.0, "I" * n)
-        return 0.5 * (ident + xx + yy + zz)
-    raise PauliError(f"unknown coupling kind {c.kind!r}")
+def _coupling(i: int, j: int, n: int, coeff: float, letters: str) -> Hamiltonian:
+    """coeff times the sum over ``letters`` of the word with that letter on qubits i, j."""
+    if not 1 <= i < j <= n:
+        raise PauliError(f"invalid coupling pair {(i, j)} on {n} qubits")
+    words = ("".join(l if k in (i, j) else "I" for k in range(1, n + 1)) for l in letters)
+    return Hamiltonian.from_terms(n, [(coeff, PauliString(w)) for w in words])
 
 
 def xy_coupling(i: int, j: int, n: int = 3) -> Hamiltonian:
-    return coupling_hamiltonian(Coupling("xy", (i, j), n))
+    """(XX + YY)/2 on qubits i < j."""
+    return _coupling(i, j, n, 0.5, "XY")
 
 
 def exchange(i: int, j: int, n: int = 3) -> Hamiltonian:
-    return coupling_hamiltonian(Coupling("exchange", (i, j), n))
+    """(I + XX + YY + ZZ)/2 on qubits i < j: the swap of the pair."""
+    return _coupling(i, j, n, 0.5, "IXYZ")
 
 
 def heisenberg_coupling(i: int, j: int, n: int = 3) -> Hamiltonian:
-    return coupling_hamiltonian(Coupling("heisenberg", (i, j), n))
+    """XX + YY + ZZ on qubits i < j."""
+    return _coupling(i, j, n, 1.0, "XYZ")
 
 
 def _mz_of_index(idx: int, n: int) -> float:
@@ -103,37 +74,35 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
 
 
 def sector_decomposition(
-    grading: Literal["xy", "heisenberg"], n: int = 3
-) -> list[tuple[SectorLabel, Subspace]]:
+    grading: Literal["xy", "heisenberg"],
+) -> dict[tuple[float, float], Subspace]:
     """Invariant sectors of the three-spin space under the chosen coupling.
 
-    XY grading yields the four m_z blocks of dimensions 1, 3, 3, 1 (S is
-    reported as the maximal value n/2 attainable in the block, the XY
-    coupling not conserving it).  Heisenberg grading splits each m_z block
-    by total spin: the quartet states plus one two-dimensional S = 1/2
-    multiplicity space for m_z = +-1/2.  Sector bases are exactly
-    invariant under every coupling of the grading.
+    Keys are (S, m_z): total spin and spin projection along z.  XY grading
+    yields the four m_z blocks of dimensions 1, 3, 3, 1, each keyed with
+    S = 3/2 (the maximal value attainable in the block, the XY coupling
+    not conserving S).  Heisenberg grading splits each m_z block by total
+    spin: the quartet states plus one two-dimensional S = 1/2 multiplicity
+    space for m_z = +-1/2.  Keys come in descending m_z, and within one
+    m_z in descending S.  Sector bases are exactly invariant under every
+    coupling of the grading.
     """
-    if n != 3:
-        raise PauliError(f"sector decomposition is defined for 3 qubits, got {n}")
+    n = 3
     dim = 2**n
-    mz_values = [1.5, 0.5, -0.5, -1.5]
-    out: list[tuple[SectorLabel, Subspace]] = []
+    blocks = {
+        mz: np.eye(dim, dtype=complex)[:, [k for k in range(dim) if _mz_of_index(k, n) == mz]]
+        for mz in (1.5, 0.5, -0.5, -1.5)
+    }
     if grading == "xy":
-        for mz in mz_values:
-            idxs = [k for k in range(dim) if _mz_of_index(k, n) == mz]
-            basis = np.eye(dim, dtype=complex)[:, idxs]
-            out.append((SectorLabel(total_spin=n / 2, m_z=mz), Subspace(basis)))
-        return out
+        return {(n / 2, mz): Subspace(basis) for mz, basis in blocks.items()}
     if grading != "heisenberg":
         raise PauliError(f"unknown grading {grading!r}")
     casimir = 0.75 * np.eye(dim) + sum(
-        matrix_of(exchange(i, j, n)) for i, j in ((1, 2), (1, 3), (2, 3))
+        matrix_of(exchange(i, j)) for i, j in ((1, 2), (1, 3), (2, 3))
     )
-    e12 = matrix_of(exchange(1, 2, n))
-    for mz in mz_values:
-        idxs = [k for k in range(dim) if _mz_of_index(k, n) == mz]
-        basis = np.eye(dim, dtype=complex)[:, idxs]
+    e12 = matrix_of(exchange(1, 2))
+    out: dict[tuple[float, float], Subspace] = {}
+    for mz, basis in blocks.items():
         sub_cas = basis.conj().T @ casimir @ basis
         w, v = np.linalg.eigh(sub_cas)
         for s_val, target in ((1.5, 3.75), (0.5, 0.75)):
@@ -148,8 +117,7 @@ def sector_decomposition(
                 ew, ev = np.linalg.eigh(sub_e)
                 order = np.argsort(-ew)
                 vecs = vecs @ ev[:, order]
-            vecs = _fix_phases(vecs)
-            out.append((SectorLabel(total_spin=s_val, m_z=mz), Subspace(vecs)))
+            out[(s_val, mz)] = Subspace(_fix_phases(vecs))
     return out
 
 
@@ -206,8 +174,6 @@ def xy3_encoding() -> Encoding:
     coupling that generates the five-pulse z rotation; the third sector
     state (eigenvalue 0) and the m_z = +-3/2 states are spectators.
     """
-    from .sequences import ErrorAssignment, compile_sequence
-
     w = compile_sequence(
         PulseSequence(
             (
@@ -218,8 +184,7 @@ def xy3_encoding() -> Encoding:
         ErrorAssignment.zero([_XY_LABEL]),
     ).matrix
     gen = w @ matrix_of(xy_coupling(1, 3)) @ w.conj().T
-    sectors = {lab.m_z: sub for lab, sub in sector_decomposition("xy")}
-    block = sectors[0.5].basis
+    block = sector_decomposition("xy")[(1.5, 0.5)].basis
     sub = block.conj().T @ gen @ block
     ew, ev = np.linalg.eigh(sub)
     order = np.argsort(-ew)
@@ -251,13 +216,9 @@ def heisenberg3_encoding() -> Encoding:
     E(1,2) restricts to logical Z; (E(1,2) + 2 E(2,3)) / sqrt(3) restricts
     to logical X.
     """
-    sectors = {
-        (lab.total_spin, lab.m_z): sub
-        for lab, sub in sector_decomposition("heisenberg")
-    }
     return Encoding(
         scheme="heisenberg3",
-        code=sectors[(0.5, 0.5)],
+        code=sector_decomposition("heisenberg")[(0.5, 0.5)],
         logical_z=_EXCHANGE_Z,
         logical_x=_EXCHANGE_X,
     )
@@ -282,6 +243,8 @@ def heisenberg_logical(
     generators under one shared error label; the pair closes as su(2) only
     on the code space, so the correction helps there and hurts outside.
     """
+    if axis not in ("z", "x"):
+        raise SequenceError(f"unknown logical axis {axis!r}; expected 'z' or 'x'")
     hz = 0.5 * _EXCHANGE_Z
     hx = 0.5 * _EXCHANGE_X
     h1, h2 = (hz, hx) if axis == "z" else (hx, hz)

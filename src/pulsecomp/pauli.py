@@ -9,6 +9,7 @@ carried alongside the word.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,46 +104,11 @@ def multiply(p: PhasedPauli, q: PhasedPauli) -> PhasedPauli:
 
 
 @dataclass(frozen=True)
-class CommutatorClass:
-    """Commutation classification of two Pauli words.
-
-    Either the words commute, or [a/2, b/2] = i**partner.phase_power * w/2
-    where ``partner`` carries the word w and the +-i structure sign.
-    """
-
-    commutes: bool
-    partner: Optional[PhasedPauli] = None
-
-    @property
-    def sign(self) -> int:
-        """+1 if [a/2, b/2] = +i w/2, -1 for -i; 0 when commuting."""
-        if self.commutes:
-            return 0
-        return 1 if self.partner.phase_power == 1 else -1
-
-
-def commutator_class(a: PauliString, b: PauliString) -> CommutatorClass:
-    """Classify [a, b]: commuting, or the su(2) partner word with sign."""
-    if a.n_qubits != b.n_qubits:
-        raise PauliError(f"size mismatch: {a.n_qubits} vs {b.n_qubits} qubits")
-    clashes = sum(
-        1
-        for x, y in zip(a.letters, b.letters)
-        if x != "I" and y != "I" and x != y
-    )
-    if clashes % 2 == 0:
-        return CommutatorClass(commutes=True)
-    prod = multiply(PhasedPauli(0, a), PhasedPauli(0, b))
-    # ab = i^s w and ba = -i^s w, so [a/2, b/2] = i^s w/2 with s odd.
-    return CommutatorClass(commutes=False, partner=prod)
-
-
-@dataclass(frozen=True)
 class Hamiltonian:
     """A real linear combination of Pauli strings (Hermitian by construction).
 
-    Terms are canonicalized: duplicate words merged, exact zeros dropped,
-    words sorted lexicographically.
+    Terms are canonicalized: coefficients stored as Python floats, duplicate
+    words merged, exact zeros dropped, words sorted lexicographically.
     """
 
     n_qubits: int
@@ -158,7 +124,9 @@ class Hamiltonian:
                 raise PauliError(
                     f"term {string} has {string.n_qubits} qubits, expected {n_qubits}"
                 )
-            merged[string.letters] = merged.get(string.letters, 0.0) + coeff
+            if not isinstance(coeff, numbers.Real):
+                raise PauliError(f"coefficient {coeff!r} of {string} is not a real number")
+            merged[string.letters] = merged.get(string.letters, 0.0) + float(coeff)
         for w, c in merged.items():
             if not math.isfinite(c):
                 raise PauliError(f"coefficient {c!r} of {w} is not finite")
@@ -262,10 +230,13 @@ def square_identity_coefficient(h: Hamiltonian) -> Optional[float]:
     return sq.get(ident, 0.0).real
 
 
-def proportional_coefficient(
-    h1: Hamiltonian, h2: Hamiltonian, tol: float = 1e-12
-) -> Optional[float]:
-    """c such that h1 = c*h2 within tol after canonicalization, or None."""
+# Relative tolerance of the su(2) closure and proportionality tests.
+_CLOSURE_TOL = 1e-12
+
+
+def proportional_coefficient(h1: Hamiltonian, h2: Hamiltonian) -> Optional[float]:
+    """c such that h1 = c*h2 within _CLOSURE_TOL after canonicalization, or None."""
+    tol = _CLOSURE_TOL
     scale = max(h1.max_coeff(), h2.max_coeff())
     if scale == 0.0:
         return 0.0
@@ -279,9 +250,7 @@ def proportional_coefficient(
     return sum(ratios) / len(ratios)
 
 
-def su2_triple(
-    h1: Hamiltonian, h2: Hamiltonian, tol: float = 1e-12
-) -> Optional[Hamiltonian]:
+def su2_triple(h1: Hamiltonian, h2: Hamiltonian) -> Optional[Hamiltonian]:
     """H3 = -i[H1, H2] when {H1, H2, H3} closes as su(2), else None.
 
     Closure requires -i[H2, H3] proportional to H1 and -i[H3, H1]
@@ -289,19 +258,18 @@ def su2_triple(
     non-closing pair returns None; per the compensability criterion such a
     pair admits no compensation of a shared error.
     """
+    tol = _CLOSURE_TOL
     h3 = commutator_times_minus_i(h1, h2)
     if h3.is_zero(tol * max(h1.max_coeff() * h2.max_coeff(), 1.0)):
         return None
-    c1 = proportional_coefficient(commutator_times_minus_i(h2, h3), h1, tol)
-    c2 = proportional_coefficient(commutator_times_minus_i(h3, h1), h2, tol)
+    c1 = proportional_coefficient(commutator_times_minus_i(h2, h3), h1)
+    c2 = proportional_coefficient(commutator_times_minus_i(h3, h1), h2)
     if c1 is None or c2 is None or c1 <= tol or c2 <= tol:
         return None
     return h3
 
 
-def unit_su2_partner(
-    h1: Hamiltonian, h2: Hamiltonian, tol: float = 1e-12
-) -> Optional[Hamiltonian]:
+def unit_su2_partner(h1: Hamiltonian, h2: Hamiltonian) -> Optional[Hamiltonian]:
     """H3 = -i[H1, H2] when the triple closes with unit structure constants.
 
     This is the condition under which simultaneous pulses of H1 and H2 act
@@ -312,8 +280,9 @@ def unit_su2_partner(
         return None
     back1 = commutator_times_minus_i(h2, h3) - h1
     back2 = commutator_times_minus_i(h3, h1) - h2
-    scale = max(h1.max_coeff(), h2.max_coeff(), 1.0)
-    if not (back1.max_coeff() <= tol * scale and back2.max_coeff() <= tol * scale):
+    bound = _CLOSURE_TOL * max(h1.max_coeff(), h2.max_coeff(), 1.0)
+    # Written so that a NaN residual or bound fails the check.
+    if not (back1.max_coeff() <= bound and back2.max_coeff() <= bound):
         return None
     return h3
 

@@ -130,10 +130,14 @@ def matrix_of(h: Hamiltonian) -> np.ndarray:
     )
 
 
-def matrix_to_hamiltonian(m: np.ndarray, n_qubits: int, tol: float = 1e-12) -> Hamiltonian:
-    """Exact Pauli decomposition of a Hermitian matrix (small n only)."""
+def matrix_to_hamiltonian(m: np.ndarray, n_qubits: int) -> Hamiltonian:
+    """Exact Pauli decomposition of a Hermitian matrix (small n only).
+
+    Coefficients of magnitude at most 1e-12 are dropped.
+    """
     from itertools import product
 
+    tol = 1e-12
     dim = 2**n_qubits
     terms = []
     for letters in product("IXYZ", repeat=n_qubits):
@@ -263,12 +267,12 @@ def _eigenphase_arc(eigvals: np.ndarray) -> float:
     return max(0.0, 2 * math.pi - max(gaps.max(initial=0.0), wrap))
 
 
-def _arc_report(arc: float, method: str) -> FidelityReport:
+def _arc_report(arc: float) -> FidelityReport:
     if arc >= math.pi:
         infid = 1.0
     else:
         infid = min(1.0, 2.0 * math.sin(arc / 4.0) ** 2)
-    return FidelityReport(fidelity=1.0 - infid, infidelity=infid, method=method)
+    return FidelityReport(fidelity=1.0 - infid, infidelity=infid, method="eigenphase-arc")
 
 
 def fidelity(u: Unitary, v: Unitary) -> FidelityReport:
@@ -277,7 +281,7 @@ def fidelity(u: Unitary, v: Unitary) -> FidelityReport:
         raise UnitaryError(f"dimension mismatch: {u.dim} vs {v.dim}")
     m = u.matrix.conj().T @ v.matrix
     arc = _eigenphase_arc(np.linalg.eigvals(m))
-    return _arc_report(arc, "eigenphase-arc")
+    return _arc_report(arc)
 
 
 def distance(u: Unitary, v: Unitary, align_phase: bool = False) -> float:
@@ -418,7 +422,7 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     leak = np.abs(m @ b - b @ c).max()
     if leak < 1e-10:
         arc = _eigenphase_arc(np.linalg.eigvals(c))
-        return _arc_report(arc, "eigenphase-arc")
+        return _arc_report(arc)
     tr = np.trace(m)
     mu = float(np.angle(tr)) if abs(tr) > 0 else 0.0
     dev = np.linalg.norm(np.exp(-1j * mu) * m - np.eye(m.shape[0]), ord=2)

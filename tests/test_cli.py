@@ -207,6 +207,14 @@ class TestSweepCommand:
             (lambda c: c.update(controls=[[["ZZ"], "0.5*ZZ"]]), "label"),
             (lambda c: c["sequence"].update(type=["bb1_j"]), "sequence type"),
             (lambda c: c.update(output=5), "output"),
+            (lambda c: c["grid"].update(points=4.7), "grid.points"),
+            (lambda c: c.update(sequence={"type": "wj_chain", "chain_n": 2.7}), "chain_n"),
+            (lambda c: c.update(errors={"random_signs": {"seed": 1.5}}), "random_signs.seed"),
+            (lambda c: c["grid"].update(hi=True), "grid.hi"),
+            (lambda c: c["errors"]["fixed"].update(X1=False), "errors.fixed.X1"),
+            (lambda c: c.update(n_qubits="2"), "n_qubits"),
+            (lambda c: c.update(n_qubits=2.5), "n_qubits"),
+            (lambda c: c.update(n_qubits=0), "n_qubits"),
         ],
         ids=[
             "control-without-hamiltonian",
@@ -227,6 +235,14 @@ class TestSweepCommand:
             "non-string-label",
             "unhashable-sequence-type",
             "non-string-output",
+            "fractional-grid-points",
+            "fractional-chain-n",
+            "fractional-random-seed",
+            "boolean-grid-hi",
+            "boolean-fixed-error",
+            "string-n-qubits",
+            "fractional-n-qubits",
+            "zero-n-qubits",
         ],
     )
     def test_malformed_config_exits_two(self, tmp_path, capsys, malform, key):

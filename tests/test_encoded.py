@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from pulsecomp import (
-    Coupling,
     ErrorAssignment,
     PauliError,
+    SequenceError,
     compile_sequence,
-    coupling_hamiltonian,
     distance,
     evolve,
     exchange,
@@ -45,24 +44,25 @@ class TestCouplings:
         assert np.abs(g - (-np.eye(8) + 2 * e)).max() < 1e-14
 
     def test_invalid_pair(self):
-        with pytest.raises(PauliError):
-            Coupling("xy", (2, 2), 3)
-        with pytest.raises(PauliError):
-            Coupling("xy", (1, 4), 3)
-
-    def test_unknown_kind(self):
-        with pytest.raises(PauliError):
-            coupling_hamiltonian(Coupling("bogus", (1, 2), 3))
+        for coupling in (xy_coupling, exchange, heisenberg_coupling):
+            with pytest.raises(PauliError):
+                coupling(2, 2)
+            with pytest.raises(PauliError):
+                coupling(1, 4)
+            with pytest.raises(PauliError):
+                coupling(2, 1)
+            with pytest.raises(PauliError):
+                coupling(1, 3, n=2)
 
 
 class TestSectorDecomposition:
     def test_xy_dimensions(self):
         sectors = sector_decomposition("xy")
-        assert [s.dim for _, s in sectors] == [1, 3, 3, 1]
-        assert [lab.m_z for lab, _ in sectors] == [1.5, 0.5, -0.5, -1.5]
+        assert [s.dim for s in sectors.values()] == [1, 3, 3, 1]
+        assert list(sectors) == [(1.5, 1.5), (1.5, 0.5), (1.5, -0.5), (1.5, -1.5)]
 
     def test_xy_sectors_invariant(self):
-        for _, sub in sector_decomposition("xy"):
+        for sub in sector_decomposition("xy").values():
             p = sub.projector
             for pair in ((1, 2), (2, 3), (1, 3)):
                 a = matrix_of(xy_coupling(*pair))
@@ -70,38 +70,29 @@ class TestSectorDecomposition:
 
     def test_heisenberg_sector_structure(self):
         sectors = sector_decomposition("heisenberg")
-        dims = sorted(((lab.total_spin, lab.m_z), sub.dim) for lab, sub in sectors)
-        assert dims == [
-            ((0.5, -0.5), 2),
-            ((0.5, 0.5), 2),
-            ((1.5, -1.5), 1),
-            ((1.5, -0.5), 1),
-            ((1.5, 0.5), 1),
+        assert [(key, sub.dim) for key, sub in sectors.items()] == [
             ((1.5, 1.5), 1),
+            ((1.5, 0.5), 1),
+            ((0.5, 0.5), 2),
+            ((1.5, -0.5), 1),
+            ((0.5, -0.5), 2),
+            ((1.5, -1.5), 1),
         ]
 
     def test_heisenberg_sectors_invariant_and_complete(self):
         sectors = sector_decomposition("heisenberg")
-        total = sum(sub.projector for _, sub in sectors)
+        total = sum(sub.projector for sub in sectors.values())
         assert np.abs(total - np.eye(8)).max() < 1e-12
-        for _, sub in sectors:
+        for sub in sectors.values():
             p = sub.projector
             for pair in ((1, 2), (2, 3), (1, 3)):
                 e = matrix_of(exchange(*pair))
                 assert np.abs(e @ p - p @ e).max() < 1e-12
 
     def test_doublet_logical_z_spectrum(self):
-        sectors = {
-            (lab.total_spin, lab.m_z): sub
-            for lab, sub in sector_decomposition("heisenberg")
-        }
-        b = sectors[(0.5, 0.5)].basis
+        b = sector_decomposition("heisenberg")[(0.5, 0.5)].basis
         restricted = b.conj().T @ matrix_of(exchange(1, 2)) @ b
         assert np.linalg.eigvalsh(restricted) == pytest.approx([-1.0, 1.0])
-
-    def test_unsupported_size(self):
-        with pytest.raises(PauliError):
-            sector_decomposition("xy", n=4)
 
 
 class TestP3:
@@ -165,10 +156,7 @@ class TestEncodings:
 
     def test_xy_logical_ops_preserve_mz_block(self):
         enc = xy3_encoding()
-        block = next(
-            sub for lab, sub in sector_decomposition("xy") if lab.m_z == 0.5
-        )
-        p = block.projector
+        p = sector_decomposition("xy")[(1.5, 0.5)].projector
         for op in (enc.logical_z, enc.logical_x):
             m = matrix_of(op)
             assert np.abs(m @ p - p @ m).max() < 1e-12
@@ -240,3 +228,8 @@ class TestHeisenbergLogical:
         w, vecs = np.linalg.eigh(x)
         expect = vecs @ np.diag(np.exp(-1j * theta / 2 * w)) @ vecs.conj().T
         assert np.abs(restricted - expect).max() < 1e-12
+
+    @pytest.mark.parametrize("axis", ["y", "Z", ""])
+    def test_unknown_axis_rejected(self, axis):
+        with pytest.raises(SequenceError, match=repr(axis)):
+            heisenberg_logical(axis, 0.6)

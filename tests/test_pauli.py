@@ -13,7 +13,6 @@ from pulsecomp import (
     PauliError,
     PauliString,
     PhasedPauli,
-    commutator_class,
     commutator_times_minus_i,
     eta,
     multiply,
@@ -21,7 +20,8 @@ from pulsecomp import (
     su2_triple,
     unit_su2_partner,
 )
-from pulsecomp.encoded import heisenberg_coupling, xy_coupling
+from pulsecomp import pauli
+from pulsecomp.encoded import heisenberg_coupling, xy3_encoding, xy_coupling
 from pulsecomp.unitary import matrix_of
 
 _SIGMA = {
@@ -135,40 +135,42 @@ class TestMultiply:
         assert np.abs(dense - out.phase * dense_word(out.string.letters)).max() < 1e-14
 
 
+def word_commutator(a: str, b: str) -> Hamiltonian:
+    """-i[a/2, b/2] for two Pauli words: zero, or +-w/2 for one word w."""
+    return commutator_times_minus_i(Hamiltonian.single(0.5, a), Hamiltonian.single(0.5, b))
+
+
 class TestCommutatorClass:
     def test_single_qubit_partner(self):
-        cc = commutator_class(PauliString("X"), PauliString("Y"))
-        assert not cc.commutes
-        assert cc.partner.string == PauliString("Z")
-        assert cc.sign == 1
+        # [X/2, Y/2] = +i Z/2
+        assert word_commutator("X", "Y").terms == ((0.5, PauliString("Z")),)
 
     def test_zz_x1_partner(self):
-        cc = commutator_class(PauliString("ZZ"), PauliString("XI"))
-        assert not cc.commutes
-        assert cc.partner.string == PauliString("YZ")
-        assert cc.sign == 1  # fixed by the dense oracle below
+        # the sign is fixed by the dense oracle below
+        assert word_commutator("ZZ", "XI").terms == ((0.5, PauliString("YZ")),)
 
     def test_even_overlap_commutes(self):
-        assert commutator_class(PauliString("ZZ"), PauliString("XX")).commutes
+        assert word_commutator("ZZ", "XX").terms == ()
 
     def test_size_mismatch(self):
         with pytest.raises(PauliError):
-            commutator_class(PauliString("X"), PauliString("XX"))
+            word_commutator("X", "XX")
 
     def test_all_pairs_against_dense_oracle(self):
         n = 2
         for i in range(1, 4**n):
             for j in range(1, 4**n):
-                a = eta(i, n).terms[0][1]
-                b = eta(j, n).terms[0][1]
-                cc = commutator_class(a, b)
-                da, db = 0.5 * dense_word(a.letters), 0.5 * dense_word(b.letters)
+                a = eta(i, n).terms[0][1].letters
+                b = eta(j, n).terms[0][1].letters
+                h3 = word_commutator(a, b)
+                da, db = 0.5 * dense_word(a), 0.5 * dense_word(b)
                 comm = da @ db - db @ da
-                if cc.commutes:
+                if not h3.terms:
                     assert np.abs(comm).max() < 1e-14
                 else:
-                    expect = cc.sign * 1j * 0.5 * dense_word(cc.partner.string.letters)
-                    assert np.abs(comm - expect).max() < 1e-14
+                    ((c, w),) = h3.terms
+                    assert abs(c) == 0.5
+                    assert np.abs(comm - 1j * c * dense_word(w.letters)).max() < 1e-14
 
 
 class TestHamiltonian:
@@ -201,6 +203,11 @@ class TestHamiltonian:
     def test_non_finite_coefficient_rejected(self, build, word):
         with pytest.raises(PauliError, match=f"of {word} is not finite"):
             build()
+
+    @pytest.mark.parametrize("coeff", [0.5j, np.complex128(0.5), "0.5"])
+    def test_non_real_coefficient_rejected(self, coeff):
+        with pytest.raises(PauliError, match="of XZ is not a real number"):
+            Hamiltonian.single(coeff, "XZ")
 
     def test_commutator_is_hermitian(self):
         h1 = Hamiltonian.single(0.5, "ZZ") + Hamiltonian.single(0.25, "XY")
@@ -249,12 +256,12 @@ class TestSu2Triple:
         h3 = unit_su2_partner(Hamiltonian.single(1.0, "X"), Hamiltonian.single(1.0, "Y"))
         assert h3 is None
 
-    def test_unit_partner_nan_bound_rejects(self):
+    def test_unit_partner_nan_bound_rejects(self, monkeypatch):
         # a NaN in the residual comparison fails the closure check
-        h3 = unit_su2_partner(
-            Hamiltonian.single(1.0, "X"), Hamiltonian.single(0.3, "Y"), tol=math.nan
-        )
-        assert h3 is None
+        h1, h2 = Hamiltonian.single(0.5, "ZZ"), Hamiltonian.single(0.5, "XI")
+        assert unit_su2_partner(h1, h2) is not None
+        monkeypatch.setattr(pauli, "_CLOSURE_TOL", math.nan)
+        assert unit_su2_partner(h1, h2) is None
 
 
 class TestParseHamiltonian:
@@ -294,11 +301,15 @@ class TestParseHamiltonian:
         assert parse_hamiltonian(str(h)).coefficients == h.coefficients
         assert str(h) == "0.5*XI - 0.25*ZZ"
         third = 1.0 / math.sqrt(3.0)
+        xy3 = xy3_encoding()
         for h in (
             parse_hamiltonian("-0.5*ZZ"),
             parse_hamiltonian("1e-20*ZZ"),
             parse_hamiltonian("+XX - 2.5E+3*YY"),
             Hamiltonian.single(third, "XX") + Hamiltonian.single(-third, "ZZ"),
+            Hamiltonian.single(np.float64(0.5), "X"),
+            xy3.logical_z,
+            xy3.logical_x,
         ):
             assert parse_hamiltonian(str(h)).coefficients == h.coefficients
         assert parse_hamiltonian("-0.5*ZZ").coefficients == {"ZZ": -0.5}

@@ -24,6 +24,7 @@ import numpy as np
 from .analysis import (
     SweepResult,
     SweepRow,
+    correction_unitary,
     fit_slope,
     infidelity_of,
     magnus_residual,
@@ -60,7 +61,6 @@ from .sequences import (
     chain_labels,
     compile_sequence,
     phi_of,
-    w_correction,
     wj_chain,
 )
 from .unitary import (
@@ -81,9 +81,9 @@ def parse_angle(text) -> float:
     """Parse a finite angle literal: a number, or a rational multiple of pi.
 
     Accepted forms: ``0.5``, ``pi``, ``-pi``, ``pi/4``, ``3*pi/2``,
-    ``-3/2*pi``.
+    ``-3/2*pi``.  A boolean is not an angle.
     """
-    if isinstance(text, (int, float)) and math.isfinite(text):
+    if isinstance(text, (int, float)) and not isinstance(text, bool) and math.isfinite(text):
         return float(text)
     s = str(text).strip().lower().replace(" ", "")
     sign = 1.0
@@ -121,13 +121,15 @@ def _write(path: Path, text: str) -> None:
 
 # --- shared two-qubit setting ------------------------------------------------
 
-# Rotation angle of every figure and of the checks that reproduce them, and
-# the two-qubit controls of the wj and grid figures: a ZZ rotation corrected
-# with single-qubit X1/Y1 pulses.
+# Rotation angle of every figure and of the checks that reproduce them, the
+# two-qubit controls of the wj and grid figures (a ZZ rotation corrected with
+# single-qubit X1/Y1 pulses), and the one-qubit X/Y pair of the chain reference and checks.
 THETA = math.pi / 4.0
 H_ZZ = Hamiltonian.single(0.5, "ZZ")
 H_X1 = Hamiltonian.single(0.5, "XI")
 H_Y1 = Hamiltonian.single(0.5, "YI")
+H_X = Hamiltonian.single(0.5, "X")
+H_Y = Hamiltonian.single(0.5, "Y")
 _TWO_QUBIT_META = {
     "target": "exp(-i theta/2 * ZZ)",
     "controls": {"ZZ": "0.5*ZZ", "X1": "0.5*XI", "Y1": "0.5*YI"},
@@ -210,10 +212,8 @@ def _chain_curves(grid: np.ndarray, seed: int) -> dict[str, SweepResult]:
             PulseSequence((Pulse.single(f"X{n}", THETA, hxn),)), target,
             lambda e: ErrorAssignment({f"X{n}": e}), grid, f"uncorrected_n{n}",
         )
-    hx1 = Hamiltonian.single(0.5, "X")
-    hy1 = Hamiltonian.single(0.5, "Y")
     out["bb1_w_reference"] = sweep(
-        bb1_w(THETA, hx1, hy1, "X1", "Y1"), evolve([(THETA, 0.0, hx1)]),
+        bb1_w(THETA, H_X, H_Y, "X1", "Y1"), evolve([(THETA, 0.0, H_X)]),
         lambda e: ErrorAssignment.uniform(["X1", "Y1"], e), grid, "bb1_w_reference",
     )
     return out
@@ -336,6 +336,8 @@ def _write_figure(figure_id: str, out_dir: Path, seed: int) -> None:
 
 # --- sweep command -----------------------------------------------------------
 
+_PHILOX_KEYS = range(2**128)  # seeds key numpy's Philox generator: two 64-bit words
+
 
 def _number(value, what: str, kind: type = float):
     """``kind(value)`` for a JSON number; else a UsageError naming ``what``.
@@ -353,6 +355,14 @@ def _number(value, what: str, kind: type = float):
         return kind(value)
     except OverflowError as exc:
         raise UsageError(f"{what} is out of range, got {value!r}") from exc
+
+
+def _positive(value, what: str, kind: type = float):
+    """``_number(value, what, kind)`` if it is finite and > 0; else a UsageError."""
+    number = _number(value, what, kind)
+    if not 0 < number < math.inf:
+        raise UsageError(f"{what} must be finite and > 0, got {value!r}")
+    return number
 
 
 def _labels(value, what: str) -> list:
@@ -387,9 +397,7 @@ def _object(value, what: str, *keys: str) -> dict:
 def _config_controls(cfg) -> dict[str, Hamiltonian]:
     n_qubits = _object(cfg, "config").get("n_qubits")
     if n_qubits is not None:
-        n_qubits = _number(n_qubits, "config.n_qubits", int)
-        if n_qubits < 1:
-            raise UsageError(f"config.n_qubits must be positive, got {n_qubits}")
+        n_qubits = _positive(n_qubits, "config.n_qubits", int)
     out: dict[str, Hamiltonian] = {}
     entries = cfg.get("controls", [])
     if not isinstance(entries, list):
@@ -419,7 +427,10 @@ def _config_sequence(cfg: dict, controls: dict[str, Hamiltonian]) -> PulseSequen
     if not isinstance(kind, str) or kind not in _SEQUENCE_TYPES:
         raise UsageError(f"unknown sequence type {kind!r}")
     arity, build = _SEQUENCE_TYPES[kind]
-    theta = parse_angle(spec.get("theta", "pi/4"))
+    try:
+        theta = parse_angle(spec.get("theta", "pi/4"))
+    except (UsageError, OverflowError) as exc:
+        raise UsageError(f"sequence.theta: {exc}") from exc
     labels = _labels(spec.get("controls", list(controls)), "sequence.controls") if arity else []
     if len(labels) < arity:
         raise UsageError(f"sequence {kind!r} needs {arity} control labels")
@@ -438,8 +449,8 @@ def _config_grid(cfg: dict) -> list[float]:
         return [_number(g, "grid point") for g in grid]
     if isinstance(grid, dict):
         _object(grid, "grid", "lo", "hi", "points")
-        lo, hi = _number(grid["lo"], "grid.lo"), _number(grid["hi"], "grid.hi")
-        return list(np.geomspace(lo, hi, _number(grid["points"], "grid.points", int)))
+        lo, hi = _positive(grid["lo"], "grid.lo"), _positive(grid["hi"], "grid.hi")
+        return list(np.geomspace(lo, hi, _positive(grid["points"], "grid.points", int)))
     raise UsageError("config needs a grid (list of points, or lo/hi/points)")
 
 
@@ -456,6 +467,8 @@ def _config_errors(cfg: dict, seq: PulseSequence, seed: int):
         pair = _object(rand, "errors.random_signs").get("correlated_pair") or []
         pair = tuple(_labels(pair, "errors.random_signs.correlated_pair")) or None
         rseed = _number(rand.get("seed", seed), "errors.random_signs.seed", int)
+        if rseed not in _PHILOX_KEYS:
+            raise UsageError(f"errors.random_signs.seed must lie in [0, 2**128), got {rseed}")
         labels = sorted(seq.labels)
 
         def errors_for(e: float) -> ErrorAssignment:
@@ -491,7 +504,9 @@ def cmd_sweep(config_path: str, seed: int) -> int:
         seq = _config_sequence(cfg, controls)
         grid = _config_grid(cfg)
         errors_for = _config_errors(cfg, seq, seed)
-        fit = bool(cfg.get("fit", True))
+        fit = cfg.get("fit", True)
+        if not isinstance(fit, bool):
+            raise UsageError(f"config 'fit' must be true or false, got {fit!r}")
         if fit and len(grid) < 4:
             raise UsageError(
                 ">=4 grid points required for a slope fit (set \"fit\": false "
@@ -530,7 +545,7 @@ def cmd_sweep(config_path: str, seed: int) -> int:
 
 def _check_pauli_algebra() -> tuple[bool, str]:
     triples = [
-        (Hamiltonian.single(0.5, "X"), Hamiltonian.single(0.5, "Y"), "X/Y"),
+        (H_X, H_Y, "X/Y"),
         (H_ZZ, H_X1, "ZZ/X1"),
     ]
     for h1, h2, name in triples:
@@ -561,22 +576,16 @@ def _check_collapse_at_zero() -> tuple[bool, str]:
 
 
 def _check_toggling() -> tuple[bool, str]:
-    h1 = Hamiltonian.single(0.5, "X")
-    h2 = Hamiltonian.single(0.5, "Y")
     worst = 0.0
     for theta, errors in ((THETA, (0.01, 0.05, 0.1)), (math.pi / 2, (0.01,)), (1.0, (0.1,))):
         phi = phi_of(theta)
-        block = w_correction(phi, h1, h2, "a", "b")
         for eps in errors:
-            orig = compile_sequence(block, ErrorAssignment.uniform(["a", "b"], eps))
+            orig = correction_unitary(phi, eps, H_X, H_Y)
             # In the toggled frame only the error parts of the pulse areas
             # survive, with the middle pulse reflected to the -phi axis.
-            plus = evolve([(math.pi * eps, 0.0, math.cos(phi) * h1 + math.sin(phi) * h2)])
-            minus = evolve(
-                [(2 * math.pi * eps, 0.0, math.cos(phi) * h1 - math.sin(phi) * h2)]
-            )
-            toggled = Unitary(plus.matrix @ minus.matrix @ plus.matrix)
-            worst = max(worst, fidelity(orig, toggled).infidelity)
+            plus = evolve([(math.pi * eps, 0.0, math.cos(phi) * H_X + math.sin(phi) * H_Y)])
+            minus = evolve([(2 * math.pi * eps, 0.0, math.cos(phi) * H_X - math.sin(phi) * H_Y)])
+            worst = max(worst, fidelity(orig, plus @ minus @ plus).infidelity)
     return worst <= 1e-12, f"toggled-form infidelity {worst:.2e} (want <= 1e-12)"
 
 
@@ -608,10 +617,8 @@ def _check_jones() -> tuple[bool, str]:
 
 
 def _check_magnus_order() -> tuple[bool, str]:
-    h1 = Hamiltonian.single(0.5, "X")
-    h2 = Hamiltonian.single(0.5, "Y")
     grid = np.geomspace(1e-3, 1e-1, 9)
-    resid = [magnus_residual(phi_of(THETA), e, h1, h2) for e in grid]
+    resid = [magnus_residual(phi_of(THETA), e, H_X, H_Y) for e in grid]
     slope = float(np.polyfit(np.log(grid), np.log(resid), 1)[0])
     return (
         abs(slope - 4.0) <= 0.2,
@@ -730,7 +737,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.seed not in _PHILOX_KEYS:
+        parser.error(f"argument --seed: must lie in [0, 2**128), got {args.seed}")
     if args.command == "figure":
         return cmd_figure(args.id, args.out, args.seed)
     if args.command == "sweep":

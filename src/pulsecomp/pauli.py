@@ -219,15 +219,19 @@ def commutator_times_minus_i(h1: Hamiltonian, h2: Hamiltonian) -> Hamiltonian:
     return Hamiltonian.from_terms(h1.n_qubits, terms)
 
 
-def square_identity_coefficient(h: Hamiltonian) -> Optional[float]:
-    """c such that h*h = c*I exactly in the algebra, or None."""
-    sq = _product_terms(h, h)
-    scale = max((abs(v) for v in sq.values()), default=0.0)
-    ident = "I" * h.n_qubits
-    for w, v in sq.items():
-        if w != ident and abs(v) > 1e-14 * max(scale, 1.0):
+def square_identity_coefficient(sums: dict[str, complex]) -> Optional[float]:
+    """c such that A*A = c*I, or None, from the word sums of A*A (``_product_terms(h, h)``).
+
+    c is the identity word's sum; any other sum above 1e-14 * max(largest, 1) gives None.
+    """
+    scale = max((abs(v) for v in sums.values()), default=0.0)
+    c = 0.0
+    for w, v in sums.items():
+        if not w.strip("I"):
+            c = v.real
+        elif abs(v) > 1e-14 * max(scale, 1.0):
             return None
-    return sq.get(ident, 0.0).real
+    return c
 
 
 # Relative tolerance of the su(2) closure and proportionality tests.

@@ -336,6 +336,14 @@ def _bb1_w_unchecked(
     return PulseSequence((main, *_w_correction_items(phi, h1, h2, l1, l2)))
 
 
+def _require_unit_su2(h1: Hamiltonian, h2: Hamiltonian, consequence: str) -> None:
+    if unit_su2_partner(h1, h2) is None:
+        raise SequenceError(
+            f"({h1}) and ({h2}) do not close as su(2) with unit structure "
+            f"constants; {consequence}"
+        )
+
+
 def bb1_w(
     theta: float, h1: Hamiltonian, h2: Hamiltonian, l1: str, l2: str
 ) -> PulseSequence:
@@ -346,11 +354,7 @@ def bb1_w(
     collapses to the identity at zero error.  Compensates a shared
     (correlated) error on both controls to second order.
     """
-    if unit_su2_partner(h1, h2) is None:
-        raise SequenceError(
-            f"({h1}) and ({h2}) do not close as su(2) with unit structure "
-            "constants; simultaneous correction pulses would not be rotations"
-        )
+    _require_unit_su2(h1, h2, "simultaneous correction pulses would not be rotations")
     return _bb1_w_unchecked(theta, h1, h2, l1, l2)
 
 
@@ -363,11 +367,7 @@ def bb1_j(
     Exact for any H2 error when the H1 error vanishes; compensates the H1
     error to second order when H2 is error free.
     """
-    if unit_su2_partner(h1, h2) is None:
-        raise SequenceError(
-            f"({h1}) and ({h2}) do not close as su(2) with unit structure "
-            "constants; conjugation would not tilt the rotation axis"
-        )
+    _require_unit_su2(h1, h2, "conjugation would not tilt the rotation axis")
     phi = phi_of(theta)
 
     def block(scale: float, tilt: float) -> tuple[Pulse, ...]:
@@ -493,25 +493,23 @@ def bb1_wj(
     return PulseSequence(out.items, required_groups=(frozenset({l2, l4}),))
 
 
-def _chain_hamiltonians(n: int):
-    def word(positions: dict[int, str]) -> str:
-        return "".join(positions.get(k, "I") for k in range(1, n + 1))
+def _chain_hamiltonians(n: int) -> dict[str, Hamiltonian]:
+    """The n-qubit chain's controls by label: X_j, then Y_1, then Z_jZ_{j+1}."""
+    if n < 1:
+        raise SequenceError(f"chain length must be >= 1, got {n}")
 
-    hx = {j: Hamiltonian.single(0.5, word({j: "X"})) for j in range(1, n + 1)}
-    hy = {j: Hamiltonian.single(0.5, word({j: "Y"})) for j in range(1, n + 1)}
-    hzz = {
-        j: Hamiltonian.single(0.5, word({j: "Z", j + 1: "Z"}))
-        for j in range(1, n)
-    }
-    return hx, hy, hzz
+    def control(positions: dict[int, str]) -> Hamiltonian:
+        return Hamiltonian.single(0.5, "".join(positions.get(k, "I") for k in range(1, n + 1)))
+
+    controls = {f"X{j}": control({j: "X"}) for j in range(1, n + 1)}
+    controls["Y1"] = control({1: "Y"})
+    controls.update({f"ZZ{j}{j + 1}": control({j: "Z", j + 1: "Z"}) for j in range(1, n)})
+    return controls
 
 
 def chain_labels(n: int) -> list[str]:
     """Control labels used by the n-qubit chain: X_j, Y_1 and Z_jZ_{j+1}."""
-    labels = [f"X{j}" for j in range(1, n + 1)]
-    labels.append("Y1")
-    labels.extend(f"ZZ{j}{j + 1}" for j in range(1, n))
-    return labels
+    return list(_chain_hamiltonians(n))
 
 
 def wj_chain(n: int, theta: float) -> PulseSequence:
@@ -523,12 +521,10 @@ def wj_chain(n: int, theta: float) -> PulseSequence:
     until X_n.  Pulse count follows L_k = 4 + 6 L_{k-1} over 2(n-1)
     levels.
     """
-    if n < 1:
-        raise SequenceError(f"chain length must be >= 1, got {n}")
-    hx, hy, hzz = _chain_hamiltonians(n)
-    builder = lambda x: bb1_w(x, hx[1], hy[1], "X1", "Y1")
+    h = _chain_hamiltonians(n)
+    builder = lambda x: bb1_w(x, h["X1"], h["Y1"], "X1", "Y1")
     for j in range(1, n):
-        zz = f"ZZ{j}{j + 1}"
-        corrected_zz = _nested_j(hzz[j], hx[j], zz, f"X{j}", builder)
-        builder = _nested_j(hx[j + 1], hzz[j], f"X{j + 1}", zz, corrected_zz)
+        x, x_next, zz = f"X{j}", f"X{j + 1}", f"ZZ{j}{j + 1}"
+        corrected_zz = _nested_j(h[zz], h[x], zz, x, builder)
+        builder = _nested_j(h[x_next], h[zz], x_next, zz, corrected_zz)
     return builder(theta)

@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .pauli import Hamiltonian, PauliError, PauliString, PhasedPauli, multiply
+from .pauli import square_identity_coefficient
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -34,6 +35,11 @@ def _identity(dim: int, dtype: type = float) -> np.ndarray:
     return m
 
 
+def _defect(m: np.ndarray) -> float:
+    """Largest entry of |m^dag m - I|: how far the columns of m are from orthonormal."""
+    return np.abs(m.conj().T @ m - _identity(m.shape[1])).max()
+
+
 class UnitaryError(ValueError):
     """Dimension mismatch or non-unitary input."""
 
@@ -49,7 +55,7 @@ class Unitary:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise UnitaryError(f"not square: shape {m.shape}")
-        defect = np.abs(m.conj().T @ m - _identity(m.shape[0])).max()
+        defect = _defect(m)
         if not defect <= 1e-10:
             raise UnitaryError(f"not unitary: defect {defect:.3e}")
 
@@ -80,7 +86,7 @@ class Subspace:
         if b.shape[1] == 0:
             raise UnitaryError("subspace basis needs at least one column")
         object.__setattr__(self, "basis", b)
-        defect = np.abs(b.conj().T @ b - np.eye(b.shape[1])).max()
+        defect = _defect(b)
         if not defect <= 1e-12:
             raise UnitaryError(f"basis not orthonormal: defect {defect:.3e}")
 
@@ -158,8 +164,9 @@ class _Synthesis:
     words, each word's (term index, coefficient) contributions, the word
     matrices, and the products of word pairs that form A^2.  ``evolve``
     then needs only float arithmetic, done in the order that summing the
-    Hamiltonians, ``square_identity_coefficient`` and ``matrix_of`` do it,
-    so its results are bit for bit those of the Pauli algebra.
+    Hamiltonians, ``_product_terms`` and ``matrix_of`` do it, and passes
+    the sums of A^2 to ``square_identity_coefficient``, so its results are
+    bit for bit those of the Pauli algebra.
     """
 
     def __init__(self, hams: tuple[Hamiltonian, ...]):
@@ -183,8 +190,7 @@ class _Synthesis:
             for j, q in enumerate(phased):
                 pq = multiply(p, q)
                 groups.setdefault(pq.string.letters, []).append((i, j, pq.phase))
-        ident = "I" * n
-        self.square_groups = tuple((w == ident, tuple(g)) for w, g in groups.items())
+        self.square_groups = tuple((w, tuple(g)) for w, g in groups.items())
 
     def coefficients(self, scales: list[float]) -> list[float]:
         """Merged coefficient per word for per-term scales theta(1+eps)."""
@@ -198,31 +204,22 @@ class _Synthesis:
             out.append(a)
         return out
 
-    def square_coefficient(self, a: list[float]) -> float | None:
-        """c with A^2 = c I for merged coefficients a, or None.
+    def square_sums(self, a: list[float]) -> dict[str, complex]:
+        """Product-word sums of A^2 for merged coefficients a.
 
-        The product sums and the 1e-14 relative test are those of
-        square_identity_coefficient.  A word whose coefficient is exactly
-        zero, which a Hamiltonian would drop, adds only signed zeros here:
-        the test and c are unchanged up to the sign of a zero c, and c = +-0
-        takes the same branch of evolve.  The identity sum comes first (word 0
-        squared) and is never NaN, so neither is the scale.
+        A word whose coefficient is exactly zero, which a Hamiltonian would
+        drop, adds only signed zeros here: the square test and c are
+        unchanged up to the sign of a zero c, and c = +-0 takes the same
+        branch of evolve.  The identity sum comes first (word 0 squared) and
+        is never NaN, so neither is the test's scale.
         """
-        sums = []
-        for is_identity, group in self.square_groups:
+        sums = {}
+        for word, group in self.square_groups:
             s = 0.0
             for i, j, phase in group:
                 s = s + a[i] * a[j] * phase
-            sums.append((is_identity, s))
-        scale = max((abs(s) for _, s in sums), default=0.0)
-        tol = 1e-14 * max(scale, 1.0)
-        c = 0.0
-        for is_identity, s in sums:
-            if is_identity:
-                c = s.real
-            elif abs(s) > tol:
-                return None
-        return c
+            sums[word] = s
+        return sums
 
 
 @lru_cache(maxsize=256)
@@ -233,8 +230,9 @@ def _synthesis(hams: tuple[Hamiltonian, ...]) -> _Synthesis:
 def evolve(terms: list[tuple[float, float, Hamiltonian]]) -> Unitary:
     """exp(-i sum theta(1+eps) H) for simultaneous terms (theta, eps, H).
 
-    When the summed operator A satisfies A^2 = c I (detected exactly in
-    the Pauli algebra) the closed form cos(sqrt(c)) I - i sinc * A is used;
+    When the summed operator A satisfies A^2 = c I (decided by the Pauli
+    algebra's ``square_identity_coefficient`` on the product-word sums of
+    A^2) the closed form cos(sqrt(c)) I - i sinc * A is used;
     otherwise a Hermitian eigendecomposition.  The Pauli structure of the
     Hamiltonians is derived once per distinct tuple (a cached plan), so a
     call is float arithmetic in the order of the Hamiltonian algebra.
@@ -243,7 +241,7 @@ def evolve(terms: list[tuple[float, float, Hamiltonian]]) -> Unitary:
         raise UnitaryError("evolve requires at least one term")
     plan = _synthesis(tuple(h for _, _, h in terms))
     a = plan.coefficients([theta * (1.0 + eps) for theta, eps, _ in terms])
-    c = plan.square_coefficient(a)
+    c = square_identity_coefficient(plan.square_sums(a))
     dim = plan.dim
     amat = _pauli_sum(dim, zip(a, plan.matrices))
     if c is not None and c >= 0.0:
@@ -257,17 +255,11 @@ def evolve(terms: list[tuple[float, float, Hamiltonian]]) -> Unitary:
     return Unitary((v * np.exp(-1j * w)) @ v.conj().T)
 
 
-def _eigenphase_arc(eigvals: np.ndarray) -> float:
-    """Width of the minimal arc on the unit circle containing all phases."""
-    phases = np.sort(np.angle(eigvals))
-    if phases.size == 1:
-        return 0.0
-    gaps = np.diff(phases)
+def _arc_report(m: np.ndarray) -> FidelityReport:
+    """Worst-case fidelity of a unitary m from the minimal arc holding its eigenphases."""
+    phases = np.sort(np.angle(np.linalg.eigvals(m)))
     wrap = 2 * math.pi - (phases[-1] - phases[0])
-    return max(0.0, 2 * math.pi - max(gaps.max(initial=0.0), wrap))
-
-
-def _arc_report(arc: float) -> FidelityReport:
+    arc = max(0.0, 2 * math.pi - max(np.diff(phases).max(initial=0.0), wrap))
     if arc >= math.pi:
         infid = 1.0
     else:
@@ -279,9 +271,7 @@ def fidelity(u: Unitary, v: Unitary) -> FidelityReport:
     """Worst-case state fidelity between two unitaries."""
     if u.dim != v.dim:
         raise UnitaryError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    m = u.matrix.conj().T @ v.matrix
-    arc = _eigenphase_arc(np.linalg.eigvals(m))
-    return _arc_report(arc)
+    return _arc_report(u.matrix.conj().T @ v.matrix)
 
 
 def distance(u: Unitary, v: Unitary, align_phase: bool = False) -> float:
@@ -421,8 +411,7 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     c = b.conj().T @ m @ b
     leak = np.abs(m @ b - b @ c).max()
     if leak < 1e-10:
-        arc = _eigenphase_arc(np.linalg.eigvals(c))
-        return _arc_report(arc)
+        return _arc_report(c)
     tr = np.trace(m)
     mu = float(np.angle(tr)) if abs(tr) > 0 else 0.0
     dev = np.linalg.norm(np.exp(-1j * mu) * m - np.eye(m.shape[0]), ord=2)

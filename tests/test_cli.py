@@ -33,7 +33,7 @@ class TestParseAngle:
         assert parse_angle(2) == 2.0
 
     def test_bad_literals(self):
-        for bad in ("pie", "pi/0", "two*pi", "1..5", "nan", "inf"):
+        for bad in ("pie", "pi/0", "two*pi", "1..5", "nan", "inf", True, False):
             with pytest.raises(UsageError):
                 parse_angle(bad)
 
@@ -215,6 +215,16 @@ class TestSweepCommand:
             (lambda c: c.update(n_qubits="2"), "n_qubits"),
             (lambda c: c.update(n_qubits=2.5), "n_qubits"),
             (lambda c: c.update(n_qubits=0), "n_qubits"),
+            (lambda c: c["grid"].update(points=-3), "grid.points"),
+            (lambda c: c["grid"].update(points=0), "grid.points"),
+            (lambda c: c["grid"].update(lo=0), "grid.lo"),
+            (lambda c: c["grid"].update(lo=math.nan), "grid.lo"),
+            (lambda c: c["grid"].update(hi=math.inf), "grid.hi"),
+            (lambda c: c.update(fit="no"), "fit"),
+            (lambda c: c["sequence"].update(theta=True), "theta"),
+            (lambda c: c["sequence"].update(theta=10**400), "theta"),
+            (lambda c: c.update(errors={"random_signs": {"seed": -1}}), "random_signs.seed"),
+            (lambda c: c.update(errors={"random_signs": {"seed": 2**128}}), "random_signs.seed"),
         ],
         ids=[
             "control-without-hamiltonian",
@@ -243,6 +253,16 @@ class TestSweepCommand:
             "string-n-qubits",
             "fractional-n-qubits",
             "zero-n-qubits",
+            "negative-grid-points",
+            "zero-grid-points",
+            "zero-grid-lo",
+            "nan-grid-lo",
+            "infinite-grid-hi",
+            "string-fit",
+            "boolean-theta",
+            "theta-past-float-range",
+            "negative-random-seed",
+            "random-seed-past-philox-keys",
         ],
     )
     def test_malformed_config_exits_two(self, tmp_path, capsys, malform, key):
@@ -287,6 +307,14 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run_cli("figure", "bogus", "--out", "/tmp/x")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)], ids=["negative", "past-philox-keys"])
+    def test_seed_outside_philox_keys(self, tmp_path, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--seed", seed, "figure", "chain", "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_bad_threads(self):
         # There is no --threads option.

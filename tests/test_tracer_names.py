@@ -2,8 +2,9 @@
 
 ``perfbench/tracer.py`` looks up every name in its ``LAYERS`` table when it
 installs; a renamed or deleted function breaks the benchmark, whose own test
-does not run with this suite.  The tracer is imported here read-only and
-installed and removed once.
+does not run with this suite.  A call that no longer goes through a wrapped
+name silently zeroes the counters its hook feeds.  The tracer is imported
+here read-only, and each test that installs it removes it again.
 """
 
 import importlib.util
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pulsecomp import Hamiltonian, unitary
+from pulsecomp import Hamiltonian, encoded, sequences, unitary
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -54,3 +55,27 @@ def test_install_then_uninstall_restores(tracer):
     assert np.linalg.eigh is eigh
     for (home, name), fn in originals.items():
         assert getattr(home, name) is fn
+
+
+def test_every_counter_hook_fires(tracer):
+    """Calls that bypass a wrapped name would zero a per-layer counter."""
+    recorder = tracer.Recorder(trace=True)
+    recorder.install()
+    try:
+        chain = sequences.wj_chain(2, math.pi / 4)
+        sequences.compile_sequence(chain, sequences.ErrorAssignment.uniform(chain.labels, 1e-3))
+        plain = encoded.p3_sequence(math.pi / 4)
+        ideal = sequences.compile_sequence(plain, sequences.ErrorAssignment.zero(plain.labels))
+        actual = sequences.compile_sequence(
+            encoded.p3_bb1(math.pi / 4), sequences.ErrorAssignment.uniform(plain.labels, 1e-3)
+        )
+        unitary.subspace_fidelity(ideal, actual, encoded.xy3_encoding().code)
+    finally:
+        recorder.uninstall()
+    counters = recorder.counters
+    evolve_calls = recorder.layer_totals()["unitary.evolve"][0]
+    assert evolve_calls > 0
+    assert counters["evolve.square_checks"] == evolve_calls
+    assert counters["evolve.closed_form"] > 0
+    assert counters["check_compiles"] > 0
+    assert sum(v for k, v in counters.items() if k.startswith("method.")) > 0

@@ -22,7 +22,7 @@ from pulsecomp import (
 )
 from pulsecomp import unitary
 from pulsecomp.encoded import get_encoding, heisenberg_logical, p3_bb1, p3_sequence
-from pulsecomp.pauli import PauliError, PauliString, square_identity_coefficient
+from pulsecomp.pauli import PauliError, PauliString, _product_terms, square_identity_coefficient
 from pulsecomp.unitary import matrix_to_hamiltonian
 
 
@@ -34,7 +34,7 @@ def algebra_evolve(terms):
     for theta, eps, h in terms:
         total = total + (theta * (1.0 + eps)) * h
     dim = 2**n
-    c = square_identity_coefficient(total)
+    c = square_identity_coefficient(_product_terms(total, total))
     a = matrix_of(total)
     if c is not None and c >= 0.0:
         r = math.sqrt(c)

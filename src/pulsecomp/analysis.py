@@ -21,9 +21,10 @@ from .sequences import (
     ErrorAssignment,
     PulseSequence,
     compile_sequence,
+    compile_stack,
     w_correction,
 )
-from .unitary import Unitary, evolve, fidelity, matrix_of
+from .unitary import Unitary, evolve, fidelities, matrix_of
 
 # Arc-based infidelities bottom out near the square of machine epsilon;
 # anything below this is indistinguishable from rounding noise and is
@@ -43,7 +44,11 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Rows in grid order, and the worst unitarity defect of the compiled
+    stack they were scored from (not written to the CSV)."""
+
     rows: tuple[SweepRow, ...]
+    unitarity_defect: float
 
     def eps(self) -> np.ndarray:
         return np.array([r.eps1 for r in self.rows])
@@ -81,9 +86,10 @@ class CrossoverReport:
     fitted_power: float
 
 
-def infidelity_of(target: Unitary, actual: Unitary) -> float:
-    """Worst-case infidelity, clamped at 0 (INFIDELITY_FLOOR applies only in fits)."""
-    return max(fidelity(target, actual).infidelity, 0.0)
+def infidelity_of(target: Unitary, stack: np.ndarray) -> list[float]:
+    """Worst-case infidelity of each unitary of a (K, d, d) stack, clamped at 0
+    (INFIDELITY_FLOOR applies only in fits)."""
+    return [max(r.infidelity, 0.0) for r in fidelities(target, stack)]
 
 
 def sweep(
@@ -92,16 +98,19 @@ def sweep(
     errors_for: Callable[[float], ErrorAssignment],
     grid: Sequence[float],
     sequence_id: str = "",
-    metric: Callable[[Unitary, Unitary], float] = infidelity_of,
+    metric: Callable[[Unitary, np.ndarray], Sequence[float]] = infidelity_of,
     eps2: Optional[float] = None,
     cache: Optional[CompileCache] = None,
 ) -> SweepResult:
-    """Compile the sequence at each error magnitude and record infidelity.
+    """Compile the sequence at every error magnitude as one stack and record infidelity.
 
     ``errors_for`` maps a grid magnitude to a full assignment, whose
-    ``seed`` and ``signs`` fill the row's columns; ``metric(target,
-    compiled)`` defaults to the full-space worst-case infidelity.  Grid
-    points must be finite, positive and ascending.
+    ``seed`` and ``signs`` fill the row's columns.  All assignments are
+    drawn first and compiled in one walk (``compile_stack``); a
+    CompileError names the first magnitude at fault.  ``metric(target,
+    stack)`` scores the whole (K, d, d) stack and returns K values, one
+    per grid point; it defaults to the full-space worst-case infidelity.
+    Grid points must be finite, positive and ascending.
     """
     pts = list(grid)
     bad = [e for e in pts if not math.isfinite(e)]
@@ -109,26 +118,16 @@ def sweep(
         raise ValueError(f"grid point {bad[0]} is not finite")
     if any(e <= 0 for e in pts) or any(b <= a for a, b in zip(pts, pts[1:])):
         raise ValueError("grid must be positive and strictly ascending")
-    if cache is None:
-        cache = CompileCache()
-    rows = []
-    for eps in pts:
-        errs = errors_for(eps)
-        try:
-            compiled = compile_sequence(seq, errs, cache)
-        except CompileError as exc:
-            raise CompileError(f"at eps = {eps:g}: {exc}") from exc
-        rows.append(
-            SweepRow(
-                eps1=eps,
-                eps2=eps2,
-                infidelity=metric(target, compiled),
-                sequence=sequence_id,
-                seed=errs.seed,
-                signs=errs.signs,
-            )
-        )
-    return SweepResult(tuple(rows))
+    points = [errors_for(eps) for eps in pts]
+    try:
+        stack, defect = compile_stack(seq, points, cache)
+    except CompileError as exc:
+        raise CompileError(f"at eps = {pts[exc.point]:g}: {exc}") from exc
+    rows = tuple(
+        SweepRow(eps, eps2, value, sequence_id, errs.seed, errs.signs)
+        for eps, errs, value in zip(pts, points, metric(target, stack))
+    )
+    return SweepResult(rows, defect)
 
 
 def fit_slope(

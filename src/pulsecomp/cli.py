@@ -3,8 +3,8 @@ and the invariant verification suite.
 
 Exit codes: 0 success, 1 check failure or unwritable output, 2 usage or
 configuration error.
-All output is deterministic for a fixed config and seed; sweep points are
-evaluated sequentially and assembled in grid order.
+All output is deterministic for a fixed config and seed; a sweep's points
+are compiled as one stack and assembled in grid order.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .pauli import (
     unit_su2_partner,
 )
 from .sequences import (
-    CompileCache,
     ErrorAssignment,
     Pulse,
     PulseSequence,
@@ -60,6 +59,7 @@ from .sequences import (
     bb1_wj,
     chain_labels,
     compile_sequence,
+    compile_stack,
     phi_of,
     wj_chain,
 )
@@ -182,16 +182,16 @@ def _wj_curves(grid: np.ndarray, seed: int) -> dict[str, SweepResult]:
 def _grid_curves(axis: np.ndarray, seed: int) -> dict[str, SweepResult]:
     """The three sequences at every (eps_ZZ, eps_X) pair, eps_X varying fastest."""
     target = evolve([(THETA, 0.0, H_ZZ)])
+    pairs = [(e1, e2) for e1 in axis for e2 in axis]
     out = {}
     for name, seq in _two_qubit_sequences().items():
-        cache = CompileCache()
-        rows = []
-        for e1 in axis:
-            for e2 in axis:
-                errs = _two_qubit_errors(e1, e2, nested=name == "bb1_wj")
-                infid = infidelity_of(target, compile_sequence(seq, errs, cache))
-                rows.append(SweepRow(e1, e2, infid, name, None, ""))
-        out[name] = SweepResult(tuple(rows))
+        points = [_two_qubit_errors(e1, e2, nested=name == "bb1_wj") for e1, e2 in pairs]
+        stack, defect = compile_stack(seq, points)
+        rows = tuple(
+            SweepRow(e1, e2, infid, name, None, "")
+            for (e1, e2), infid in zip(pairs, infidelity_of(target, stack))
+        )
+        out[name] = SweepResult(rows, defect)
     return out
 
 
@@ -233,8 +233,11 @@ def _shared_error_curves(grid, plain: PulseSequence, curves) -> dict[str, SweepR
     }
 
 
-def _code_metric(code) -> Callable[[Unitary, Unitary], float]:
-    return lambda target, actual: subspace_fidelity(target, actual, code).infidelity
+def _code_metric(code) -> Callable[[Unitary, np.ndarray], list[float]]:
+    """Code-space infidelity of each unitary of a stack."""
+    return lambda target, stack: [
+        subspace_fidelity(target, Unitary(m), code).infidelity for m in stack
+    ]
 
 
 def _xy_curves(grid: np.ndarray, seed: int) -> dict[str, SweepResult]:
@@ -330,6 +333,11 @@ def _write_figure(figure_id: str, out_dir: Path, seed: int) -> None:
         **spec.meta,
         "grid": {"lo": lo, "hi": hi, "points": points, "spacing": "log"},
         "files": [f"{stem}.csv" for stem in results],
+        # Each CSV is compiled as one stack of its rows' error assignments.
+        "stacks": {
+            stem: {"points": len(r.rows), "unitarity_defect": r.unitarity_defect}
+            for stem, r in results.items()
+        },
     }
     _write(out_dir / f"{figure_id}_metadata.json", json.dumps(meta, indent=2) + "\n")
 

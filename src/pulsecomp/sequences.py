@@ -20,7 +20,7 @@ from weakref import WeakValueDictionary
 import numpy as np
 
 from .pauli import Hamiltonian, unit_su2_partner
-from .unitary import Unitary, distance, evolve
+from .unitary import Unitary, _evolve_stack, _identity, check_unitary, distance, evolve
 
 
 class SequenceError(ValueError):
@@ -28,7 +28,13 @@ class SequenceError(ValueError):
 
 
 class CompileError(ValueError):
-    """Missing or inconsistent error assignments at compile time."""
+    """Missing or inconsistent error assignments at compile time.
+
+    ``point`` is the index of the assignment at fault among those compiled
+    together.
+    """
+
+    point: Optional[int] = None
 
 
 # Weak intern tables: each distinct pulse or sequence value exists once
@@ -217,9 +223,6 @@ class ErrorAssignment:
         except KeyError:
             raise CompileError(f"no error assigned to label {label!r}") from None
 
-    def has(self, label: str) -> bool:
-        return label in self.values
-
     @classmethod
     def zero(cls, labels) -> "ErrorAssignment":
         return cls({l: 0.0 for l in labels})
@@ -255,23 +258,74 @@ class CompileCache:
         self._store[key] = value
 
 
-def _item_matrix(item: Item, errors: ErrorAssignment, cache: CompileCache) -> np.ndarray:
+def _item_matrix(item: Item, columns: Mapping, cache: CompileCache) -> np.ndarray:
+    """Matrix of an item; ``columns`` maps each label to its error, or at K >= 2
+    points to the tuple of the points' errors, which gives a (K, d, d) stack."""
     if isinstance(item, Pulse):
-        errs = tuple(errors.resolve(l) for l, _, _ in item.terms)
+        errs = tuple(columns[l] for l, _, _ in item.terms)
     else:
-        errs = tuple(errors.resolve(l) for l in item._sorted_labels)
+        errs = tuple(columns[l] for l in item._sorted_labels)
     key = (item, errs)
     mat = cache.get(key)
     if mat is not None:
         return mat
     if isinstance(item, Pulse):
-        mat = evolve([(theta, e, h) for (_, theta, h), e in zip(item.terms, errs)]).matrix
+        terms = [(theta, e, h) for (_, theta, h), e in zip(item.terms, errs)]
+        mat = _evolve_stack(terms) if isinstance(errs[0], tuple) else evolve(terms).matrix
     else:
-        mat = np.eye(2**item.n_qubits, dtype=complex)
+        mat = _identity(2**item.n_qubits, complex)
         for sub in item.items:
-            mat = _item_matrix(sub, errors, cache) @ mat
+            mat = _item_matrix(sub, columns, cache) @ mat
     cache.put(key, mat)
     return mat
+
+
+def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarray:
+    """Unchecked product of a sequence at K >= 1 assignments, each validated
+    first: a (K, d, d) stack, (d, d) when K = 1."""
+    for k, errors in enumerate(points):
+        try:
+            missing = seq.labels - errors.values.keys()
+            if missing:
+                raise CompileError(f"unassigned labels: {', '.join(sorted(missing))}")
+            for group in seq.required_groups:
+                vals = {errors.resolve(l) for l in group}
+                if len(vals) > 1:
+                    raise CompileError(
+                        f"labels {sorted(group)} must share one error, got {sorted(vals)}"
+                    )
+        except CompileError as exc:
+            exc.point = k
+            raise
+    if len(points) == 1:
+        columns = points[0].values
+    else:
+        columns = {l: tuple([errors.values[l] for errors in points]) for l in seq.labels}
+    return _item_matrix(seq, columns, CompileCache() if cache is None else cache)
+
+
+def compile_stack(
+    seq: PulseSequence,
+    points,
+    cache: Optional[CompileCache] = None,
+) -> tuple[np.ndarray, float]:
+    """Compile a sequence at K error assignments in one walk of its DAG.
+
+    Returns the (K, d, d) stack, matrix k bit for bit ``compile_sequence``
+    at ``points[k]``, and the worst unitarity defect among them; each is
+    checked to 1e-10.  A node is compiled once per call for all K points
+    and memoized under the node and, per label, the tuple of the points'
+    errors (the error itself when K = 1, which compiles as
+    ``compile_sequence`` does).  Every assignment is checked for
+    unassigned labels and split groups before any is compiled; the
+    CompileError's ``point`` is the index of the first at fault.
+    """
+    points = tuple(points)
+    d = 2**seq.n_qubits
+    if not points:
+        return np.empty((0, d, d), dtype=complex), 0.0
+    stack = _walk(seq, points, cache).reshape(len(points), d, d)
+    return stack, check_unitary(stack)
 
 
 def compile_sequence(
@@ -281,19 +335,12 @@ def compile_sequence(
 ) -> Unitary:
     """Compile a sequence to a unitary; later pulses multiply on the left.
 
-    Each distinct block is compiled once per call; pass a ``cache`` to share
-    compiled blocks across calls.
+    The one-point case of ``compile_stack``: each distinct pulse is
+    synthesized by ``evolve`` and each distinct block compiled once per
+    call, memoized under the node and its labels' errors; pass a ``cache``
+    to share compiled blocks across calls.
     """
-    missing = sorted(l for l in seq.labels if not errors.has(l))
-    if missing:
-        raise CompileError(f"unassigned labels: {', '.join(missing)}")
-    for group in seq.required_groups:
-        vals = {errors.resolve(l) for l in group}
-        if len(vals) > 1:
-            raise CompileError(
-                f"labels {sorted(group)} must share one error, got {sorted(vals)}"
-            )
-    return Unitary(_item_matrix(seq, errors, CompileCache() if cache is None else cache))
+    return Unitary(_walk(seq, (errors,), cache))
 
 
 def phi_of(theta: float) -> float:

@@ -35,13 +35,27 @@ def _identity(dim: int, dtype: type = float) -> np.ndarray:
     return m
 
 
-def _defect(m: np.ndarray) -> float:
-    """Largest entry of |m^dag m - I|: how far the columns of m are from orthonormal."""
-    return np.abs(m.conj().T @ m - _identity(m.shape[1])).max()
+def _defect(m: np.ndarray) -> np.ndarray:
+    """|m^dag m - I| entrywise, per matrix of a stack: how far the columns of m are from orthonormal."""
+    return np.abs(m.conj().swapaxes(-1, -2) @ m - _identity(m.shape[-1]))
 
 
 class UnitaryError(ValueError):
     """Dimension mismatch or non-unitary input."""
+
+
+def check_unitary(m: np.ndarray) -> float:
+    """Worst defect of a unitary or of a (K, d, d) stack of them, checked to 1e-10.
+
+    The UnitaryError names the defect of the first matrix above the bound.
+    """
+    defect = _defect(m)
+    worst = defect.max()
+    if not worst <= 1e-10:
+        per_point = defect.reshape(-1, defect.shape[-1] ** 2).max(axis=1)
+        first = next(d for d in per_point if not d <= 1e-10)
+        raise UnitaryError(f"not unitary: defect {first:.3e}")
+    return worst
 
 
 @dataclass(frozen=True)
@@ -55,9 +69,7 @@ class Unitary:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise UnitaryError(f"not square: shape {m.shape}")
-        defect = _defect(m)
-        if not defect <= 1e-10:
-            raise UnitaryError(f"not unitary: defect {defect:.3e}")
+        check_unitary(m)
 
     @property
     def dim(self) -> int:
@@ -86,7 +98,7 @@ class Subspace:
         if b.shape[1] == 0:
             raise UnitaryError("subspace basis needs at least one column")
         object.__setattr__(self, "basis", b)
-        defect = _defect(b)
+        defect = _defect(b).max()
         if not defect <= 1e-12:
             raise UnitaryError(f"basis not orthonormal: defect {defect:.3e}")
 
@@ -120,20 +132,23 @@ def _word_matrix(letters: str) -> np.ndarray:
     return m
 
 
-def _pauli_sum(dim: int, pairs) -> np.ndarray:
-    """sum of coeff * word matrix over (coeff, matrix) pairs, zeros skipped."""
-    out = np.zeros((dim, dim), dtype=complex)
+def _pauli_sum(shape: tuple[int, ...], pairs) -> np.ndarray:
+    """sum of coeff * word matrix over (coeff, matrix) pairs, from zeros of ``shape``.
+
+    A coeff is a float or a (K, 1, 1) column scaling a (K, d, d) stack.  A
+    zero coeff adds only signed zeros to a sum that started at +0, which
+    leave every entry's bits unchanged.
+    """
+    out = np.zeros(shape, dtype=complex)
     for coeff, m in pairs:
-        if coeff != 0.0:
-            out += coeff * m
+        out += coeff * m
     return out
 
 
 def matrix_of(h: Hamiltonian) -> np.ndarray:
     """Dense Hermitian matrix of a Pauli-sum Hamiltonian."""
-    return _pauli_sum(
-        2**h.n_qubits, ((c, _word_matrix(s.letters)) for c, s in h.terms)
-    )
+    dim = 2**h.n_qubits
+    return _pauli_sum((dim, dim), ((c, _word_matrix(s.letters)) for c, s in h.terms))
 
 
 def matrix_to_hamiltonian(m: np.ndarray, n_qubits: int) -> Hamiltonian:
@@ -162,11 +177,11 @@ class _Synthesis:
 
     For the simultaneous terms of a pulse this holds the merged, sorted
     words, each word's (term index, coefficient) contributions, the word
-    matrices, and the products of word pairs that form A^2.  ``evolve``
-    then needs only float arithmetic, done in the order that summing the
-    Hamiltonians, ``_product_terms`` and ``matrix_of`` do it, and passes
-    the sums of A^2 to ``square_identity_coefficient``, so its results are
-    bit for bit those of the Pauli algebra.
+    matrices, and the products of word pairs that form A^2.  ``unitaries``
+    then needs only float arithmetic per point, done in the order that
+    summing the Hamiltonians, ``_product_terms`` and ``matrix_of`` do it,
+    and passes the sums of A^2 to ``square_identity_coefficient``, so its
+    results are bit for bit those of the Pauli algebra.
     """
 
     def __init__(self, hams: tuple[Hamiltonian, ...]):
@@ -221,6 +236,50 @@ class _Synthesis:
             sums[word] = s
         return sums
 
+    def unitaries(self, points: list) -> np.ndarray:
+        """exp(-i A) per point of per-term scales: a (K, d, d) stack, (d, d) when K = 1.
+
+        Coefficients and the A^2 = c I test are scalar arithmetic per
+        point.  One point is finished with Python scalars: the sum over
+        words, then the closed form cos(r) I - i (sin(r)/r) A with
+        r = sqrt(c) (I - i A when r < 1e-150) if the test passes, else a
+        Hermitian eigendecomposition.  Several points stack only this
+        matrix work, with (K, 1, 1) columns of the same per-point scalars,
+        which give the same bits, and one eigendecomposition of the points
+        that fail the test.  The result is not checked for unitarity here.
+        """
+        d = self.dim
+        if len(points) == 1:
+            a = self.coefficients(points[0])
+            c = square_identity_coefficient(self.square_sums(a))
+            amat = _pauli_sum((d, d), zip(a, self.matrices))
+            if c is None or c < 0.0:
+                w, v = np.linalg.eigh(amat)
+                return (v * np.exp(-1j * w)) @ v.conj().T
+            r = math.sqrt(c)
+            if r < 1e-150:
+                return _identity(d) - 1j * amat
+            return math.cos(r) * _identity(d) - 1j * (math.sin(r) / r) * amat
+        a, roots, rest = [], [], []
+        for k, scales in enumerate(points):
+            x = self.coefficients(scales)
+            c = square_identity_coefficient(self.square_sums(x))
+            a.append(x)
+            if c is None or c < 0.0:
+                roots.append(0.0)  # replaced by the eigendecomposition below
+                rest.append(k)
+            else:
+                roots.append(math.sqrt(c))
+        columns = np.array(a).T[:, :, None, None]
+        amat = _pauli_sum((len(points), d, d), zip(columns, self.matrices))
+        cos = np.array([1.0 if r < 1e-150 else math.cos(r) for r in roots])
+        sinc = np.array([1j if r < 1e-150 else 1j * (math.sin(r) / r) for r in roots])
+        u = cos[:, None, None] * _identity(d) - sinc[:, None, None] * amat
+        if rest:
+            w, v = np.linalg.eigh(amat[rest])
+            u[rest] = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+        return u
+
 
 @lru_cache(maxsize=256)
 def _synthesis(hams: tuple[Hamiltonian, ...]) -> _Synthesis:
@@ -230,48 +289,58 @@ def _synthesis(hams: tuple[Hamiltonian, ...]) -> _Synthesis:
 def evolve(terms: list[tuple[float, float, Hamiltonian]]) -> Unitary:
     """exp(-i sum theta(1+eps) H) for simultaneous terms (theta, eps, H).
 
-    When the summed operator A satisfies A^2 = c I (decided by the Pauli
-    algebra's ``square_identity_coefficient`` on the product-word sums of
-    A^2) the closed form cos(sqrt(c)) I - i sinc * A is used;
-    otherwise a Hermitian eigendecomposition.  The Pauli structure of the
-    Hamiltonians is derived once per distinct tuple (a cached plan), so a
-    call is float arithmetic in the order of the Hamiltonian algebra.
+    The one-point case of the synthesis that compiles pulses at K points
+    (``_Synthesis.unitaries``; the compile walk calls ``evolve`` for each
+    pulse at one point and ``_evolve_stack`` at several): when the summed
+    operator A satisfies A^2 = c I (decided by the Pauli algebra's
+    ``square_identity_coefficient`` on the product-word sums of A^2) the
+    closed form cos(sqrt(c)) I - i sinc * A is used; otherwise a Hermitian
+    eigendecomposition.  The Pauli structure of the Hamiltonians is derived
+    once per distinct tuple (a cached plan), so a call is float arithmetic
+    in the order of the Hamiltonian algebra.
     """
     if not terms:
         raise UnitaryError("evolve requires at least one term")
     plan = _synthesis(tuple(h for _, _, h in terms))
-    a = plan.coefficients([theta * (1.0 + eps) for theta, eps, _ in terms])
-    c = square_identity_coefficient(plan.square_sums(a))
-    dim = plan.dim
-    amat = _pauli_sum(dim, zip(a, plan.matrices))
-    if c is not None and c >= 0.0:
-        r = math.sqrt(c)
-        if r < 1e-150:
-            u = _identity(dim, complex) - 1j * amat
-        else:
-            u = math.cos(r) * _identity(dim) - 1j * (math.sin(r) / r) * amat
-        return Unitary(u)
-    w, v = np.linalg.eigh(amat)
-    return Unitary((v * np.exp(-1j * w)) @ v.conj().T)
+    return Unitary(plan.unitaries([[theta * (1.0 + eps) for theta, eps, _ in terms]]))
 
 
-def _arc_report(m: np.ndarray) -> FidelityReport:
-    """Worst-case fidelity of a unitary m from the minimal arc holding its eigenphases."""
-    phases = np.sort(np.angle(np.linalg.eigvals(m)))
-    wrap = 2 * math.pi - (phases[-1] - phases[0])
-    arc = max(0.0, 2 * math.pi - max(np.diff(phases).max(initial=0.0), wrap))
-    if arc >= math.pi:
-        infid = 1.0
-    else:
-        infid = min(1.0, 2.0 * math.sin(arc / 4.0) ** 2)
-    return FidelityReport(fidelity=1.0 - infid, infidelity=infid, method="eigenphase-arc")
+def _evolve_stack(terms: list[tuple[float, tuple[float, ...], Hamiltonian]]) -> np.ndarray:
+    """``evolve`` at K >= 2 points at once, for the compile walk.
+
+    Terms (theta, (eps_1 .. eps_K), H) give a (K, d, d) stack; matrix k is
+    bit for bit ``evolve`` of the terms (theta, eps_k, H), and each is
+    checked unitary to 1e-10.
+    """
+    plan = _synthesis(tuple(h for _, _, h in terms))
+    scales = [[theta * (1.0 + e) for e in eps] for theta, eps, _ in terms]
+    u = plan.unitaries(list(zip(*scales)))
+    check_unitary(u)
+    return u
+
+
+def _arc_report(m: np.ndarray) -> list[FidelityReport]:
+    """Worst-case fidelity of each unitary of a (K, d, d) stack from the minimal
+    arc holding its eigenphases."""
+    reports = []
+    for p in np.sort(np.angle(np.linalg.eigvals(m)), axis=-1).tolist():
+        gap = max([b - a for a, b in zip(p, p[1:])], default=0.0)
+        arc = max(0.0, 2 * math.pi - max(gap, 2 * math.pi - (p[-1] - p[0])))
+        infid = 1.0 if arc >= math.pi else min(1.0, 2.0 * math.sin(arc / 4.0) ** 2)
+        reports.append(FidelityReport(1.0 - infid, infid, "eigenphase-arc"))
+    return reports
+
+
+def fidelities(u: Unitary, stack: np.ndarray) -> list[FidelityReport]:
+    """Worst-case state fidelity between u and each unitary of a (K, d, d) stack."""
+    if stack.shape[-1] != u.dim:
+        raise UnitaryError(f"dimension mismatch: {u.dim} vs {stack.shape[-1]}")
+    return _arc_report(u.matrix.conj().T @ stack)
 
 
 def fidelity(u: Unitary, v: Unitary) -> FidelityReport:
-    """Worst-case state fidelity between two unitaries."""
-    if u.dim != v.dim:
-        raise UnitaryError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    return _arc_report(u.matrix.conj().T @ v.matrix)
+    """Worst-case state fidelity between two unitaries (``fidelities`` at one point)."""
+    return fidelities(u, v.matrix[None])[0]
 
 
 def distance(u: Unitary, v: Unitary, align_phase: bool = False) -> float:
@@ -411,7 +480,7 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     c = b.conj().T @ m @ b
     leak = np.abs(m @ b - b @ c).max()
     if leak < 1e-10:
-        return _arc_report(c)
+        return _arc_report(c[None])[0]
     tr = np.trace(m)
     mu = float(np.angle(tr)) if abs(tr) > 0 else 0.0
     dev = np.linalg.norm(np.exp(-1j * mu) * m - np.eye(m.shape[0]), ord=2)

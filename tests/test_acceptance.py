@@ -18,6 +18,7 @@ from pulsecomp import (
     Hamiltonian,
     Pulse,
     PulseSequence,
+    Unitary,
     bb1_j,
     bb1_w,
     bb1_wj,
@@ -185,8 +186,8 @@ def test_criterion_7_xy_code_slopes():
     ).fidelity
     c.check(f0 >= 1.0 - 1e-12, f"zero-error code fidelity 1 - {1 - f0:.1e}")
 
-    def metric(t, a):
-        return subspace_fidelity(t, a, enc.code).infidelity
+    def metric(t, stack):
+        return [subspace_fidelity(t, Unitary(m), enc.code).infidelity for m in stack]
 
     grid = np.geomspace(1e-3, 1e-1, 9)
     unc = sweep(
@@ -212,8 +213,8 @@ def test_criterion_8_heisenberg_code_vs_full():
     label = next(iter(plain.labels))
     ideal = compile_sequence(plain, ErrorAssignment.zero([label]))
 
-    def metric(t, a):
-        return subspace_fidelity(t, a, enc.code).infidelity
+    def metric(t, stack):
+        return [subspace_fidelity(t, Unitary(m), enc.code).infidelity for m in stack]
 
     grid = np.geomspace(1e-3, 1e-1, 9)
     cor = sweep(

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from pulsecomp import (
+    CompileError,
     ErrorAssignment,
     Hamiltonian,
     INFIDELITY_FLOOR,
     Pulse,
     PulseSequence,
+    Unitary,
     bb1_w,
     bb1_wj,
     compile_sequence,
@@ -81,6 +83,34 @@ class TestSweep:
         target = evolve([(0.5, 0.0, HX)])
         with pytest.raises(ValueError, match=f"grid point {bad}"):
             sweep(seq, target, lambda e: ErrorAssignment.uniform(["a"], 1e-3), [1e-3, bad])
+
+    def test_missing_label_names_first_bad_eps(self):
+        seq = bb1_w(0.5, HX, HY, "a", "b")
+        target = evolve([(0.5, 0.0, HX)])
+
+        def errors_for(e):
+            return ErrorAssignment({"a": e} if e > 5e-3 else {"a": e, "b": e})
+
+        with pytest.raises(CompileError, match=r"^at eps = 0\.01: unassigned labels: b$"):
+            sweep(seq, target, errors_for, [1e-3, 1e-2, 1e-1])
+
+    def test_metric_scores_the_stack(self):
+        seq = bb1_w(0.5, HX, HY, "a", "b")
+        target = evolve([(0.5, 0.0, HX)])
+        grid = [1e-3, 1e-2, 1e-1]
+        calls = []
+
+        def metric(t, stack):
+            calls.append(stack.shape)
+            return [fidelity(t, Unitary(m)).infidelity for m in stack]
+
+        res = sweep(seq, target, lambda e: ErrorAssignment.uniform(["a", "b"], e), grid,
+                    metric=metric)
+        assert calls == [(3, 2, 2)]
+        assert [r.infidelity for r in res.rows] == [
+            fidelity(target, compile_sequence(seq, ErrorAssignment.uniform(["a", "b"], e))).infidelity
+            for e in grid
+        ]
 
     def test_csv_schema_and_determinism(self):
         seq = PulseSequence((Pulse.single("a", 0.5, HX),))

@@ -111,6 +111,15 @@ class TestFigureGrid:
         for rw, rj in zip(diag_w, diag_j):
             assert float(rw["infidelity"]) <= float(rj["infidelity"])
 
+    def test_sidecar_records_each_stack(self, tmp_path):
+        out = tmp_path / "grid"
+        assert run_cli("figure", "grid", "--out", str(out)) == 0
+        meta = json.loads((out / "grid_metadata.json").read_text())
+        assert list(meta["stacks"]) == ["bb1_w", "bb1_j", "bb1_wj"]
+        for stack in meta["stacks"].values():
+            assert stack["points"] == 81
+            assert 0.0 <= stack["unitarity_defect"] <= 1e-10
+
 
 class TestFigureChain:
     def test_curves_approach_reference(self, tmp_path):

@@ -6,12 +6,16 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsecomp import (
     CompileCache,
     CompileError,
     ErrorAssignment,
     Hamiltonian,
+    PauliError,
+    PauliString,
     Pulse,
     PulseSequence,
     SequenceError,
@@ -20,8 +24,10 @@ from pulsecomp import (
     bb1_wj,
     chain_labels,
     compile_sequence,
+    compile_stack,
     distance,
     evolve,
+    fidelities,
     fidelity,
     phi_of,
     substitute,
@@ -377,14 +383,16 @@ class TestCompile:
     def test_uncached_compile_memoizes_within_call(self, monkeypatch):
         seq = wj_chain(3, math.pi / 4)
         zero = ErrorAssignment.zero(seq.labels)
-        real, calls = sequences.evolve, []
+        real, calls = unitary._Synthesis.unitaries, []
         monkeypatch.setattr(
-            sequences, "evolve", lambda terms: calls.append(terms) or real(terms)
+            unitary._Synthesis,
+            "unitaries",
+            lambda plan, points: calls.append(points) or real(plan, points),
         )
         plain = compile_sequence(seq, zero)
-        # each distinct pulse is evolved once, not each of the 6220 slots
+        # each distinct pulse is synthesized once, not each of the 6220 slots
         assert seq.pulse_count == 6220
-        assert len(calls) < 300
+        assert 0 < len(calls) < 300
         cached = compile_sequence(seq, zero, CompileCache())
         assert np.array_equal(plain.matrix, cached.matrix)
 
@@ -422,6 +430,92 @@ class TestCompile:
         u1 = compile_sequence(seq, ErrorAssignment.uniform(["a", "b"], 0.01), cache)
         u2 = compile_sequence(seq, ErrorAssignment.uniform(["a", "b"], 0.02), cache)
         assert np.abs(u1.matrix - u2.matrix).max() > 0
+
+
+@st.composite
+def stacked_compiles(draw):
+    """A 1-3-qubit sequence of pulses and a repeated block whose words
+    repeat, and 1-8 error assignments to compile it at."""
+    n = draw(st.integers(1, 3))
+    words = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=4))
+    coeff = st.sampled_from([0.5, -0.5, 1.0]) | st.floats(-2.0, 2.0)
+    theta = st.sampled_from([0.0, math.pi, -math.pi / 2]) | st.floats(-7.0, 7.0)
+
+    def pulse():
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            pairs = draw(st.lists(st.tuples(coeff, st.sampled_from(words)), min_size=1, max_size=3))
+            h = Hamiltonian.from_terms(n, [(c, PauliString(w)) for c, w in pairs])
+            terms.append((draw(st.sampled_from("abc")), draw(theta), h))
+        return Pulse(terms)
+
+    pulses = [pulse() for _ in range(draw(st.integers(1, 4)))]
+    block = PulseSequence(draw(st.lists(st.sampled_from(pulses), min_size=1, max_size=4)))
+    seq = PulseSequence(draw(st.lists(st.sampled_from([*pulses, block]), min_size=1, max_size=6)))
+    eps = st.sampled_from([0.0, -0.0, -1.0, 1e-12]) | st.floats(-0.5, 0.5)
+    points = [
+        ErrorAssignment({l: draw(eps) for l in seq.labels})
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    return seq, points
+
+
+class TestStack:
+    """A stacked compile is, bit for bit, the one-point compiles of its points."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(stacked_compiles())
+    def test_stack_equals_points(self, case):
+        seq, points = case
+        stack, defect = compile_stack(seq, points)
+        singles = [compile_sequence(seq, p) for p in points]
+        assert [m.tobytes() for m in stack] == [u.matrix.tobytes() for u in singles]
+        assert defect == max(unitary.check_unitary(u.matrix) for u in singles)
+        target = singles[-1]
+        assert list(map(repr, fidelities(target, stack))) == [
+            repr(fidelity(target, u)) for u in singles
+        ]
+
+    def test_closed_form_and_eigh_points_share_a_stack(self):
+        # X and IX-type words commute, so A^2 != cI unless one coefficient is 0
+        h = Hamiltonian.single(0.5, "XI") + Hamiltonian.single(0.5, "IX")
+        seq = PulseSequence((Pulse((("a", 1.0, h), ("b", 0.7, HX1))),))
+        points = [ErrorAssignment({"a": -1.0, "b": 0.1}), ErrorAssignment({"a": 0.1, "b": 0.1})]
+        stack, _ = compile_stack(seq, points)
+        assert [m.tobytes() for m in stack] == [
+            compile_sequence(seq, p).matrix.tobytes() for p in points
+        ]
+
+    def test_non_finite_point_raises_as_alone(self):
+        seq = PulseSequence((Pulse.single("a", 0.5, HX), Pulse.single("b", 4.0, HY)))
+        good = ErrorAssignment({"a": 1e-3, "b": 1e-3})
+        bad = ErrorAssignment({"a": 1e-3, "b": 1e308})
+        with pytest.raises(PauliError) as alone:
+            compile_sequence(seq, bad)
+        with pytest.raises(PauliError) as stacked:
+            compile_stack(seq, [good, bad, good])
+        assert str(stacked.value) == str(alone.value) == "coefficient inf of Y is not finite"
+
+    def test_bad_assignment_is_named_by_position(self):
+        seq = bb1_w(0.5, HX, HY, "a", "b")
+        points = [ErrorAssignment.uniform(["a", "b"], 1e-3), ErrorAssignment({"a": 1e-3})]
+        with pytest.raises(CompileError, match="unassigned labels: b") as exc:
+            compile_stack(seq, points)
+        assert exc.value.point == 1
+
+    def test_empty_stack(self):
+        stack, defect = compile_stack(bb1_w(0.5, HX, HY, "a", "b"), [])
+        assert stack.shape == (0, 2, 2) and defect == 0.0
+
+    def test_cache_shared_by_one_and_several_points(self):
+        # one-point entries are keyed on errors, stacked ones on tuples of them
+        seq = bb1_w(0.5, HX, HY, "a", "b")
+        points = [ErrorAssignment.uniform(["a", "b"], e) for e in (1e-3, 2e-3)]
+        cache = CompileCache()
+        alone = [compile_sequence(seq, p, cache).matrix.tobytes() for p in points]
+        stack, _ = compile_stack(seq, points, cache)
+        again = [compile_sequence(seq, p, cache).matrix.tobytes() for p in points]
+        assert [m.tobytes() for m in stack] == alone == again
 
 
 class TestCorrectionBlock:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .pauli import Hamiltonian
 from .sequences import (
-    CompileCache,
     CompileError,
     ErrorAssignment,
     PulseSequence,
@@ -28,7 +27,7 @@ from .unitary import Unitary, evolve, fidelities, matrix_of
 
 # Arc-based infidelities bottom out near the square of machine epsilon;
 # anything below this is indistinguishable from rounding noise and is
-# clamped and excluded from fits.
+# excluded from fits and local slopes.
 INFIDELITY_FLOOR = 1e-30
 
 
@@ -87,9 +86,9 @@ class CrossoverReport:
 
 
 def infidelity_of(target: Unitary, stack: np.ndarray) -> list[float]:
-    """Worst-case infidelity of each unitary of a (K, d, d) stack, clamped at 0
+    """Worst-case infidelity of each unitary of a (K, d, d) stack
     (INFIDELITY_FLOOR applies only in fits)."""
-    return [max(r.infidelity, 0.0) for r in fidelities(target, stack)]
+    return [r.infidelity for r in fidelities(target, stack)]
 
 
 def sweep(
@@ -100,16 +99,16 @@ def sweep(
     sequence_id: str = "",
     metric: Callable[[Unitary, np.ndarray], Sequence[float]] = infidelity_of,
     eps2: Optional[float] = None,
-    cache: Optional[CompileCache] = None,
 ) -> SweepResult:
     """Compile the sequence at every error magnitude as one stack and record infidelity.
 
     ``errors_for`` maps a grid magnitude to a full assignment, whose
     ``seed`` and ``signs`` fill the row's columns.  All assignments are
-    drawn first and compiled in one walk (``compile_stack``); a
-    CompileError names the first magnitude at fault.  ``metric(target,
-    stack)`` scores the whole (K, d, d) stack and returns K values, one
-    per grid point; it defaults to the full-space worst-case infidelity.
+    drawn first and compiled in one walk (``compile_stack``, which
+    memoizes only within the call); a CompileError names the first
+    magnitude at fault.  ``metric(target, stack)`` scores the whole
+    (K, d, d) stack and returns K values, one per grid point; it defaults
+    to the full-space worst-case infidelity.
     Grid points must be finite, positive and ascending.
     """
     pts = list(grid)
@@ -120,7 +119,7 @@ def sweep(
         raise ValueError("grid must be positive and strictly ascending")
     points = [errors_for(eps) for eps in pts]
     try:
-        stack, defect = compile_stack(seq, points, cache)
+        stack, defect = compile_stack(seq, points)
     except CompileError as exc:
         raise CompileError(f"at eps = {pts[exc.point]:g}: {exc}") from exc
     rows = tuple(

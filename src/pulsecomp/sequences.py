@@ -233,26 +233,18 @@ class ErrorAssignment:
 
 
 class CompileCache:
-    """Memo for compiled pulses and nested blocks, keyed by node + errors.
+    """Memo for compiled pulses and nested blocks, keyed by (node, errors).
 
+    The errors are those of the node's labels, in a fixed order: each
+    label's error, or at K >= 2 points the tuple of the points' errors.
     Nodes are interned, so a key hashes the node's identity, not its tree.
     """
 
     def __init__(self) -> None:
         self._store: dict = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
 
     def get(self, key):
-        hit = self._store.get(key)
-        if hit is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return hit
+        return self._store.get(key)
 
     def put(self, key, value) -> None:
         self._store[key] = value
@@ -280,7 +272,7 @@ def _item_matrix(item: Item, columns: Mapping, cache: CompileCache) -> np.ndarra
     return mat
 
 
-def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarray:
+def _walk(seq: PulseSequence, points, cache: CompileCache) -> np.ndarray:
     """Unchecked product of a sequence at K >= 1 assignments, each validated
     first: a (K, d, d) stack, (d, d) when K = 1."""
     for k, errors in enumerate(points):
@@ -301,22 +293,17 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
         columns = points[0].values
     else:
         columns = {l: tuple([errors.values[l] for errors in points]) for l in seq.labels}
-    return _item_matrix(seq, columns, CompileCache() if cache is None else cache)
+    return _item_matrix(seq, columns, cache)
 
 
-def compile_stack(
-    seq: PulseSequence,
-    points,
-    cache: Optional[CompileCache] = None,
-) -> tuple[np.ndarray, float]:
+def compile_stack(seq: PulseSequence, points) -> tuple[np.ndarray, float]:
     """Compile a sequence at K error assignments in one walk of its DAG.
 
     Returns the (K, d, d) stack, matrix k bit for bit ``compile_sequence``
     at ``points[k]``, and the worst unitarity defect among them; each is
-    checked to 1e-10.  A node is compiled once per call for all K points
-    and memoized under the node and, per label, the tuple of the points'
-    errors (the error itself when K = 1, which compiles as
-    ``compile_sequence`` does).  Every assignment is checked for
+    checked to 1e-10.  The walk memoizes in a fresh ``CompileCache``: a
+    node is compiled once for all K points, and each pulse synthesizes
+    each distinct row of its scales once.  Every assignment is checked for
     unassigned labels and split groups before any is compiled; the
     CompileError's ``point`` is the index of the first at fault.
     """
@@ -324,7 +311,7 @@ def compile_stack(
     d = 2**seq.n_qubits
     if not points:
         return np.empty((0, d, d), dtype=complex), 0.0
-    stack = _walk(seq, points, cache).reshape(len(points), d, d)
+    stack = _walk(seq, points, CompileCache()).reshape(len(points), d, d)
     return stack, check_unitary(stack)
 
 
@@ -337,10 +324,9 @@ def compile_sequence(
 
     The one-point case of ``compile_stack``: each distinct pulse is
     synthesized by ``evolve`` and each distinct block compiled once per
-    call, memoized under the node and its labels' errors; pass a ``cache``
-    to share compiled blocks across calls.
+    call; pass a ``cache`` to share compiled blocks across calls.
     """
-    return Unitary(_walk(seq, (errors,), cache))
+    return Unitary(_walk(seq, (errors,), CompileCache() if cache is None else cache))
 
 
 def phi_of(theta: float) -> float:

@@ -309,14 +309,17 @@ def _evolve_stack(terms: list[tuple[float, tuple[float, ...], Hamiltonian]]) -> 
     """``evolve`` at K >= 2 points at once, for the compile walk.
 
     Terms (theta, (eps_1 .. eps_K), H) give a (K, d, d) stack; matrix k is
-    bit for bit ``evolve`` of the terms (theta, eps_k, H), and each is
-    checked unitary to 1e-10.
+    bit for bit ``evolve`` of the terms (theta, eps_k, H).  Each distinct
+    row of scales theta(1+eps_k) is synthesized and checked unitary to
+    1e-10 once, in first-seen order (0.0 and -0.0 errors give equal
+    scales), and the distinct matrices are gathered back to K rows.
     """
     plan = _synthesis(tuple(h for _, _, h in terms))
-    scales = [[theta * (1.0 + e) for e in eps] for theta, eps, _ in terms]
-    u = plan.unitaries(list(zip(*scales)))
+    rows = list(zip(*[[theta * (1.0 + e) for e in eps] for theta, eps, _ in terms]))
+    index = {row: i for i, row in enumerate(dict.fromkeys(rows))}
+    u = plan.unitaries(list(index)).reshape(len(index), plan.dim, plan.dim)
     check_unitary(u)
-    return u
+    return u if len(index) == len(rows) else u[[index[row] for row in rows]]
 
 
 def _arc_report(m: np.ndarray) -> list[FidelityReport]:

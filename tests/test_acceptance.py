@@ -18,7 +18,6 @@ from pulsecomp import (
     Hamiltonian,
     Pulse,
     PulseSequence,
-    Unitary,
     bb1_j,
     bb1_w,
     bb1_wj,
@@ -39,7 +38,7 @@ from pulsecomp import (
     wj_chain,
     xy3_encoding,
 )
-from pulsecomp.cli import VERIFY_CHECKS
+from pulsecomp.cli import VERIFY_CHECKS, _code_metric
 
 HX = Hamiltonian.single(0.5, "X")
 HY = Hamiltonian.single(0.5, "Y")
@@ -185,10 +184,7 @@ def test_criterion_7_xy_code_slopes():
         enc.code,
     ).fidelity
     c.check(f0 >= 1.0 - 1e-12, f"zero-error code fidelity 1 - {1 - f0:.1e}")
-
-    def metric(t, stack):
-        return [subspace_fidelity(t, Unitary(m), enc.code).infidelity for m in stack]
-
+    metric = _code_metric(enc.code)
     grid = np.geomspace(1e-3, 1e-1, 9)
     unc = sweep(
         p3_sequence(THETA), ideal, lambda e: ErrorAssignment.uniform([label], e),
@@ -198,7 +194,7 @@ def test_criterion_7_xy_code_slopes():
     c.check(abs(s2 - 2.0) <= 0.1, f"uncorrected slope {s2:.4f} (want 2.0 +- 0.1)")
     cor = sweep(
         p3_bb1(THETA), ideal, lambda e: ErrorAssignment.uniform([label], e),
-        grid, metric=metric, cache=CompileCache(),
+        grid, metric=metric,
     )
     s6 = fit_sweep(cor).exponent
     c.check(abs(s6 - 6.0) <= 0.2, f"corrected slope {s6:.4f} (want 6.0 +- 0.2)")
@@ -212,14 +208,10 @@ def test_criterion_8_heisenberg_code_vs_full():
     corr = heisenberg_logical("z", THETA, corrected=True)
     label = next(iter(plain.labels))
     ideal = compile_sequence(plain, ErrorAssignment.zero([label]))
-
-    def metric(t, stack):
-        return [subspace_fidelity(t, Unitary(m), enc.code).infidelity for m in stack]
-
     grid = np.geomspace(1e-3, 1e-1, 9)
     cor = sweep(
         corr, ideal, lambda e: ErrorAssignment.uniform([label], e),
-        grid, metric=metric, cache=CompileCache(),
+        grid, metric=_code_metric(enc.code),
     )
     s6 = fit_sweep(cor).exponent
     c.check(abs(s6 - 6.0) <= 0.2, f"corrected code slope {s6:.4f} (want 6.0 +- 0.2)")
@@ -247,7 +239,6 @@ def test_criterion_9_chain():
         assert len(seq.pulses) == {2: 172, 3: 6220}[n]
         hxn = Hamiltonian.single(0.5, "I" * (n - 1) + "X")
         target = evolve([(THETA, 0.0, hxn)])
-        cache = CompileCache()
         for seed in range(5):
             res = sweep(
                 seq,
@@ -256,7 +247,6 @@ def test_criterion_9_chain():
                     seed, sorted(seq.labels), e, correlated_pair=("X1", "Y1")
                 ),
                 grid,
-                cache=cache,
             ).infidelities()
             uncorrected = np.array(
                 [

@@ -417,12 +417,23 @@ class TestCompile:
         assert counts[0] > 0
         assert counts[1:] == [0, 0]
 
-    def test_cache_hits_on_repeated_blocks(self):
+    def test_cache_reused_across_calls(self, monkeypatch):
         seq = wj_chain(2, math.pi / 4)
+        errors = ErrorAssignment.uniform(seq.labels, 1e-3)
+        real, calls = unitary._Synthesis.unitaries, []
+        monkeypatch.setattr(
+            unitary._Synthesis,
+            "unitaries",
+            lambda plan, points: calls.append(points) or real(plan, points),
+        )
         cache = CompileCache()
-        compile_sequence(seq, ErrorAssignment.uniform(seq.labels, 1e-3), cache)
-        assert cache.hits > 0
-        assert len(cache) < len(seq.pulses)
+        compile_sequence(seq, errors, cache)
+        # repeated pulses and blocks are synthesized once per call ...
+        assert 0 < len(calls) < seq.pulse_count
+        del calls[:]
+        # ... and not at all by a later call sharing the cache
+        compile_sequence(seq, errors, cache)
+        assert calls == []
 
     def test_cache_key_includes_errors(self):
         seq = bb1_w(0.5, HX, HY, "a", "b")
@@ -507,15 +518,40 @@ class TestStack:
         stack, defect = compile_stack(bb1_w(0.5, HX, HY, "a", "b"), [])
         assert stack.shape == (0, 2, 2) and defect == 0.0
 
-    def test_cache_shared_by_one_and_several_points(self):
-        # one-point entries are keyed on errors, stacked ones on tuples of them
-        seq = bb1_w(0.5, HX, HY, "a", "b")
-        points = [ErrorAssignment.uniform(["a", "b"], e) for e in (1e-3, 2e-3)]
-        cache = CompileCache()
-        alone = [compile_sequence(seq, p, cache).matrix.tobytes() for p in points]
-        stack, _ = compile_stack(seq, points, cache)
-        again = [compile_sequence(seq, p, cache).matrix.tobytes() for p in points]
-        assert [m.tobytes() for m in stack] == alone == again
+    @pytest.mark.parametrize(
+        "seq, points, rows_per_pulse",
+        [
+            # repeated points, 0.0 and -0.0 among them
+            (
+                bb1_w(0.5, HX, HY, "a", "b"),
+                [ErrorAssignment.uniform(["a", "b"], e) for e in (1e-3, 0.0, 1e-3, -0.0, 2e-3)],
+                {3},
+            ),
+            # one label held fixed while the other varies, as in a fixed-eps2 grid
+            (
+                bb1_j(0.5, HZZ, HX1, "a", "b"),
+                [ErrorAssignment({"a": e, "b": 1e-2}) for e in (1e-4, 1e-3, 1e-2)],
+                {1, 3},
+            ),
+        ],
+        ids=["repeated-points", "fixed-label"],
+    )
+    def test_each_distinct_scale_row_synthesized_once(
+        self, monkeypatch, seq, points, rows_per_pulse
+    ):
+        alone = [compile_sequence(seq, p).matrix.tobytes() for p in points]
+        real, calls = unitary._Synthesis.unitaries, []
+        monkeypatch.setattr(
+            unitary._Synthesis,
+            "unitaries",
+            lambda plan, rows: calls.append((plan, rows)) or real(plan, rows),
+        )
+        stack, _ = compile_stack(seq, points)
+        synthesized = [(plan, tuple(row)) for plan, rows in calls for row in rows]
+        assert len(set(synthesized)) == len(synthesized)
+        # a pulse whose errors agree at every point is synthesized once
+        assert {len(rows) for _, rows in calls} == rows_per_pulse
+        assert [m.tobytes() for m in stack] == alone
 
 
 class TestCorrectionBlock:

@@ -78,4 +78,8 @@ def test_every_counter_hook_fires(tracer):
     assert counters["evolve.square_checks"] == evolve_calls
     assert counters["evolve.closed_form"] > 0
     assert counters["check_compiles"] > 0
+    # CompileCache.get and .put feed the cache counters
+    assert counters["cache.hits"] > 0
+    assert counters["cache.misses"] > 0
+    assert counters["cache.entries"] > 0
     assert sum(v for k, v in counters.items() if k.startswith("method.")) > 0

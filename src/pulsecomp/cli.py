@@ -10,6 +10,7 @@ are compiled as one stack and assembled in grid order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -724,6 +725,7 @@ def cmd_figure(figure_id: str, out_dir: str, seed: int) -> int:
         return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pulsecomp",
@@ -745,6 +747,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one ``pulsecomp`` command; returns its exit code.
+
+    The argument parser is built once per process, so repeated in-process
+    calls (a benchmark, a test suite) parse with the same tree.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.seed not in _PHILOX_KEYS:

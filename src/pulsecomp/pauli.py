@@ -13,8 +13,10 @@ import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Optional
+
+import numpy as np
 
 PAULI_LETTERS = "IXYZ"
 
@@ -219,19 +221,47 @@ def commutator_times_minus_i(h1: Hamiltonian, h2: Hamiltonian) -> Hamiltonian:
     return Hamiltonian.from_terms(h1.n_qubits, terms)
 
 
+# Relative tolerance of the A*A = c*I test: a non-identity word sum above
+# _SQUARE_TOL * max(largest |sum|, 1) fails it.
+_SQUARE_TOL = 1e-14
+
+
 def square_identity_coefficient(sums: dict[str, complex]) -> Optional[float]:
     """c such that A*A = c*I, or None, from the word sums of A*A (``_product_terms(h, h)``).
 
-    c is the identity word's sum; any other sum above 1e-14 * max(largest, 1) gives None.
+    c is the identity word's sum; any other sum above _SQUARE_TOL * max(largest, 1) gives None.
     """
     scale = max((abs(v) for v in sums.values()), default=0.0)
     c = 0.0
     for w, v in sums.items():
         if not w.strip("I"):
             c = v.real
-        elif abs(v) > 1e-14 * max(scale, 1.0):
+        elif abs(v) > _SQUARE_TOL * max(scale, 1.0):
             return None
     return c
+
+
+def square_identity_coefficients(sums: dict[str, np.ndarray], points: int) -> np.ndarray:
+    """``square_identity_coefficient`` at K points: c per point, NaN where it gives None.
+
+    sums maps each word of A*A to its (K,) sums, the identity word first;
+    the identity's sums of squares are never NaN, and no sums (A = 0) give
+    c = 0.  Each step gives the scalar test's bits: |sum| is the C
+    library's hypot, as Python's abs is (numpy's complex abs may differ in
+    the last bit); the largest |sum| skips NaN, as Python's max does after
+    a non-NaN first value; and a NaN sum, which compares False, never
+    fails the test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = [np.hypot(v.real, v.imag) for v in sums.values()]
+        bound = _SQUARE_TOL * np.maximum(reduce(np.fmax, mags, np.zeros(points)), 1.0)
+        c, fails = np.zeros(points), np.zeros(points, dtype=bool)
+        for (w, v), mag in zip(sums.items(), mags):
+            if not w.strip("I"):
+                c = v.real
+            else:
+                fails |= mag > bound
+        return np.where(fails, np.nan, c)
 
 
 # Relative tolerance of the su(2) closure and proportionality tests.

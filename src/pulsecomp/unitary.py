@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .pauli import Hamiltonian, PauliError, PauliString, PhasedPauli, multiply
-from .pauli import square_identity_coefficient
+from .pauli import square_identity_coefficient, square_identity_coefficients
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -37,7 +37,9 @@ def _identity(dim: int, dtype: type = float) -> np.ndarray:
 
 def _defect(m: np.ndarray) -> np.ndarray:
     """|m^dag m - I| entrywise, per matrix of a stack: how far the columns of m are from orthonormal."""
-    return np.abs(m.conj().swapaxes(-1, -2) @ m - _identity(m.shape[-1]))
+    g = m.conj().swapaxes(-1, -2) @ m
+    g -= _identity(g.shape[-1], complex)
+    return np.abs(g)
 
 
 class UnitaryError(ValueError):
@@ -178,10 +180,11 @@ class _Synthesis:
     For the simultaneous terms of a pulse this holds the merged, sorted
     words, each word's (term index, coefficient) contributions, the word
     matrices, and the products of word pairs that form A^2.  ``unitaries``
-    then needs only float arithmetic per point, done in the order that
-    summing the Hamiltonians, ``_product_terms`` and ``matrix_of`` do it,
-    and passes the sums of A^2 to ``square_identity_coefficient``, so its
-    results are bit for bit those of the Pauli algebra.
+    then needs only float arithmetic, per point or on (K,) columns of
+    points, done in the order that summing the Hamiltonians,
+    ``_product_terms`` and ``matrix_of`` do it, and passes the sums of A^2
+    to ``square_identity_coefficient`` (or its array form), so its results
+    are bit for bit those of the Pauli algebra.
     """
 
     def __init__(self, hams: tuple[Hamiltonian, ...]):
@@ -219,8 +222,8 @@ class _Synthesis:
             out.append(a)
         return out
 
-    def square_sums(self, a: list[float]) -> dict[str, complex]:
-        """Product-word sums of A^2 for merged coefficients a.
+    def square_sums(self, a: list) -> dict:
+        """Product-word sums of A^2 for merged coefficients a: floats, or (K,) arrays.
 
         A word whose coefficient is exactly zero, which a Hamiltonian would
         drop, adds only signed zeros here: the square test and c are
@@ -239,14 +242,18 @@ class _Synthesis:
     def unitaries(self, points: list) -> np.ndarray:
         """exp(-i A) per point of per-term scales: a (K, d, d) stack, (d, d) when K = 1.
 
-        Coefficients and the A^2 = c I test are scalar arithmetic per
-        point.  One point is finished with Python scalars: the sum over
-        words, then the closed form cos(r) I - i (sin(r)/r) A with
-        r = sqrt(c) (I - i A when r < 1e-150) if the test passes, else a
-        Hermitian eigendecomposition.  Several points stack only this
-        matrix work, with (K, 1, 1) columns of the same per-point scalars,
-        which give the same bits, and one eigendecomposition of the points
-        that fail the test.  The result is not checked for unitarity here.
+        One point is Python scalar arithmetic: the coefficients, the
+        A^2 = c I test, the sum over words, then the closed form
+        cos(r) I - i (sin(r)/r) A with r = sqrt(c) (I - i A when
+        r < 1e-150) if the test passes, else a Hermitian eigendecomposition.
+        Several points do the same IEEE operations on (K,) columns: the
+        coefficients, the sums of A^2 and ``square_identity_coefficients``
+        (a plan with no words has c = 0), then the matrices stacked with
+        (K, 1, 1) columns and one eigendecomposition of the points that fail
+        the test; only cos and sin stay per point, since numpy's may differ
+        from the math module's in the last bit.  A non-finite coefficient
+        raises the PauliError of the first such point alone.  The result is
+        not checked for unitarity here.
         """
         d = self.dim
         if len(points) == 1:
@@ -260,22 +267,31 @@ class _Synthesis:
             if r < 1e-150:
                 return _identity(d) - 1j * amat
             return math.cos(r) * _identity(d) - 1j * (math.sin(r) / r) * amat
-        a, roots, rest = [], [], []
-        for k, scales in enumerate(points):
-            x = self.coefficients(scales)
-            c = square_identity_coefficient(self.square_sums(x))
-            a.append(x)
-            if c is None or c < 0.0:
-                roots.append(0.0)  # replaced by the eigendecomposition below
-                rest.append(k)
-            else:
-                roots.append(math.sqrt(c))
-        columns = np.array(a).T[:, :, None, None]
-        amat = _pauli_sum((len(points), d, d), zip(columns, self.matrices))
+        scales = np.array(points).T
+        # as Python floats, these overflow to inf and nan silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = []
+            for contributions in self.contributions:
+                x = 0.0
+                for t, coeff in contributions:
+                    x = x + scales[t] * coeff
+                a.append(x)
+            finite = np.isfinite(a).all(axis=0)
+            if not finite.all():
+                # the scalar coefficients of the first such point raise its error
+                self.coefficients(points[int(finite.argmin())])
+            c = square_identity_coefficients(self.square_sums(a), len(points))
+            closed = c >= 0.0
+        rest = np.flatnonzero(~closed)
+        # r = 0 where the eigendecomposition below replaces the closed form
+        roots = np.sqrt(np.where(closed, c, 0.0)).tolist()
+        amat = _pauli_sum(
+            (len(points), d, d), ((x[:, None, None], m) for x, m in zip(a, self.matrices))
+        )
         cos = np.array([1.0 if r < 1e-150 else math.cos(r) for r in roots])
         sinc = np.array([1j if r < 1e-150 else 1j * (math.sin(r) / r) for r in roots])
         u = cos[:, None, None] * _identity(d) - sinc[:, None, None] * amat
-        if rest:
+        if rest.size:
             w, v = np.linalg.eigh(amat[rest])
             u[rest] = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
         return u
@@ -309,13 +325,16 @@ def _evolve_stack(terms: list[tuple[float, tuple[float, ...], Hamiltonian]]) -> 
     """``evolve`` at K >= 2 points at once, for the compile walk.
 
     Terms (theta, (eps_1 .. eps_K), H) give a (K, d, d) stack; matrix k is
-    bit for bit ``evolve`` of the terms (theta, eps_k, H).  Each distinct
-    row of scales theta(1+eps_k) is synthesized and checked unitary to
-    1e-10 once, in first-seen order (0.0 and -0.0 errors give equal
-    scales), and the distinct matrices are gathered back to K rows.
+    bit for bit ``evolve`` of the terms (theta, eps_k, H).  The (K, T)
+    scales theta(1+eps) are one array expression; each distinct row is
+    synthesized and checked unitary to 1e-10 once, in first-seen order
+    (0.0 and -0.0 errors give equal scales), and the distinct matrices are
+    gathered back to K rows.
     """
-    plan = _synthesis(tuple(h for _, _, h in terms))
-    rows = list(zip(*[[theta * (1.0 + e) for e in eps] for theta, eps, _ in terms]))
+    theta, eps, hams = zip(*terms)
+    plan = _synthesis(hams)
+    with np.errstate(over="ignore"):  # theta(1+eps) overflows to inf, as in Python
+        rows = list(map(tuple, (np.array(theta) * (1.0 + np.array(eps).T)).tolist()))
     index = {row: i for i, row in enumerate(dict.fromkeys(rows))}
     u = plan.unitaries(list(index)).reshape(len(index), plan.dim, plan.dim)
     check_unitary(u)
@@ -324,12 +343,19 @@ def _evolve_stack(terms: list[tuple[float, tuple[float, ...], Hamiltonian]]) -> 
 
 def _arc_report(m: np.ndarray) -> list[FidelityReport]:
     """Worst-case fidelity of each unitary of a (K, d, d) stack from the minimal
-    arc holding its eigenphases."""
+    arc holding its eigenphases.
+
+    The sorted eigenphases, their largest gap (the wrap-around one is
+    2 pi - span) and the arc are arrays over the stack; only the
+    infidelity 2 sin^2(arc/4), with the math module's sin, and the report
+    are formed per unitary.
+    """
+    p = np.sort(np.angle(np.linalg.eigvals(m)), axis=-1)
+    gap = np.diff(p, axis=-1).max(axis=-1, initial=0.0)
+    arc = np.maximum(2 * math.pi - np.maximum(gap, 2 * math.pi - (p[..., -1] - p[..., 0])), 0.0)
     reports = []
-    for p in np.sort(np.angle(np.linalg.eigvals(m)), axis=-1).tolist():
-        gap = max([b - a for a, b in zip(p, p[1:])], default=0.0)
-        arc = max(0.0, 2 * math.pi - max(gap, 2 * math.pi - (p[-1] - p[0])))
-        infid = 1.0 if arc >= math.pi else min(1.0, 2.0 * math.sin(arc / 4.0) ** 2)
+    for a in arc.tolist():
+        infid = 1.0 if a >= math.pi else min(1.0, 2.0 * math.sin(a / 4.0) ** 2)
         reports.append(FidelityReport(1.0 - infid, infid, "eigenphase-arc"))
     return reports
 

@@ -3,11 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pulsecomp import fit_slope
+import pulsecomp
+from pulsecomp import cli, fit_slope
 from pulsecomp.cli import UsageError, main, parse_angle
 
 
@@ -55,8 +60,6 @@ class TestVerify:
         assert run_cli("verify", "--filter", "nonexistent") == 2
 
     def test_fault_injection(self, capsys, monkeypatch):
-        import pulsecomp.cli as cli
-
         broken = dict(cli.VERIFY_CHECKS)
         broken["toggling"] = lambda: (False, "injected fault")
         monkeypatch.setattr(cli, "VERIFY_CHECKS", broken)
@@ -298,6 +301,23 @@ class TestSweepCommand:
         rows, _, _ = load_csv(tmp_path / "out.csv")
         assert all(r["seed"] == "" and r["signs"] == "" for r in rows)
 
+    def test_usage_error_then_sweep_matches_lone_run(self, tmp_path):
+        cfg = self._config(tmp_path, errors={"random_signs": {"seed": 9}})
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--seed", "-1", "sweep", "--config", str(cfg))
+        assert exc.value.code == 2
+        assert run_cli("--seed", "3", "sweep", "--config", str(cfg)) == 0
+        after_error = (tmp_path / "out.csv").read_bytes()
+        # a lone run: a fresh process, whose parser has parsed nothing before
+        env = dict(os.environ, PYTHONPATH=str(Path(pulsecomp.__file__).parents[1]))
+        lone = "import sys; from pulsecomp.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", lone, "--seed", "3", "sweep", "--config", str(cfg)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out.csv").read_bytes() == after_error
+
     def test_unwritable_output(self, tmp_path, capsys):
         out = tmp_path / "missing" / "out.csv"
         cfg = self._config(tmp_path, output=str(out))
@@ -324,6 +344,9 @@ class TestUsage:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
 
     def test_bad_threads(self):
         # There is no --threads option.

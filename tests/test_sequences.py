@@ -506,6 +506,21 @@ class TestStack:
         with pytest.raises(PauliError) as stacked:
             compile_stack(seq, [good, bad, good])
         assert str(stacked.value) == str(alone.value) == "coefficient inf of Y is not finite"
+        # one pulse whose points go non-finite on different words: the stack
+        # names the first bad point's first bad word, point before word
+        xy = PulseSequence((Pulse((("a", 4.0, HX), ("b", 4.0, HY))),))
+        bad_x = ErrorAssignment({"a": -1e308, "b": 1e-3})
+        bad_y = ErrorAssignment({"a": 1e-3, "b": 1e308})
+        bad_xy = ErrorAssignment({"a": 1e308, "b": 1e308})
+        for points in ([good, bad_y, bad_x], [bad_x, good, bad_y], [good, bad_xy, bad_y]):
+            messages = []
+            for p in (p for p in points if p is not good):
+                with pytest.raises(PauliError) as alone:
+                    compile_sequence(xy, p)
+                messages.append(str(alone.value))
+            with pytest.raises(PauliError) as stacked:
+                compile_stack(xy, points)
+            assert str(stacked.value) == messages[0] != messages[1]
 
     def test_bad_assignment_is_named_by_position(self):
         seq = bb1_w(0.5, HX, HY, "a", "b")

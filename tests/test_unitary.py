@@ -23,6 +23,7 @@ from pulsecomp import (
 from pulsecomp import unitary
 from pulsecomp.encoded import get_encoding, heisenberg_logical, p3_bb1, p3_sequence
 from pulsecomp.pauli import PauliError, PauliString, _product_terms, square_identity_coefficient
+from pulsecomp.pauli import square_identity_coefficients
 from pulsecomp.unitary import matrix_to_hamiltonian
 
 
@@ -59,6 +60,26 @@ def simultaneous_terms(draw):
         h = Hamiltonian.from_terms(n, [(c, PauliString(w)) for c, w in pairs])
         terms.append((draw(theta), draw(eps), h))
     return terms
+
+
+@st.composite
+def coefficient_rows(draw):
+    """The plan of 0-4 distinct words on 1-3 qubits (no words: the zero
+    Hamiltonian) and 1-6 rows of their merged coefficients.  Zeros make
+    words drop out, values near 1e-14 straddle the test's bound, and values
+    up to 1e200 square to inf, whose sums reach nan."""
+    n = draw(st.integers(1, 3))
+    words = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), max_size=4, unique=True))
+    coeff = (
+        st.sampled_from([0.0, -0.0, 1.0, -0.5, 1e-15, 6e-15, 1e200])
+        | st.floats(-2.0, 2.0)
+        | st.floats(-1e200, 1e200)
+    )
+    rows = draw(
+        st.lists(st.lists(coeff, min_size=len(words), max_size=len(words)), min_size=1, max_size=6)
+    )
+    hams = tuple(Hamiltonian.single(1.0, w) for w in words) or (Hamiltonian.zero(n),)
+    return unitary._Synthesis(hams), rows
 
 
 def outcome(f, terms):
@@ -205,6 +226,24 @@ class TestEvolve:
     @given(simultaneous_terms())
     def test_bitwise_equal_to_pauli_algebra(self, terms):
         assert outcome(evolve, terms) == outcome(algebra_evolve, terms)
+
+    @settings(max_examples=300, deadline=None)
+    @given(coefficient_rows())
+    def test_array_square_test_matches_scalar_rows(self, case):
+        plan, rows = case
+        sums = [plan.square_sums(row) for row in rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = plan.square_sums([np.array(col) for col in zip(*rows)])
+        # the sums of (K,) columns are the scalar sums, bit for bit
+        assert [(w, list(map(repr, v.tolist()))) for w, v in columns.items()] == [
+            (w, [repr(s[w]) for s in sums]) for w in sums[0]
+        ]
+        same = {w: np.array([s[w] for s in sums]) for w in sums[0]}
+        c = square_identity_coefficients(same, len(rows)).tolist()
+        # NaN exactly where the scalar test gives None, else the same bits
+        assert [None if math.isnan(x) else repr(x) for x in c] == [
+            None if r is None else repr(r) for r in map(square_identity_coefficient, sums)
+        ]
 
     @pytest.mark.parametrize("theta, eps", [(1e308, 1.0), (0.5, math.nan)])
     def test_non_finite_scale_names_word(self, theta, eps):

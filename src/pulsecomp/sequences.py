@@ -20,7 +20,7 @@ from weakref import WeakValueDictionary
 import numpy as np
 
 from .pauli import Hamiltonian, unit_su2_partner
-from .unitary import Unitary, _evolve_stack, _identity, check_unitary, distance, evolve
+from .unitary import Unitary, _identity, _synthesis, check_unitary, distance, evolve
 
 
 class SequenceError(ValueError):
@@ -233,11 +233,14 @@ class ErrorAssignment:
 
 
 class CompileCache:
-    """Memo for compiled pulses and nested blocks, keyed by (node, errors).
+    """Memo for compiled pulses and nested blocks across compiles, keyed by
+    (node, errors).
 
-    The errors are those of the node's labels, in a fixed order: each
-    label's error, or at K >= 2 points the tuple of the points' errors.
-    Nodes are interned, so a key hashes the node's identity, not its tree.
+    The errors are those of the node's labels, in a fixed order, each as
+    the tuple of its value at the points compiled together (one value for
+    ``compile_sequence``).  Nodes are interned, so a key hashes the node's
+    identity, not its tree.  A compile consults the cache once per distinct
+    node it reaches; repeats within one compile never reach it.
     """
 
     def __init__(self) -> None:
@@ -250,31 +253,30 @@ class CompileCache:
         self._store[key] = value
 
 
-def _item_matrix(item: Item, columns: Mapping, cache: CompileCache) -> np.ndarray:
-    """Matrix of an item; ``columns`` maps each label to its error, or at K >= 2
-    points to the tuple of the points' errors, which gives a (K, d, d) stack."""
-    if isinstance(item, Pulse):
-        errs = tuple(columns[l] for l, _, _ in item.terms)
-    else:
-        errs = tuple(columns[l] for l in item._sorted_labels)
-    key = (item, errs)
-    mat = cache.get(key)
-    if mat is not None:
-        return mat
-    if isinstance(item, Pulse):
-        terms = [(theta, e, h) for (_, theta, h), e in zip(item.terms, errs)]
-        mat = _evolve_stack(terms) if isinstance(errs[0], tuple) else evolve(terms).matrix
-    else:
-        mat = _identity(2**item.n_qubits, complex)
-        for sub in item.items:
-            mat = _item_matrix(sub, columns, cache) @ mat
-    cache.put(key, mat)
-    return mat
+def _product(mats: list, d: int) -> np.ndarray:
+    """mats[-1] @ ... @ mats[0]: later items on the left, from the identity."""
+    out = _identity(d, complex)
+    for m in mats:
+        out = m @ out
+    return out
 
 
-def _walk(seq: PulseSequence, points, cache: CompileCache) -> np.ndarray:
+def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarray:
     """Unchecked product of a sequence at K >= 1 assignments, each validated
-    first: a (K, d, d) stack, (d, d) when K = 1."""
+    first: (d, d) when every label's errors agree at all K points, else a
+    (K, d, d) stack.
+
+    One depth-first pass visits each distinct node once, asks ``cache``
+    (if any) for it, and collects the pulses and the blocks (in post-order)
+    that it lacks.  Each synthesis plan then synthesizes the distinct scale
+    rows theta(1+eps) of all its pulses and points in one call, checked
+    unitary in one stack, and the blocks are multiplied in post-order.  A
+    node whose labels' errors agree at every point (0.0 and -0.0 agree, as
+    they give equal scales) is synthesized or multiplied at one point and
+    broadcast against the others.  A pulse that cannot be synthesized
+    raises the error of the first such pulse in walk order, at its first
+    such point.
+    """
     for k, errors in enumerate(points):
         try:
             missing = seq.labels - errors.values.keys()
@@ -289,11 +291,61 @@ def _walk(seq: PulseSequence, points, cache: CompileCache) -> np.ndarray:
         except CompileError as exc:
             exc.point = k
             raise
-    if len(points) == 1:
-        columns = points[0].values
-    else:
-        columns = {l: tuple([errors.values[l] for errors in points]) for l in seq.labels}
-    return _item_matrix(seq, columns, cache)
+    columns = {l: tuple([errors.values[l] for errors in points]) for l in seq.labels}
+    varying = frozenset(l for l, col in columns.items() if col.count(col[0]) < len(col))
+    memo: dict = {}  # node -> its matrix, None until computed
+    pending: dict = {}  # uncached pulse -> (plan, scale rows), in walk order
+    blocks: list = []  # uncached blocks, in post-order
+    fresh: list = []  # (cache key, node) of the uncached nodes
+
+    def visit(item: Item) -> None:
+        if item in memo:
+            return
+        pulse = isinstance(item, Pulse)
+        labels = [l for l, _, _ in item.terms] if pulse else item._sorted_labels
+        cols = tuple([columns[l] for l in labels])
+        if cache is not None:
+            key = (item, cols)
+            mat = cache.get(key)
+            if mat is not None:
+                memo[item] = mat
+                return
+            fresh.append((key, item))
+        memo[item] = None
+        if pulse:
+            errs = [[c[0] for c in cols]] if varying.isdisjoint(labels) else zip(*cols)
+            rows = [tuple([t[1] * (1.0 + e) for t, e in zip(item.terms, es)]) for es in errs]
+            pending[item] = (_synthesis(tuple([h for _, _, h in item.terms])), rows)
+        else:
+            for sub in item.items:
+                visit(sub)
+            blocks.append(item)
+
+    visit(seq)
+    by_plan: dict = {}
+    for pulse, (plan, rows) in pending.items():
+        by_plan.setdefault(plan, []).append((pulse, rows))
+    try:
+        for plan, group in by_plan.items():
+            index: dict = {}  # distinct row -> its place in the plan's stack
+            for _, rows in group:
+                for row in rows:
+                    index.setdefault(row, len(index))
+            u = plan.unitaries(list(index))
+            check_unitary(u)
+            for pulse, rows in group:
+                memo[pulse] = u[index[rows[0]]] if len(rows) == 1 else u[[index[r] for r in rows]]
+    except ValueError:
+        # raise what synthesizing and checking each pulse alone raises first
+        for plan, rows in pending.values():
+            check_unitary(np.stack([plan.unitary(row) for row in rows]))
+        raise
+    d = 2**seq.n_qubits
+    for block in blocks:
+        memo[block] = _product([memo[sub] for sub in block.items], d)
+    for key, item in fresh:
+        cache.put(key, memo[item])
+    return memo[seq]
 
 
 def compile_stack(seq: PulseSequence, points) -> tuple[np.ndarray, float]:
@@ -301,18 +353,20 @@ def compile_stack(seq: PulseSequence, points) -> tuple[np.ndarray, float]:
 
     Returns the (K, d, d) stack, matrix k bit for bit ``compile_sequence``
     at ``points[k]``, and the worst unitarity defect among them; each is
-    checked to 1e-10.  The walk memoizes in a fresh ``CompileCache``: a
-    node is compiled once for all K points, and each pulse synthesizes
-    each distinct row of its scales once.  Every assignment is checked for
-    unassigned labels and split groups before any is compiled; the
-    CompileError's ``point`` is the index of the first at fault.
+    checked to 1e-10.  Each distinct node is compiled once for all K
+    points, each synthesis plan synthesizes the distinct scale rows of all
+    its pulses in one call, and a node whose errors agree at every point
+    is compiled at one point.  Every assignment is checked for unassigned
+    labels and split groups before any is compiled; the CompileError's
+    ``point`` is the index of the first at fault.
     """
     points = tuple(points)
     d = 2**seq.n_qubits
     if not points:
         return np.empty((0, d, d), dtype=complex), 0.0
-    stack = _walk(seq, points, CompileCache()).reshape(len(points), d, d)
-    return stack, check_unitary(stack)
+    mat = _walk(seq, points, None)
+    defect = check_unitary(mat)
+    return (mat if mat.ndim == 3 else np.repeat(mat[None], len(points), axis=0)), defect
 
 
 def compile_sequence(
@@ -322,11 +376,12 @@ def compile_sequence(
 ) -> Unitary:
     """Compile a sequence to a unitary; later pulses multiply on the left.
 
-    The one-point case of ``compile_stack``: each distinct pulse is
-    synthesized by ``evolve`` and each distinct block compiled once per
-    call; pass a ``cache`` to share compiled blocks across calls.
+    The one-point case of ``compile_stack``: each distinct node is compiled
+    once per call, and the pulses that share a synthesis plan are
+    synthesized together.  Pass a ``cache`` to share compiled pulses and
+    blocks across calls.
     """
-    return Unitary(_walk(seq, (errors,), CompileCache() if cache is None else cache))
+    return Unitary(_walk(seq, (errors,), cache))
 
 
 def phi_of(theta: float) -> float:

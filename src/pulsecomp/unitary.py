@@ -179,12 +179,13 @@ class _Synthesis:
 
     For the simultaneous terms of a pulse this holds the merged, sorted
     words, each word's (term index, coefficient) contributions, the word
-    matrices, and the products of word pairs that form A^2.  ``unitaries``
-    then needs only float arithmetic, per point or on (K,) columns of
-    points, done in the order that summing the Hamiltonians,
-    ``_product_terms`` and ``matrix_of`` do it, and passes the sums of A^2
-    to ``square_identity_coefficient`` (or its array form), so its results
-    are bit for bit those of the Pauli algebra.
+    matrices, and the products of word pairs that form A^2.  ``unitary``
+    (one row of per-term scales) and ``unitaries`` (several rows, as (R,)
+    columns) then need only float arithmetic, done in the order that
+    summing the Hamiltonians, ``_product_terms`` and ``matrix_of`` do it,
+    and pass the sums of A^2 to ``square_identity_coefficient`` (or its
+    array form), so their results are bit for bit those of the Pauli
+    algebra.
     """
 
     def __init__(self, hams: tuple[Hamiltonian, ...]):
@@ -239,35 +240,43 @@ class _Synthesis:
             sums[word] = s
         return sums
 
-    def unitaries(self, points: list) -> np.ndarray:
-        """exp(-i A) per point of per-term scales: a (K, d, d) stack, (d, d) when K = 1.
+    def unitary(self, scales: list[float]) -> np.ndarray:
+        """exp(-i A) at one row of per-term scales, in Python scalars.
 
-        One point is Python scalar arithmetic: the coefficients, the
-        A^2 = c I test, the sum over words, then the closed form
-        cos(r) I - i (sin(r)/r) A with r = sqrt(c) (I - i A when
-        r < 1e-150) if the test passes, else a Hermitian eigendecomposition.
-        Several points do the same IEEE operations on (K,) columns: the
-        coefficients, the sums of A^2 and ``square_identity_coefficients``
-        (a plan with no words has c = 0), then the matrices stacked with
-        (K, 1, 1) columns and one eigendecomposition of the points that fail
-        the test; only cos and sin stay per point, since numpy's may differ
-        from the math module's in the last bit.  A non-finite coefficient
-        raises the PauliError of the first such point alone.  The result is
-        not checked for unitarity here.
+        The coefficients, the A^2 = c I test, the sum over words, then the
+        closed form cos(r) I - i (sin(r)/r) A with r = sqrt(c) (I - i A
+        when r < 1e-150) if the test passes, else a Hermitian
+        eigendecomposition.
         """
         d = self.dim
-        if len(points) == 1:
-            a = self.coefficients(points[0])
-            c = square_identity_coefficient(self.square_sums(a))
-            amat = _pauli_sum((d, d), zip(a, self.matrices))
-            if c is None or c < 0.0:
-                w, v = np.linalg.eigh(amat)
-                return (v * np.exp(-1j * w)) @ v.conj().T
-            r = math.sqrt(c)
-            if r < 1e-150:
-                return _identity(d) - 1j * amat
-            return math.cos(r) * _identity(d) - 1j * (math.sin(r) / r) * amat
-        scales = np.array(points).T
+        a = self.coefficients(scales)
+        c = square_identity_coefficient(self.square_sums(a))
+        amat = _pauli_sum((d, d), zip(a, self.matrices))
+        if c is None or c < 0.0:
+            w, v = np.linalg.eigh(amat)
+            return (v * np.exp(-1j * w)) @ v.conj().T
+        r = math.sqrt(c)
+        if r < 1e-150:
+            return _identity(d) - 1j * amat
+        return math.cos(r) * _identity(d) - 1j * (math.sin(r) / r) * amat
+
+    def unitaries(self, rows: list) -> np.ndarray:
+        """``unitary`` at each row of per-term scales: an (R, d, d) stack.
+
+        Below _ARRAY_ROWS rows each row is synthesized alone.  From there
+        on the rows are (R,) columns in the same IEEE operations: the
+        coefficients, the sums of A^2 and ``square_identity_coefficients``
+        (a plan with no words has c = 0), then the matrices stacked with
+        (R, 1, 1) columns and one eigendecomposition of the rows that fail
+        the test; only cos and sin stay per row, since numpy's may differ
+        from the math module's in the last bit.  Either way the first row
+        that cannot be synthesized raises the error it raises alone.  The
+        result is not checked for unitarity here.
+        """
+        if len(rows) < _ARRAY_ROWS:
+            return np.array([self.unitary(row) for row in rows])
+        d = self.dim
+        scales = np.array(rows).T
         # as Python floats, these overflow to inf and nan silently
         with np.errstate(over="ignore", invalid="ignore"):
             a = []
@@ -276,17 +285,18 @@ class _Synthesis:
                 for t, coeff in contributions:
                     x = x + scales[t] * coeff
                 a.append(x)
-            finite = np.isfinite(a).all(axis=0)
-            if not finite.all():
-                # the scalar coefficients of the first such point raise its error
-                self.coefficients(points[int(finite.argmin())])
-            c = square_identity_coefficients(self.square_sums(a), len(points))
+            c = square_identity_coefficients(self.square_sums(a), len(rows))
             closed = c >= 0.0
+            # a non-finite coefficient, or a square that overflows to c = inf
+            bad = ~np.isfinite(a).all(axis=0) | np.isinf(c)
+        if bad.any():
+            # synthesized alone, the first such row raises its error
+            self.unitary(rows[int(bad.argmax())])
         rest = np.flatnonzero(~closed)
         # r = 0 where the eigendecomposition below replaces the closed form
         roots = np.sqrt(np.where(closed, c, 0.0)).tolist()
         amat = _pauli_sum(
-            (len(points), d, d), ((x[:, None, None], m) for x, m in zip(a, self.matrices))
+            (len(rows), d, d), ((x[:, None, None], m) for x, m in zip(a, self.matrices))
         )
         cos = np.array([1.0 if r < 1e-150 else math.cos(r) for r in roots])
         sinc = np.array([1j if r < 1e-150 else 1j * (math.sin(r) / r) for r in roots])
@@ -297,6 +307,11 @@ class _Synthesis:
         return u
 
 
+# Fewest rows for which ``_Synthesis.unitaries`` takes its array form; below
+# it, synthesizing the rows one at a time is faster.
+_ARRAY_ROWS = 8
+
+
 @lru_cache(maxsize=256)
 def _synthesis(hams: tuple[Hamiltonian, ...]) -> _Synthesis:
     return _Synthesis(hams)
@@ -305,10 +320,10 @@ def _synthesis(hams: tuple[Hamiltonian, ...]) -> _Synthesis:
 def evolve(terms: list[tuple[float, float, Hamiltonian]]) -> Unitary:
     """exp(-i sum theta(1+eps) H) for simultaneous terms (theta, eps, H).
 
-    The one-point case of the synthesis that compiles pulses at K points
-    (``_Synthesis.unitaries``; the compile walk calls ``evolve`` for each
-    pulse at one point and ``_evolve_stack`` at several): when the summed
-    operator A satisfies A^2 = c I (decided by the Pauli algebra's
+    One pulse at one point.  The compile walk does not call it: it
+    synthesizes all pulses and points of a plan at once with
+    ``_Synthesis.unitaries``, to the same bits.  When the summed operator A
+    satisfies A^2 = c I (decided by the Pauli algebra's
     ``square_identity_coefficient`` on the product-word sums of A^2) the
     closed form cos(sqrt(c)) I - i sinc * A is used; otherwise a Hermitian
     eigendecomposition.  The Pauli structure of the Hamiltonians is derived
@@ -318,27 +333,7 @@ def evolve(terms: list[tuple[float, float, Hamiltonian]]) -> Unitary:
     if not terms:
         raise UnitaryError("evolve requires at least one term")
     plan = _synthesis(tuple(h for _, _, h in terms))
-    return Unitary(plan.unitaries([[theta * (1.0 + eps) for theta, eps, _ in terms]]))
-
-
-def _evolve_stack(terms: list[tuple[float, tuple[float, ...], Hamiltonian]]) -> np.ndarray:
-    """``evolve`` at K >= 2 points at once, for the compile walk.
-
-    Terms (theta, (eps_1 .. eps_K), H) give a (K, d, d) stack; matrix k is
-    bit for bit ``evolve`` of the terms (theta, eps_k, H).  The (K, T)
-    scales theta(1+eps) are one array expression; each distinct row is
-    synthesized and checked unitary to 1e-10 once, in first-seen order
-    (0.0 and -0.0 errors give equal scales), and the distinct matrices are
-    gathered back to K rows.
-    """
-    theta, eps, hams = zip(*terms)
-    plan = _synthesis(hams)
-    with np.errstate(over="ignore"):  # theta(1+eps) overflows to inf, as in Python
-        rows = list(map(tuple, (np.array(theta) * (1.0 + np.array(eps).T)).tolist()))
-    index = {row: i for i, row in enumerate(dict.fromkeys(rows))}
-    u = plan.unitaries(list(index)).reshape(len(index), plan.dim, plan.dim)
-    check_unitary(u)
-    return u if len(index) == len(rows) else u[[index[row] for row in rows]]
+    return Unitary(plan.unitary([theta * (1.0 + eps) for theta, eps, _ in terms]))
 
 
 def _arc_report(m: np.ndarray) -> list[FidelityReport]:

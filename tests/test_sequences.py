@@ -564,9 +564,114 @@ class TestStack:
         stack, _ = compile_stack(seq, points)
         synthesized = [(plan, tuple(row)) for plan, rows in calls for row in rows]
         assert len(set(synthesized)) == len(synthesized)
-        # a pulse whose errors agree at every point is synthesized once
-        assert {len(rows) for _, rows in calls} == rows_per_pulse
+        # a pulse whose errors agree at every point is synthesized once: each
+        # plan synthesizes exactly its pulses' distinct (plan, row) pairs
+        distinct = {}
+        for pulse in set(seq.pulses):
+            plan = unitary._synthesis(tuple(h for _, _, h in pulse.terms))
+            distinct[pulse] = {
+                (plan, tuple(theta * (1.0 + p.values[l]) for l, theta, _ in pulse.terms))
+                for p in points
+            }
+        assert {len(rows) for rows in distinct.values()} == rows_per_pulse
+        assert set(synthesized) == set().union(*distinct.values())
         assert [m.tobytes() for m in stack] == alone
+
+    def test_constant_blocks_multiplied_at_one_point(self, monkeypatch):
+        # a fixed-eps2 grid: only ZZ varies, so the four corrected X1/Y1
+        # blocks (16 of the 26 block products) are the same at every point
+        seq = bb1_wj(math.pi / 2, HZZ, HX1, HY1, "ZZ", "X1", "Y1")
+        points = [
+            ErrorAssignment({"ZZ": e, "X1": 1e-2, "Y1": 1e-2})
+            for e in np.logspace(-4, -1, 9).tolist()
+        ]
+        real, products = sequences._product, []
+        monkeypatch.setattr(
+            sequences,
+            "_product",
+            lambda mats, d: products.append((len(mats), out := real(mats, d))) or out,
+        )
+        stack, _ = compile_stack(seq, points)
+        assert sum(n for n, _ in products) == 26
+        assert sum(n for n, out in products if out.shape == (4, 4)) == 16
+        assert [m.tobytes() for m in stack] == [
+            compile_sequence(seq, p).matrix.tobytes() for p in points
+        ]
+
+    def test_non_finite_raises_first_pulse_in_walk_order(self):
+        # plan (HX,) is met first, but its bad pulse follows plan (HY,)'s
+        seq = PulseSequence(
+            (Pulse.single("a", 0.5, HX), Pulse.single("b", 4.0, HY), Pulse.single("c", 4.0, HX))
+        )
+        good = ErrorAssignment({"a": 1e-3, "b": 1e-3, "c": 1e-3})
+        bad = ErrorAssignment({"a": 1e-3, "b": 1e308, "c": -1e308})
+        worse = ErrorAssignment({"a": 1e-3, "b": -1e308, "c": 1e308})
+        for points, message in (
+            ([bad], "coefficient inf of Y is not finite"),
+            ([good, bad, worse], "coefficient inf of Y is not finite"),
+            ([worse, bad], "coefficient -inf of Y is not finite"),
+        ):
+            with pytest.raises(PauliError) as stacked:
+                compile_stack(seq, points)
+            assert str(stacked.value) == message
+        with pytest.raises(PauliError, match="coefficient inf of Y"):
+            compile_sequence(seq, bad)
+
+
+def reference_matrix(item, values):
+    """The compile product by plain recursion: ``evolve`` per pulse, later
+    items on the left of a product that starts from the identity."""
+    if isinstance(item, Pulse):
+        return evolve([(theta, values[l], h) for l, theta, h in item.terms]).matrix
+    mat = np.eye(2**item.n_qubits, dtype=complex)
+    for sub in item.items:
+        mat = reference_matrix(sub, values) @ mat
+    return mat
+
+
+@st.composite
+def dag_compiles(draw):
+    """A two-qubit DAG with eigh-path (XX + YY) and closed-form pulses, a
+    shared sub-block and its inverse inside a larger block, and 1-5
+    assignments, repeats, 0.0 and -0.0 among them."""
+    hams = [Hamiltonian.single(0.5, "XX") + Hamiltonian.single(0.5, "YY"), HZZ, HX1, HY1]
+    theta = st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2]) | st.floats(-7.0, 7.0)
+
+    def pulse():
+        n = draw(st.integers(1, 2))
+        return Pulse(
+            [(draw(st.sampled_from("abc")), draw(theta), draw(st.sampled_from(hams))) for _ in range(n)]
+        )
+
+    pulses = [pulse() for _ in range(draw(st.integers(1, 4)))]
+    inner = PulseSequence(draw(st.lists(st.sampled_from(pulses), min_size=1, max_size=3)))
+    nodes = [*pulses, inner, inner.inverse()]
+    outer = PulseSequence(draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4)))
+    seq = PulseSequence(
+        draw(st.lists(st.sampled_from([*nodes, outer, outer.inverse()]), min_size=1, max_size=6))
+    )
+    eps = st.sampled_from([0.0, -0.0, 1e-3, -0.25]) | st.floats(-0.5, 0.5)
+    distinct = [
+        ErrorAssignment({l: draw(eps) for l in seq.labels}) for _ in range(draw(st.integers(1, 3)))
+    ]
+    points = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=5))
+    return seq, points
+
+
+class TestWalk:
+    """The compile walk is, byte for byte, the plain recursion over ``evolve``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(dag_compiles())
+    def test_walk_equals_reference_recursion(self, case):
+        seq, points = case
+        expected = [reference_matrix(seq, p.values).tobytes() for p in points]
+        shared = CompileCache()
+        for p, want in zip(points, expected):
+            assert compile_sequence(seq, p).matrix.tobytes() == want
+            assert compile_sequence(seq, p, shared).matrix.tobytes() == want
+        stack, _ = compile_stack(seq, points)
+        assert [m.tobytes() for m in stack] == expected
 
 
 class TestCorrectionBlock:

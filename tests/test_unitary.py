@@ -82,6 +82,22 @@ def coefficient_rows(draw):
     return unitary._Synthesis(hams), rows
 
 
+@st.composite
+def plan_rows(draw):
+    """A pulse's plan and _ARRAY_ROWS to _ARRAY_ROWS + 4 rows of its
+    per-term scales, with signed zeros and scales whose coefficients overflow."""
+    hams = tuple(h for _, _, h in draw(simultaneous_terms()))
+    scale = st.sampled_from([0.0, -0.0, math.pi, 1e308]) | st.floats(-10.0, 10.0)
+    rows = draw(
+        st.lists(
+            st.lists(scale, min_size=len(hams), max_size=len(hams)),
+            min_size=unitary._ARRAY_ROWS,
+            max_size=unitary._ARRAY_ROWS + 4,
+        )
+    )
+    return unitary._Synthesis(hams), rows
+
+
 def outcome(f, terms):
     """The matrix bytes of f(terms), or the type of the exception it raises."""
     try:
@@ -244,6 +260,21 @@ class TestEvolve:
         assert [None if math.isnan(x) else repr(x) for x in c] == [
             None if r is None else repr(r) for r in map(square_identity_coefficient, sums)
         ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(plan_rows())
+    def test_array_rows_match_scalar_rows(self, case):
+        plan, rows = case
+
+        def run(f):
+            try:
+                return f()
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        assert run(lambda: [m.tobytes() for m in plan.unitaries(rows)]) == run(
+            lambda: [plan.unitary(row).tobytes() for row in rows]
+        )
 
     @pytest.mark.parametrize("theta, eps", [(1e308, 1.0), (0.5, math.nan)])
     def test_non_finite_scale_names_word(self, theta, eps):

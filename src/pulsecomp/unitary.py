@@ -193,6 +193,7 @@ class _Synthesis:
         if len(sizes) > 1:
             raise PauliError(f"mixed qubit counts in evolve: {sorted(sizes)}")
         n = sizes.pop()
+        self.hams = hams
         contributions: dict[str, list] = {}
         for t, h in enumerate(hams):
             for coeff, string in h.terms:
@@ -263,8 +264,9 @@ class _Synthesis:
     def unitaries(self, rows: list) -> np.ndarray:
         """``unitary`` at each row of per-term scales: an (R, d, d) stack.
 
-        Below _ARRAY_ROWS rows each row is synthesized alone.  From there
-        on the rows are (R,) columns in the same IEEE operations: the
+        Below _ARRAY_ROWS rows each row is synthesized alone by ``evolve``,
+        the one-point API, which also checks it.  From there on the rows
+        are (R,) columns in the same IEEE operations: the
         coefficients, the sums of A^2 and ``square_identity_coefficients``
         (a plan with no words has c = 0), then the matrices stacked with
         (R, 1, 1) columns and one eigendecomposition of the rows that fail
@@ -274,7 +276,10 @@ class _Synthesis:
         result is not checked for unitarity here.
         """
         if len(rows) < _ARRAY_ROWS:
-            return np.array([self.unitary(row) for row in rows])
+            # scale * (1.0 + 0.0) is the scale, bit for bit
+            return np.array(
+                [evolve([(s, 0.0, h) for s, h in zip(row, self.hams)]).matrix for row in rows]
+            )
         d = self.dim
         scales = np.array(rows).T
         # as Python floats, these overflow to inf and nan silently
@@ -320,9 +325,10 @@ def _synthesis(hams: tuple[Hamiltonian, ...]) -> _Synthesis:
 def evolve(terms: list[tuple[float, float, Hamiltonian]]) -> Unitary:
     """exp(-i sum theta(1+eps) H) for simultaneous terms (theta, eps, H).
 
-    One pulse at one point.  The compile walk does not call it: it
-    synthesizes all pulses and points of a plan at once with
-    ``_Synthesis.unitaries``, to the same bits.  When the summed operator A
+    One pulse at one point.  The compile walk synthesizes all pulses and
+    points of a plan at once with ``_Synthesis.unitaries``, to the same
+    bits; that calls ``evolve`` for each row of a plan with fewer than
+    _ARRAY_ROWS rows.  When the summed operator A
     satisfies A^2 = c I (decided by the Pauli algebra's
     ``square_identity_coefficient`` on the product-word sums of A^2) the
     closed form cos(sqrt(c)) I - i sinc * A is used; otherwise a Hermitian

@@ -116,20 +116,6 @@ class Hamiltonian:
     n_qubits: int
     terms: tuple[tuple[float, PauliString], ...]
 
-    # Hash of the fields, computed on first use; it depends on the
-    # process's string-hash seed, so ``__reduce__`` leaves it out of pickles.
-    _hash = None
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.n_qubits, self.terms))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __reduce__(self):
-        return (Hamiltonian, (self.n_qubits, self.terms))
-
     @classmethod
     def from_terms(
         cls, n_qubits: int, terms: Iterable[tuple[float, PauliString]]

@@ -266,14 +266,14 @@ class _Synthesis:
 
         Below _ARRAY_ROWS rows each row is synthesized alone by ``evolve``,
         the one-point API, which also checks it.  From there on the rows
-        are (R,) columns in the same IEEE operations: the
-        coefficients, the sums of A^2 and ``square_identity_coefficients``
-        (a plan with no words has c = 0), then the matrices stacked with
-        (R, 1, 1) columns and one eigendecomposition of the rows that fail
-        the test; only cos and sin stay per row, since numpy's may differ
-        from the math module's in the last bit.  Either way the first row
-        that cannot be synthesized raises the error it raises alone.  The
-        result is not checked for unitarity here.
+        are (R,) columns in the same IEEE operations: the coefficients, the
+        sums of A^2 and ``square_identity_coefficients`` (a plan with no
+        words has c = 0), then the matrices stacked with (R, 1, 1) columns
+        and one eigendecomposition of the rows that fail the test; only cos
+        and sin stay per row, since numpy's may differ from the math
+        module's in the last bit.  The first row that cannot be synthesized
+        raises the error it raises alone, and the array form's result is
+        not checked for unitarity here.
         """
         if len(rows) < _ARRAY_ROWS:
             # scale * (1.0 + 0.0) is the scale, bit for bit

@@ -269,8 +269,8 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
     One depth-first pass visits each distinct node once, asks ``cache``
     (if any) for it, and collects the pulses and the blocks (in post-order)
     that it lacks.  Each synthesis plan then synthesizes the distinct scale
-    rows theta(1+eps) of all its pulses and points in one call, checked
-    unitary in one stack, and the blocks are multiplied in post-order.  A
+    rows theta(1+eps) of all its pulses and points in one call, which
+    checks them unitary, and the blocks are multiplied in post-order.  A
     node whose labels' errors agree at every point (0.0 and -0.0 agree, as
     they give equal scales) is synthesized or multiplied at one point and
     broadcast against the others.  A pulse that cannot be synthesized
@@ -332,7 +332,6 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
                 for row in rows:
                     index.setdefault(row, len(index))
             u = plan.unitaries(list(index))
-            check_unitary(u)
             for pulse, rows in group:
                 memo[pulse] = u[index[rows[0]]] if len(rows) == 1 else u[[index[r] for r in rows]]
     except ValueError:

@@ -271,9 +271,9 @@ class _Synthesis:
         words has c = 0), then the matrices stacked with (R, 1, 1) columns
         and one eigendecomposition of the rows that fail the test; only cos
         and sin stay per row, since numpy's may differ from the math
-        module's in the last bit.  The first row that cannot be synthesized
-        raises the error it raises alone, and the array form's result is
-        not checked for unitarity here.
+        module's in the last bit, and the stack is checked unitary as one.
+        The first row that cannot be synthesized raises the error it raises
+        alone.
         """
         if len(rows) < _ARRAY_ROWS:
             # scale * (1.0 + 0.0) is the scale, bit for bit
@@ -309,6 +309,7 @@ class _Synthesis:
         if rest.size:
             w, v = np.linalg.eigh(amat[rest])
             u[rest] = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+        check_unitary(u)
         return u
 
 

@@ -24,7 +24,7 @@ from pulsecomp import unitary
 from pulsecomp.encoded import get_encoding, heisenberg_logical, p3_bb1, p3_sequence
 from pulsecomp.pauli import PauliError, PauliString, _product_terms, square_identity_coefficient
 from pulsecomp.pauli import square_identity_coefficients
-from pulsecomp.unitary import matrix_to_hamiltonian
+from pulsecomp.unitary import check_unitary, matrix_to_hamiltonian
 
 
 def algebra_evolve(terms):
@@ -272,9 +272,12 @@ class TestEvolve:
             except Exception as exc:
                 return type(exc), str(exc)
 
-        assert run(lambda: [m.tobytes() for m in plan.unitaries(rows)]) == run(
-            lambda: [plan.unitary(row).tobytes() for row in rows]
-        )
+        def alone():
+            stack = np.array([plan.unitary(row) for row in rows])
+            check_unitary(stack)
+            return [m.tobytes() for m in stack]
+
+        assert run(lambda: [m.tobytes() for m in plan.unitaries(rows)]) == run(alone)
 
     @pytest.mark.parametrize("theta, eps", [(1e308, 1.0), (0.5, math.nan)])
     def test_non_finite_scale_names_word(self, theta, eps):

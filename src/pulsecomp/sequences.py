@@ -11,6 +11,7 @@ because AB and BA share a spectrum.
 from __future__ import annotations
 
 import math
+import numbers
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,10 +44,13 @@ _PULSES: WeakValueDictionary = WeakValueDictionary()
 _SEQUENCES: WeakValueDictionary = WeakValueDictionary()
 
 
-def _angle(theta: float) -> float:
-    if not math.isfinite(theta):
-        raise SequenceError("non-finite pulse angle")
-    return float(theta)
+def _finite(value, noun: str, label: str, error: type) -> float:
+    """float(value) for a real, non-boolean, finite number; else ``error`` naming the label."""
+    # a float skips the numbers.Real test, which costs far more than the rest
+    real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    if not (real and math.isfinite(value)):
+        raise error(f"{noun} {value!r} for label {label!r} is not a finite real number")
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -62,7 +66,7 @@ class Pulse:
     terms: tuple[tuple[str, float, Hamiltonian], ...]
 
     def __new__(cls, terms) -> "Pulse":
-        terms = tuple((label, _angle(theta), h) for label, theta, h in terms)
+        terms = tuple((l, _finite(theta, "angle", l, SequenceError), h) for l, theta, h in terms)
         key = tuple((label, theta.hex(), h) for label, theta, h in terms)
         node = _PULSES.get(key)
         if node is None:
@@ -203,8 +207,7 @@ class ErrorAssignment:
     def __post_init__(self) -> None:
         resolved = dict(self.values)
         for label, val in resolved.items():
-            if not math.isfinite(val):
-                raise CompileError(f"non-finite error {val!r} for label {label!r}")
+            _finite(val, "error", label, CompileError)
         for group in self.groups:
             assigned = {resolved[l] for l in group if l in resolved}
             if len(assigned) > 1:
@@ -273,9 +276,10 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
     checks them unitary, and the blocks are multiplied in post-order.  A
     node whose labels' errors agree at every point (0.0 and -0.0 agree, as
     they give equal scales) is synthesized or multiplied at one point and
-    broadcast against the others.  A pulse that cannot be synthesized
-    raises the error of the first such pulse in walk order, at its first
-    such point.
+    broadcast against the others.  If a plan's synthesis fails, the walk
+    alone decides what is raised: it synthesizes and checks each pending
+    pulse alone in walk order, so the first pulse that cannot be
+    synthesized raises its own error at its first such point.
     """
     for k, errors in enumerate(points):
         try:

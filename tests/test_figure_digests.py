@@ -23,10 +23,13 @@ CASES = [
     ("wj", 0, "wj"),
     ("grid", 0, "grid"),
     ("chain", 0, "chain/seed0"),
+    ("chain", 1, "chain/seed1"),
+    ("chain", 2, "chain/seed2"),
+    ("chain", 3, "chain/seed3"),
     ("xy", 0, "xy"),
     ("heisenberg", 0, "heisenberg"),
 ]
-IDS = [c[0] for c in CASES]
+IDS = [figure if seed == 0 else f"{figure}-seed{seed}" for figure, seed, _ in CASES]
 
 
 @pytest.fixture(scope="module")

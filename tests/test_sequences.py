@@ -76,6 +76,11 @@ class TestPulseTypes:
         with pytest.raises(SequenceError):
             Pulse.single("a", float("nan"), HX)
 
+    @pytest.mark.parametrize("bad", ["x", 1j, None, True, math.nan, math.inf, -math.inf])
+    def test_bad_angle_names_label(self, bad):
+        with pytest.raises(SequenceError, match=r"^angle .* for label 'zz' is not a finite real"):
+            Pulse((("a", 0.5, HX), ("zz", bad, HY)))
+
     def test_empty_sequence_rejected(self):
         with pytest.raises(SequenceError):
             PulseSequence(())
@@ -123,6 +128,15 @@ class TestErrorAssignment:
     def test_non_finite_rejected_with_label(self, bad):
         with pytest.raises(CompileError, match="'zz'"):
             ErrorAssignment({"a": 0.1, "zz": bad})
+
+    @pytest.mark.parametrize("bad", ["x", 1j, None, True, False, np.bool_(True)])
+    def test_non_number_rejected_with_label(self, bad):
+        with pytest.raises(CompileError, match=r"^error .* for label 'zz' is not a finite real"):
+            ErrorAssignment({"a": 0.1, "zz": bad})
+
+    def test_real_numbers_accepted(self):
+        e = ErrorAssignment({"a": 1, "b": np.float64(0.25), "c": -0.0})
+        assert e.values == {"a": 1, "b": 0.25, "c": 0.0}
 
 
 class TestBb1W:
@@ -328,6 +342,42 @@ class TestSubstitute:
         seq = PulseSequence((Pulse((("a", 1.0, HX), ("b", 1.0, HY))),))
         with pytest.raises(SequenceError):
             substitute(seq, "a", lambda x: PulseSequence((Pulse.single("a", x, HX),)))
+
+    def test_nested_input_substitutes_like_its_flattened_items(self):
+        inner = PulseSequence(
+            (Pulse.single("b", 0.4, HZZ), Pulse.single("a", -0.6, HX1)),
+            required_groups=(frozenset({"a", "b"}),),
+        )
+        nested = PulseSequence((Pulse.single("a", 0.8, HX1), inner))
+        builder = lambda x: bb1_w(x, HX1, HY1, "a", "c")
+        sub = substitute(nested, "a", builder)
+        flat = substitute(PulseSequence(nested.pulses), "a", builder)
+        # the flat substitution's items, grouped as the input was
+        regrouped = PulseSequence(
+            (flat.items[0], PulseSequence(flat.items[1:], inner.required_groups))
+        )
+        assert sub is regrouped
+        errs = ErrorAssignment({"a": 0.01, "b": -0.02, "c": 0.01})
+        assert compile_sequence(sub, errs).matrix.tobytes() == (
+            compile_sequence(regrouped, errs).matrix.tobytes()
+        )
+        assert np.abs(
+            compile_sequence(sub, errs).matrix - compile_sequence(flat, errs).matrix
+        ).max() < 1e-14
+
+    def test_replacement_groups_merged_once(self):
+        shared = frozenset({"a", "c"})
+        own = frozenset({"b", "d"})
+
+        def grouped(x):
+            return PulseSequence(bb1_w(x, HX1, HY1, "a", "c").items, required_groups=(shared,))
+
+        # three distinct magnitudes, each checked once, all carrying ``shared``
+        seq = PulseSequence(
+            (Pulse.single("a", 0.8, HX1), Pulse.single("a", -0.5, HX1), Pulse.single("a", 0.3, HX1)),
+            required_groups=(own,),
+        )
+        assert substitute(seq, "a", grouped).required_groups == (own, shared)
 
 
 class TestWjChain:
@@ -597,6 +647,18 @@ class TestStack:
         assert [m.tobytes() for m in stack] == [
             compile_sequence(seq, p).matrix.tobytes() for p in points
         ]
+
+    def test_overflowing_square_names_words(self):
+        # angle 1e308 at zero error: the coefficient 5e307 is finite, its square is not
+        seq = PulseSequence((Pulse.single("a", 0.5, HX), Pulse.single("b", 1e308, HY)))
+        with pytest.raises(PauliError, match=r"^A\^2 of words Y overflows$"):
+            compile_sequence(seq, ErrorAssignment.zero(["a", "b"]))
+        # a plan of _ARRAY_ROWS or more distinct rows with one overflowing row
+        seq = PulseSequence((Pulse.single("a", 0.5, HX), Pulse.single("b", 4.0, HY)))
+        points = [ErrorAssignment({"a": 1e-3, "b": 1e-3 * k}) for k in range(unitary._ARRAY_ROWS)]
+        points.insert(3, ErrorAssignment({"a": 1e-3, "b": 1e307}))
+        with pytest.raises(PauliError, match=r"^A\^2 of words Y overflows$"):
+            compile_stack(seq, points)
 
     def test_non_finite_raises_first_pulse_in_walk_order(self):
         # plan (HX,) is met first, but its bad pulse follows plan (HY,)'s

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from pulsecomp import (
     ErrorAssignment,
     Hamiltonian,
+    Pulse,
+    PulseSequence,
     Subspace,
     Unitary,
     UnitaryError,
@@ -29,13 +31,16 @@ from pulsecomp.unitary import check_unitary, matrix_to_hamiltonian
 
 def algebra_evolve(terms):
     """evolve through the Pauli algebra: a Hamiltonian sum, its exact square
-    test, its dense matrix, then the closed form or an eigendecomposition."""
+    test (an A^2 that overflows is a PauliError), its dense matrix, then the
+    closed form or an eigendecomposition."""
     n = terms[0][2].n_qubits
     total = Hamiltonian.zero(n)
     for theta, eps, h in terms:
         total = total + (theta * (1.0 + eps)) * h
     dim = 2**n
     c = square_identity_coefficient(_product_terms(total, total))
+    if c == math.inf:
+        raise PauliError("A^2 overflows")
     a = matrix_of(total)
     if c is not None and c >= 0.0:
         r = math.sqrt(c)
@@ -266,23 +271,36 @@ class TestEvolve:
     def test_array_rows_match_scalar_rows(self, case):
         plan, rows = case
 
-        def run(f):
-            try:
-                return f()
-            except Exception as exc:
-                return type(exc), str(exc)
+        def alone(row):
+            u = plan.unitary(row)
+            check_unitary(u)
+            return u
 
-        def alone():
-            stack = np.array([plan.unitary(row) for row in rows])
-            check_unitary(stack)
-            return [m.tobytes() for m in stack]
-
-        assert run(lambda: [m.tobytes() for m in plan.unitaries(rows)]) == run(alone)
+        try:
+            stack = np.array([alone(row) for row in rows])
+        except Exception as exc:
+            # the rows as the pulses of one sequence at zero error: the
+            # compile walk raises what the first row that fails alone raises
+            labels = [f"t{t}" for t in range(len(plan.hams))]
+            seq = PulseSequence([Pulse(zip(labels, row, plan.hams)) for row in rows])
+            with pytest.raises(Exception) as walked:
+                compile_sequence(seq, ErrorAssignment.zero(labels))
+            assert (type(walked.value), str(walked.value)) == (type(exc), str(exc))
+        else:
+            assert [m.tobytes() for m in plan.unitaries(rows)] == [m.tobytes() for m in stack]
 
     @pytest.mark.parametrize("theta, eps", [(1e308, 1.0), (0.5, math.nan)])
     def test_non_finite_scale_names_word(self, theta, eps):
         with pytest.raises(PauliError, match="of ZZ is not finite"):
             evolve([(theta, eps, Hamiltonian.single(0.5, "ZZ"))])
+
+    def test_overflowing_square_names_words(self):
+        # the coefficient 5e307 is finite, but A^2 = 2.5e615 I overflows
+        with pytest.raises(PauliError, match=r"^A\^2 of words X overflows$"):
+            evolve([(1e308, 0.0, Hamiltonian.single(0.5, "X"))])
+        h = Hamiltonian.single(0.5, "XI") + Hamiltonian.single(0.5, "ZZ")
+        with pytest.raises(PauliError, match=r"^A\^2 of words XI, ZZ overflows$"):
+            evolve([(1e308, 0.0, h)])
 
 
 class TestFidelity:
@@ -452,6 +470,24 @@ class TestSubspaceFidelity:
         assert direct > 0.5
         assert rep.fidelity == pytest.approx(direct, rel=1e-5)
         assert rep.fidelity >= direct
+
+    def test_near_identity_one_column_is_variance(self):
+        # dev < 1e-4 and a leaky single state: Var(K)/2 of the deviation
+        # generator K, the Hermitian part of i(e^{-i mu} U^dag V - I)
+        u, v, s = _leaky_pair(31, 1e-5, 1)
+        m = u.matrix.conj().T @ v.matrix
+        n = np.exp(-1j * np.angle(np.trace(m))) * m
+        assert np.abs(m @ s.basis - s.basis @ (s.basis.conj().T @ m @ s.basis)).max() >= 1e-10
+        assert np.linalg.norm(n - np.eye(4), ord=2) < 1e-4
+        k = 1j * (n - np.eye(4))
+        k = 0.5 * (k + k.conj().T)
+        psi = s.basis[:, 0]
+        var = (psi.conj() @ k @ k @ psi - (psi.conj() @ k @ psi) ** 2).real
+        rep = subspace_fidelity(u, v, s)
+        assert rep.method == "numerical-range"
+        assert rep.infidelity == pytest.approx(0.5 * var, rel=1e-9)
+        # second order in K: the exact 1 - |<psi|M|psi>| agrees to O(||K||)
+        assert rep.infidelity == pytest.approx(1.0 - abs(psi.conj() @ m @ psi), rel=1e-3)
 
     def test_ambient_mismatch(self):
         with pytest.raises(UnitaryError):

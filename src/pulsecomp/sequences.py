@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,7 +49,8 @@ def _finite(value, noun: str, label: str, error: type) -> float:
     """float(value) for a real, non-boolean, finite number; else ``error`` naming the label."""
     # a float skips the numbers.Real test, which costs far more than the rest
     real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
-    if not (real and math.isfinite(value)):
+    # an int too large for a float is not finite as one (math.isfinite would raise)
+    if not (real and abs(value) <= sys.float_info.max):
         raise error(f"{noun} {value!r} for label {label!r} is not a finite real number")
     return float(value)
 

@@ -76,7 +76,7 @@ class TestPulseTypes:
         with pytest.raises(SequenceError):
             Pulse.single("a", float("nan"), HX)
 
-    @pytest.mark.parametrize("bad", ["x", 1j, None, True, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", ["x", 1j, None, True, math.nan, math.inf, -math.inf, 10**400])
     def test_bad_angle_names_label(self, bad):
         with pytest.raises(SequenceError, match=r"^angle .* for label 'zz' is not a finite real"):
             Pulse((("a", 0.5, HX), ("zz", bad, HY)))
@@ -129,7 +129,7 @@ class TestErrorAssignment:
         with pytest.raises(CompileError, match="'zz'"):
             ErrorAssignment({"a": 0.1, "zz": bad})
 
-    @pytest.mark.parametrize("bad", ["x", 1j, None, True, False, np.bool_(True)])
+    @pytest.mark.parametrize("bad", ["x", 1j, None, True, False, np.bool_(True), 10**400])
     def test_non_number_rejected_with_label(self, bad):
         with pytest.raises(CompileError, match=r"^error .* for label 'zz' is not a finite real"):
             ErrorAssignment({"a": 0.1, "zz": bad})

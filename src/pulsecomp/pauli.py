@@ -105,6 +105,19 @@ def multiply(p: PhasedPauli, q: PhasedPauli) -> PhasedPauli:
     return PhasedPauli(power, PauliString("".join(letters)))
 
 
+def _real(value, where) -> float:
+    """float(value) for a real, non-boolean number; else a PauliError naming ``where``."""
+    # a float skips the numbers.Real test, which costs far more than the rest
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise PauliError(f"coefficient {value!r} of {where} is not a real number")
+    try:
+        return float(value)
+    except OverflowError:  # an int too large for a float
+        raise PauliError(f"coefficient {value!r} of {where} is not finite") from None
+
+
 @dataclass(frozen=True)
 class Hamiltonian:
     """A real linear combination of Pauli strings (Hermitian by construction).
@@ -126,9 +139,7 @@ class Hamiltonian:
                 raise PauliError(
                     f"term {string} has {string.n_qubits} qubits, expected {n_qubits}"
                 )
-            if not isinstance(coeff, numbers.Real):
-                raise PauliError(f"coefficient {coeff!r} of {string} is not a real number")
-            merged[string.letters] = merged.get(string.letters, 0.0) + float(coeff)
+            merged[string.letters] = merged.get(string.letters, 0.0) + _real(coeff, string)
         for w, c in merged.items():
             if not math.isfinite(c):
                 raise PauliError(f"coefficient {c!r} of {w} is not finite")
@@ -165,6 +176,7 @@ class Hamiltonian:
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: float) -> "Hamiltonian":
+        scalar = _real(scalar, self)
         return Hamiltonian.from_terms(
             self.n_qubits, [(scalar * c, s) for c, s in self.terms]
         )

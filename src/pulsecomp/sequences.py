@@ -16,6 +16,7 @@ import sys
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Callable, Mapping, Optional, Union
 from weakref import WeakValueDictionary
 
@@ -173,6 +174,39 @@ class PulseSequence:
     def _sorted_labels(self) -> tuple[str, ...]:
         return tuple(sorted(self.labels))
 
+    @cached_property
+    def _program(self) -> tuple:
+        """The compile walk's fixed structure: (nodes, keys, children, groups).
+
+        ``nodes`` are the distinct nodes in post-order, this one last; a
+        node's ``keys`` index its labels in ``_sorted_labels`` (a pulse's in
+        term order, a block's sorted); ``children`` index a block's items
+        (a pulse has none); ``groups`` pairs each tuple of Hamiltonians with
+        its pulses, each as (node index, term angles), in post-order.
+        Derived on the first compile and kept while the node lives; the
+        synthesis plans stay in ``_synthesis``'s cache, looked up per compile.
+        """
+        place = {l: j for j, l in enumerate(self._sorted_labels)}
+        order: dict = {}  # node -> its index in post-order
+        keys, children, groups = [], [], {}
+
+        def visit(item: Item) -> int:
+            if item not in order:
+                if isinstance(item, Pulse):
+                    kids, labels = (), [l for l, _, _ in item.terms]
+                    hams = tuple([h for _, _, h in item.terms])
+                    angles = tuple([t for _, t, _ in item.terms])
+                    groups.setdefault(hams, []).append((len(order), angles))
+                else:
+                    kids, labels = tuple([visit(sub) for sub in item.items]), item._sorted_labels
+                keys.append(tuple([place[l] for l in labels]))
+                children.append(kids)
+                order[item] = len(order)
+            return order[item]
+
+        visit(self)
+        return tuple(order), keys, children, tuple(groups.items())
+
     def inverse(self) -> "PulseSequence":
         return self._inverse
 
@@ -244,8 +278,11 @@ class CompileCache:
     The errors are those of the node's labels, in a fixed order, each as
     the tuple of its value at the points compiled together (one value for
     ``compile_sequence``).  Nodes are interned, so a key hashes the node's
-    identity, not its tree.  A compile consults the cache once per distinct
-    node it reaches; repeats within one compile never reach it.
+    identity, not its tree.  A compile asks about its root, and about the
+    children of each distinct node it lacks, once each; nothing below a
+    hit is asked, and it puts every node it computed.  Only errors that
+    recur can hit: repeated assignments, or blocks whose labels keep their
+    errors while others change.
     """
 
     def __init__(self) -> None:
@@ -271,16 +308,20 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
     first: (d, d) when every label's errors agree at all K points, else a
     (K, d, d) stack.
 
-    One depth-first pass visits each distinct node once, asks ``cache``
-    (if any) for it, and collects the pulses and the blocks (in post-order)
-    that it lacks.  Each synthesis plan then synthesizes the distinct scale
-    rows theta(1+eps) of all its pulses and points in one call, which
-    checks them unitary, and the blocks are multiplied in post-order.  A
-    node whose labels' errors agree at every point (0.0 and -0.0 agree, as
-    they give equal scales) is synthesized or multiplied at one point and
+    Runs the sequence's ``_program`` (derived once per interned sequence
+    and kept while it lives) without recursion.  With a ``cache``, the
+    nodes are marked in reverse post-order: the root is needed, and a
+    needed node the cache lacks makes its children needed, so the cache is
+    asked about the root and the children of misses, never below a hit.
+    Each synthesis plan, looked up once per call in ``_synthesis``'s
+    256-entry lru, then synthesizes the distinct scale rows theta(1+eps)
+    of all its needed pulses and points in one call, which checks them
+    unitary, and the needed blocks are multiplied in post-order.  A node
+    whose labels' errors agree at every point (0.0 and -0.0 agree, as they
+    give equal scales) is synthesized or multiplied at one point and
     broadcast against the others.  If a plan's synthesis fails, the walk
-    alone decides what is raised: it synthesizes and checks each pending
-    pulse alone in walk order, so the first pulse that cannot be
+    alone decides what is raised: it synthesizes and checks each needed
+    pulse alone in post-order, so the first pulse that cannot be
     synthesized raises its own error at its first such point.
     """
     for k, errors in enumerate(points):
@@ -297,60 +338,59 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
         except CompileError as exc:
             exc.point = k
             raise
-    columns = {l: tuple([errors.values[l] for errors in points]) for l in seq.labels}
-    varying = frozenset(l for l, col in columns.items() if col.count(col[0]) < len(col))
-    memo: dict = {}  # node -> its matrix, None until computed
-    pending: dict = {}  # uncached pulse -> (plan, scale rows), in walk order
-    blocks: list = []  # uncached blocks, in post-order
-    fresh: list = []  # (cache key, node) of the uncached nodes
-
-    def visit(item: Item) -> None:
-        if item in memo:
-            return
-        pulse = isinstance(item, Pulse)
-        labels = [l for l, _, _ in item.terms] if pulse else item._sorted_labels
-        cols = tuple([columns[l] for l in labels])
-        if cache is not None:
-            key = (item, cols)
-            mat = cache.get(key)
-            if mat is not None:
-                memo[item] = mat
-                return
-            fresh.append((key, item))
-        memo[item] = None
-        if pulse:
-            errs = [[c[0] for c in cols]] if varying.isdisjoint(labels) else zip(*cols)
-            rows = [tuple([t[1] * (1.0 + e) for t, e in zip(item.terms, es)]) for es in errs]
-            pending[item] = (_synthesis(tuple([h for _, _, h in item.terms])), rows)
-        else:
-            for sub in item.items:
-                visit(sub)
-            blocks.append(item)
-
-    visit(seq)
-    by_plan: dict = {}
-    for pulse, (plan, rows) in pending.items():
-        by_plan.setdefault(plan, []).append((pulse, rows))
-    try:
-        for plan, group in by_plan.items():
-            index: dict = {}  # distinct row -> its place in the plan's stack
-            for _, rows in group:
+    nodes, keys, children, groups = seq._program
+    columns = [tuple([errors.values[l] for errors in points]) for l in seq._sorted_labels]
+    varying = [col.count(col[0]) < len(col) for col in columns]
+    mats: list = [None] * len(nodes)
+    needed = [cache is None] * len(nodes)
+    fresh = []  # (cache key, node index) of the needed nodes the cache lacks
+    if cache is not None:
+        needed[-1] = True
+        for i in range(len(nodes) - 1, -1, -1):
+            if needed[i]:
+                key = (nodes[i], tuple(map(columns.__getitem__, keys[i])))
+                mats[i] = cache.get(key)
+                if mats[i] is None:
+                    fresh.append((key, i))
+                    for c in children[i]:
+                        needed[c] = True
+                else:
+                    needed[i] = False
+    factors = [tuple([1.0 + e for e in col]) for col in columns]  # 1 + eps per label and point
+    first = [f[0] for f in factors]
+    work = []  # (plan, distinct row -> its place in the plan's stack, [(pulse index, rows)])
+    for hams, pulses in groups:
+        index: dict = {}
+        mine = []
+        for i, thetas in pulses:
+            if needed[i]:
+                ks = keys[i]
+                if any(map(varying.__getitem__, ks)):
+                    rows = [tuple(map(mul, thetas, f)) for f in zip(*map(factors.__getitem__, ks))]
+                else:
+                    rows = [tuple(map(mul, thetas, map(first.__getitem__, ks)))]
                 for row in rows:
                     index.setdefault(row, len(index))
+                mine.append((i, rows))
+        if mine:
+            work.append((_synthesis(hams), index, mine))
+    try:
+        for plan, index, mine in work:
             u = plan.unitaries(list(index))
-            for pulse, rows in group:
-                memo[pulse] = u[index[rows[0]]] if len(rows) == 1 else u[[index[r] for r in rows]]
+            for i, rows in mine:
+                mats[i] = u[index[rows[0]]] if len(rows) == 1 else u[[index[r] for r in rows]]
     except ValueError:
         # raise what synthesizing and checking each pulse alone raises first
-        for plan, rows in pending.values():
+        for _, plan, rows in sorted((i, plan, rows) for plan, _, mine in work for i, rows in mine):
             check_unitary(np.stack([plan.unitary(row) for row in rows]))
         raise
     d = 2**seq.n_qubits
-    for block in blocks:
-        memo[block] = _product([memo[sub] for sub in block.items], d)
-    for key, item in fresh:
-        cache.put(key, memo[item])
-    return memo[seq]
+    for i, kids in enumerate(children):
+        if kids and needed[i]:
+            mats[i] = _product([mats[c] for c in kids], d)
+    for key, i in fresh:
+        cache.put(key, mats[i])
+    return mats[-1]
 
 
 def compile_stack(seq: PulseSequence, points) -> tuple[np.ndarray, float]:

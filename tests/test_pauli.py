@@ -1,6 +1,7 @@
 """Tests for the exact Pauli-string algebra."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -204,10 +205,32 @@ class TestHamiltonian:
         with pytest.raises(PauliError, match=f"of {word} is not finite"):
             build()
 
-    @pytest.mark.parametrize("coeff", [0.5j, np.complex128(0.5), "0.5"])
+    @pytest.mark.parametrize("coeff", [0.5j, np.complex128(0.5), "0.5", True, False, np.True_])
     def test_non_real_coefficient_rejected(self, coeff):
         with pytest.raises(PauliError, match="of XZ is not a real number"):
             Hamiltonian.single(coeff, "XZ")
+
+    @pytest.mark.parametrize("scalar", [True, 0.5j, "2"])
+    def test_non_real_scalar_rejected(self, scalar):
+        with pytest.raises(PauliError, match=r"of 0\.5\*X is not a real number"):
+            scalar * Hamiltonian.single(0.5, "X")
+
+    @pytest.mark.parametrize(
+        "build, word",
+        [
+            (lambda: Hamiltonian.single(10**400, "X"), "X"),
+            (lambda: Hamiltonian.single(-Fraction(10**400, 3), "YZ"), "YZ"),
+            (lambda: 10**400 * Hamiltonian.single(0.5, "Z"), r"0\.5\*Z"),
+        ],
+    )
+    def test_int_too_large_for_a_float_rejected(self, build, word):
+        with pytest.raises(PauliError, match=f"of {word} is not finite"):
+            build()
+
+    @pytest.mark.parametrize("coeff", [2, Fraction(1, 4), np.float64(0.25), np.int64(-3)])
+    def test_real_numbers_accepted(self, coeff):
+        assert Hamiltonian.single(coeff, "X").coefficients == {"X": float(coeff)}
+        assert (coeff * Hamiltonian.single(0.5, "X")).coefficients == {"X": float(coeff) * 0.5}
 
     def test_commutator_is_hermitian(self):
         h1 = Hamiltonian.single(0.5, "ZZ") + Hamiltonian.single(0.25, "XY")

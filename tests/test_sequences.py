@@ -1,8 +1,10 @@
 """Tests for the sequence builders and the memoizing compiler."""
 
 import copy
+import gc
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -482,6 +484,43 @@ class TestCompile:
         # ... and not at all by a later call sharing the cache
         compile_sequence(seq, errors, cache)
         assert calls == []
+
+    def test_cache_traffic(self):
+        class Counting(CompileCache):
+            def __init__(self):
+                super().__init__()
+                self.gets = self.puts = 0
+
+            def get(self, key):
+                self.gets += 1
+                return super().get(key)
+
+            def put(self, key, value):
+                self.puts += 1
+                super().put(key, value)
+
+        seq = bb1_wj(math.pi / 2, HZZ, HX1, HY1, "ZZ", "X1", "Y1")
+        assert len(seq._program[0]) == 20
+        cache = Counting()
+        traffic = []
+        for zz in (1e-3, 1e-3, 2e-3):
+            cache.gets = cache.puts = 0
+            compile_sequence(seq, ErrorAssignment({"ZZ": zz, "X1": 1e-2, "Y1": 1e-2}), cache)
+            traffic.append((cache.gets, cache.puts))
+        # cold: every distinct node misses; warm: the root hits and nothing
+        # below it is asked; a new ZZ error: the nodes carrying ZZ miss, and
+        # the X1/Y1-only blocks they hold hit
+        assert traffic == [(20, 20), (1, 0), (8, 4)]
+
+    def test_program_does_not_keep_sequence_alive(self):
+        seq = wj_chain(2, math.pi / 4)
+        cache = CompileCache()
+        compile_sequence(seq, ErrorAssignment.uniform(seq.labels, 1e-3), cache)
+        assert seq._program[0][-1] is seq
+        ref = weakref.ref(seq)
+        del cache, seq
+        gc.collect()
+        assert ref() is None
 
     def test_cache_key_includes_errors(self):
         seq = bb1_w(0.5, HX, HY, "a", "b")

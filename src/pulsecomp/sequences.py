@@ -116,9 +116,9 @@ class PulseSequence:
     ``items`` may mix pulses and sub-sequences (corrected blocks); the
     flattened pulse list is exposed as ``pulses``.  ``required_groups``
     lists label sets whose errors must resolve to one value at compile
-    time.  Sequences are interned on their (already interned) items and
-    groups, so a repeated block is one shared node of a DAG and a
-    ``CompileCache`` key costs O(1).
+    time.  Sequences are interned on the ids of their (already interned)
+    items and on their groups, so a repeated block is one shared node of a
+    DAG and a ``CompileCache`` key costs O(1).
     """
 
     items: tuple[Item, ...]
@@ -127,7 +127,10 @@ class PulseSequence:
     def __new__(cls, items, required_groups=()) -> "PulseSequence":
         items = tuple(items)
         required_groups = tuple(required_groups)
-        key = (items, required_groups)
+        # Keyed on the items' ids: the live node holds its items, so their
+        # ids stay theirs, and a key that held them would keep a dropped
+        # DAG's children alive until a later collection freed their parent.
+        key = (tuple(map(id, items)), required_groups)
         node = _SEQUENCES.get(key)
         if node is None:
             if not items:

@@ -388,9 +388,17 @@ def distance(u: Unitary, v: Unitary, align_phase: bool = False) -> float:
     return float(np.linalg.norm(u.matrix - vm, ord=2))
 
 
-def _stable_deficit(w: complex | np.ndarray) -> float | np.ndarray:
-    """1 - |1 + w| evaluated without cancellation for small w (elementwise)."""
-    x = 2.0 * np.real(w) + np.abs(w) ** 2
+def _stable_deficit(w: complex | np.ndarray, pow_square: bool = False) -> float | np.ndarray:
+    """1 - |1 + w| evaluated without cancellation for small w (elementwise).
+
+    pow_square squares each |w| of a 1-D stack as a one-angle evaluation does.
+    """
+    r = np.abs(w)
+    # A numpy scalar's ** 2 calls libm pow and an array's multiplies; they
+    # differ in the last bit for about one |w| in a thousand, so refinement
+    # stacks square Python floats to keep each angle's one-angle value.
+    square = np.array([x ** 2 for x in r.tolist()]) if pow_square else r ** 2
+    x = 2.0 * np.real(w) + square
     return -x / (1.0 + np.sqrt(np.maximum(0.0, 1.0 + x)))
 
 
@@ -408,30 +416,65 @@ def _boundary_points(delta: np.ndarray, gamma: float | np.ndarray) -> np.ndarray
 
 
 _GRID_POINTS = 720
+_LOOKAHEAD = 3  # golden-section steps refined per stacked evaluation
 _REFINE_TOL = 1e-10
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_step(a, b, x1, x2, left: bool) -> tuple:
+    """Bracket and points after one golden-section step, then the new point.
+
+    left is the step's f(x1) < f(x2): the bracket keeps [x1, b].
+    """
+    if left:
+        a, x1 = x1, x2
+        x2 = a + _GOLDEN * (b - a)
+        return a, b, x1, x2, x2
+    b, x2 = x2, x1
+    x1 = b - _GOLDEN * (b - a)
+    return a, b, x1, x2, x1
+
+
+def _golden_tree(a, b, x1, x2, left: bool) -> list[tuple]:
+    """Every state the next _LOOKAHEAD golden-section steps can reach.
+
+    The first step's choice is known; each later one depends on a value not
+    yet evaluated, so both are formed.  Heap order: node i is followed by
+    2i + 1 when its f1 < f2 holds and by 2i + 2 otherwise.
+    """
+    nodes = [_golden_step(a, b, x1, x2, left)]
+    for i in range(2 ** (_LOOKAHEAD - 1) - 1):
+        nodes += [_golden_step(*nodes[i][:4], True), _golden_step(*nodes[i][:4], False)]
+    return nodes
 
 
 def _scan_max(f) -> float:
     """Maximum of a 2 pi-periodic f: a uniform scan, then golden-section refinement.
 
-    f is elementwise: called once on all grid angles, then on one angle at a time.
+    f(angles, refine) is elementwise over a 1-D array of angles.  The scan
+    evaluates all grid angles at once (refine false).  The refinement
+    (refine true: each value is the one a one-angle evaluation gives)
+    evaluates the starting pair as one stack, then runs in rounds: each
+    evaluates, in one stack, the 2^_LOOKAHEAD - 1 angles its next
+    _LOOKAHEAD steps can visit, then replays the steps' comparisons on
+    them.  So the points chosen and the maximum returned are those of
+    refining one angle at a time.
     """
     gammas = np.linspace(0.0, 2 * math.pi, _GRID_POINTS, endpoint=False)
-    k = int(f(gammas).argmax())
+    k = int(f(gammas, False).argmax())
     step = gammas[1] - gammas[0]
-    g = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = gammas[k] - step, gammas[k] + step
-    x1, x2 = b - g * (b - a), a + g * (b - a)
-    f1, f2 = f(x1), f(x2)
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = f(np.array([x1, x2]), True)
     while b - a > _REFINE_TOL:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + g * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - g * (b - a)
-            f1 = f(x1)
+        nodes = _golden_tree(a, b, x1, x2, f1 < f2)
+        values = f(np.array([node[4] for node in nodes]), True)
+        i = 0
+        while i < len(nodes) and b - a > _REFINE_TOL:
+            left = f1 < f2
+            a, b, x1, x2, _ = nodes[i]
+            f1, f2 = (f2, values[i]) if left else (values[i], f1)
+            i = 2 * i + (1 if f1 < f2 else 2)
     return float(max(f1, f2))
 
 
@@ -481,7 +524,8 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
 
     Each leaky regime has one elementwise evaluator over support angles:
     the scan applies it to all grid angles at once (one stacked
-    eigendecomposition), the golden-section refinement to one angle at a time.
+    eigendecomposition), and the golden-section refinement to the angles
+    its next few steps can visit, one stack per round (see _scan_max).
     """
     if u.dim != v.dim:
         raise UnitaryError(f"dimension mismatch: {u.dim} vs {v.dim}")
@@ -507,10 +551,10 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     if np.linalg.norm(delta, ord=2) < 0.1:
         # |1+w| > 0 throughout, so the minimizer sits on the boundary of
         # the numerical range of delta.
-        infid = _scan_max(lambda g: _stable_deficit(_boundary_points(delta, g)))
+        infid = _scan_max(lambda g, refine: _stable_deficit(_boundary_points(delta, g), refine))
         infid = min(1.0, max(0.0, infid))
         return FidelityReport(1.0 - infid, infid, "numerical-range")
     # Far regime: distance from the origin to the numerical range of c (0 if inside).
-    f = _scan_max(lambda g: np.linalg.eigvalsh(_hermitian_part(c, g))[..., 0])
+    f = _scan_max(lambda g, refine: np.linalg.eigvalsh(_hermitian_part(c, g))[..., 0])
     f = min(1.0, max(0.0, f))
     return FidelityReport(f, 1.0 - f, "numerical-range")

@@ -522,6 +522,17 @@ class TestCompile:
         gc.collect()
         assert ref() is None
 
+    def test_dropped_dag_leaves_intern_tables_in_one_collection(self):
+        gc.collect()
+        before = len(sequences._SEQUENCES), len(sequences._PULSES)
+        seq = wj_chain(2, 0.7123)  # an angle no other test builds
+        compile_sequence(seq, ErrorAssignment.uniform(seq.labels, 1e-3))
+        assert len(sequences._SEQUENCES) > before[0]
+        assert len(sequences._PULSES) > before[1]
+        del seq
+        gc.collect()
+        assert (len(sequences._SEQUENCES), len(sequences._PULSES)) == before
+
     def test_cache_key_includes_errors(self):
         seq = bb1_w(0.5, HX, HY, "a", "b")
         cache = CompileCache()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pulsecomp import (
@@ -503,17 +503,56 @@ def _record_scans(monkeypatch) -> list:
     return scans
 
 
-def _leaky_pair(seed: int, scale: float, d: int) -> tuple[Unitary, Unitary, Subspace]:
-    """I and exp(-i scale K) for a random unit-norm Hermitian K on C^4,
+def _leaky_pair(
+    seed: int, scale: float, d: int, dim: int = 4
+) -> tuple[Unitary, Unitary, Subspace]:
+    """I and exp(-i scale K) for a random unit-norm Hermitian K on C^dim,
     with a random d-dimensional subspace."""
     rng = np.random.default_rng(seed)
-    k = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    k = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     k = 0.5 * (k + k.conj().T)
     k /= np.linalg.norm(k, ord=2)
     w, vecs = np.linalg.eigh(scale * k)
     v = Unitary(vecs @ np.diag(np.exp(-1j * w)) @ vecs.conj().T)
-    basis = random_unitary(rng, 4).matrix[:, :d]
-    return Unitary(np.eye(4)), v, Subspace(basis)
+    basis = random_unitary(rng, dim).matrix[:, :d]
+    return Unitary(np.eye(dim)), v, Subspace(basis)
+
+
+def _one_angle_scan_max(f) -> float:
+    """The refinement one angle at a time, as _scan_max ran it before the
+    look-ahead: the reference the look-ahead must match bit for bit."""
+    gammas = np.linspace(0.0, 2 * math.pi, unitary._GRID_POINTS, endpoint=False)
+    k = int(f(gammas).argmax())
+    step = gammas[1] - gammas[0]
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = gammas[k] - step, gammas[k] + step
+    x1, x2 = b - g * (b - a), a + g * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > unitary._REFINE_TOL:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + g * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - g * (b - a)
+            f1 = f(x1)
+    return float(max(f1, f2))
+
+
+# Log10 scales of exp(-i scale K) on C^8 that put a code space's
+# compression in each leaky regime (checked by _regime; few draws miss).
+_REGIME_SCALES = {"near": (-2.5, -1.7), "far": (0.2, 0.5)}
+
+
+def _regime(f) -> str:
+    """'far' if the evaluator takes the numerical range of c (eigvalsh), else 'near'."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        real = np.linalg.eigvalsh
+        mp.setattr(np.linalg, "eigvalsh", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        f(np.zeros(1), False)
+    return "far" if calls else "near"
 
 
 class TestSupportScan:
@@ -523,8 +562,8 @@ class TestSupportScan:
     def assert_scans_agree(scans) -> None:
         gammas = np.linspace(0.0, 2 * math.pi, unitary._GRID_POINTS, endpoint=False)
         for f in scans:
-            stacked = f(gammas)
-            scalar = np.array([f(g) for g in gammas])
+            stacked = f(gammas, False)
+            scalar = np.array([f(g, False) for g in gammas])
             assert stacked.shape == scalar.shape
             assert np.abs(stacked - scalar).max() <= 1e-14
             assert stacked.argmax() == scalar.argmax()
@@ -569,6 +608,7 @@ class TestSupportScan:
         label = next(iter(seq.labels))
         ideal = compile_sequence(seq, ErrorAssignment.zero([label]))
         actual = compile_sequence(seq, ErrorAssignment.uniform([label], 1e-2))
+        code = get_encoding("xy3").code
         scans, calls = _record_scans(monkeypatch), []
         for name in ("eigh", "eigvalsh"):
             real = getattr(np.linalg, name)
@@ -577,11 +617,114 @@ class TestSupportScan:
                 name,
                 lambda *a, name=name, real=real, **kw: calls.append(name) or real(*a, **kw),
             )
-        rep = subspace_fidelity(ideal, actual, get_encoding("xy3").code)
+        rep = subspace_fidelity(ideal, actual, code)
         assert rep.method == "numerical-range"
-        # one stacked scan plus the scalar golden-section steps, not 720 + those
-        assert len(calls) < 100
         # the near regime: boundary points from eigh, no far-regime eigvalsh
         assert set(calls) == {"eigh"}
-        self.assert_scans_agree(scans)
         assert len(scans) == 1
+        lookahead_calls = len(calls)
+        # One stacked grid scan, one stack of the two starting points, then
+        # one stack per round of _LOOKAHEAD golden-section steps (the last
+        # round may stop early), against one call per step one angle at a time.
+        one_angle = []
+        _one_angle_scan_max(lambda g: one_angle.append(g) or scans[0](g, False))
+        steps = len(one_angle) - 3
+        assert steps == 40
+        assert lookahead_calls == 2 + math.ceil(steps / unitary._LOOKAHEAD) == 16
+        self.assert_scans_agree(scans)
+
+
+def _scan_cases():
+    """Draws of (seed, position in the regime's scale range, d, regime)."""
+    return st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 1.0),
+        st.integers(1, 4),
+        st.sampled_from(sorted(_REGIME_SCALES)),
+    )
+
+
+def _drawn_scan(case):
+    """The evaluator subspace_fidelity scans for a _scan_cases draw, a
+    random leaky pair on C^8 in the drawn regime."""
+    seed, u, d, regime = case
+    lo, hi = _REGIME_SCALES[regime]
+    with pytest.MonkeyPatch.context() as mp:
+        scans = _record_scans(mp)
+        subspace_fidelity(*_leaky_pair(seed, 10.0 ** (lo + u * (hi - lo)), d, dim=8))
+    assert len(scans) == 1
+    assume(_regime(scans[0]) == regime)
+    return scans[0]
+
+
+class TestLookahead:
+    """The look-ahead refinement returns, bit for bit, the one-angle refinement."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_scan_cases(), angles_seed=st.integers(0, 2**32 - 1))
+    def test_stacks_match_one_angle(self, case, angles_seed):
+        f, d = _drawn_scan(case), case[2]
+        rng = np.random.default_rng(angles_seed)
+        xs = rng.uniform(-0.1, 2 * math.pi + 0.1, 2**unitary._LOOKAHEAD + 1)
+        for n in range(1, xs.size + 1):
+            # A one-angle stack of a 1x1 compression takes numpy's
+            # all-length-one path for _hermitian_part's complex product,
+            # which can round differently; the refinement never forms one
+            # (test_stack_sizes).
+            if n == 1 and d == 1:
+                continue
+            one_angle = np.array([f(x, False) for x in xs[:n]])
+            assert f(xs[:n], True).tobytes() == one_angle.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=_scan_cases())
+    def test_stack_sizes(self, case):
+        f, sizes = _drawn_scan(case), []
+        unitary._scan_max(lambda g, refine: sizes.append((g.size, refine)) or f(g, refine))
+        assert sizes[:2] == [(unitary._GRID_POINTS, False), (2, True)]
+        assert set(sizes[2:]) == {(2**unitary._LOOKAHEAD - 1, True)}
+
+    def test_square_witness(self):
+        """At a |w| whose array square and numpy-scalar square differ in the
+        last bit (and carry into the deficit), the refinement square keeps
+        the one-angle value."""
+        rng = np.random.default_rng(0)
+        for _ in range(400_000):
+            w = np.complex128(1j * rng.uniform(0.0, 0.1))
+            array_square = (np.abs(np.array([w])) ** 2)[0]
+            if array_square == np.abs(w) ** 2:
+                continue
+            one_angle = unitary._stable_deficit(w)
+            if unitary._stable_deficit(np.array([w]))[0] != one_angle:
+                break
+        else:
+            pytest.fail("no |w| whose array and scalar squares differ")
+        refined = unitary._stable_deficit(np.array([w]), pow_square=True)
+        assert refined.tobytes() == np.array([one_angle]).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_scan_cases())
+    def test_matches_one_angle_refinement(self, case):
+        f = _drawn_scan(case)
+        expected = _one_angle_scan_max(lambda g: f(g, False))
+        assert unitary._scan_max(f).hex() == expected.hex()
+
+    @pytest.mark.parametrize(
+        "peak",
+        [
+            pytest.param(None, id="constant"),
+            pytest.param(0, id="argmax-first"),
+            pytest.param(unitary._GRID_POINTS - 1, id="argmax-last"),
+        ],
+    )
+    def test_synthetic_curves(self, peak):
+        gammas = np.linspace(0.0, 2 * math.pi, unitary._GRID_POINTS, endpoint=False)
+
+        # products and differences round alike per element and per stack
+        def f(g, refine=False):
+            if peak is None:
+                return 0.0 * g
+            return -(g - gammas[peak]) * (g - gammas[peak])
+
+        assert int(f(gammas).argmax()) == (0 if peak is None else peak)
+        assert unitary._scan_max(f).hex() == _one_angle_scan_max(f).hex()

@@ -136,12 +136,20 @@ def fit_slope(
 ) -> SlopeFit:
     """Least-squares power-law fit on (log eps, log infidelity).
 
-    Points below the infidelity floor are excluded; at least 4 usable
-    points are required.  ``max_residual`` is the largest absolute
-    deviation in log space, useful for flagging regime mixtures.
+    Points at or below the infidelity floor are excluded; at least 4
+    usable points are required.  An eps that is not finite and positive, or
+    an infidelity that is not finite, raises a ValueError naming its index.
+    ``max_residual`` is the largest absolute deviation in log space, useful
+    for flagging regime mixtures.
     """
     e = np.asarray(list(eps), dtype=float)
     y = np.asarray(list(infid), dtype=float)
+    for i, x in enumerate(e.tolist()):
+        if not (math.isfinite(x) and x > 0.0):
+            raise ValueError(f"eps[{i}] = {x!r} is not finite and positive")
+    for i, x in enumerate(y.tolist()):
+        if not math.isfinite(x):
+            raise ValueError(f"infidelity[{i}] = {x!r} is not finite")
     if window is None:
         window = (float(e.min()), float(e.max()))
     lo, hi = window

@@ -598,27 +598,42 @@ def _check_toggling() -> tuple[bool, str]:
     return worst <= 1e-12, f"toggled-form infidelity {worst:.2e} (want <= 1e-12)"
 
 
-def _check_jones() -> tuple[bool, str]:
-    h3 = unit_su2_partner(H_ZZ, H_X1)
+def _jones_draws() -> tuple[PulseSequence, list[ErrorAssignment]]:
+    """X1(-phi) ZZ(theta) X1(phi) and its 100 random (theta, phi) draws.
+
+    The nominal angles are pi/2 for ZZ (label a) and pi for X1 (label b),
+    so draw k is the errors that turn them into its theta and phi.
+    """
+    seq = PulseSequence(
+        (
+            Pulse.single("b", -math.pi, H_X1),
+            Pulse.single("a", math.pi / 2, H_ZZ),
+            Pulse.single("b", math.pi, H_X1),
+        )
+    )
     rng = np.random.Generator(np.random.Philox(key=20260823))
-    worst = 0.0
+    points = []
     for _ in range(100):
         theta = float(rng.uniform(-math.pi, math.pi))
         phi = float(rng.uniform(0.0, 2 * math.pi))
-        conj = compile_sequence(
-            PulseSequence(
-                (
-                    Pulse.single("b", -phi, H_X1),
-                    Pulse.single("a", theta, H_ZZ),
-                    Pulse.single("b", phi, H_X1),
-                )
-            ),
-            ErrorAssignment.zero(["a", "b"]),
-        )
+        eps = {"a": theta / (math.pi / 2) - 1.0, "b": phi / math.pi - 1.0}
+        points.append(ErrorAssignment(eps))
+    return seq, points
+
+
+def _check_jones() -> tuple[bool, str]:
+    h3 = unit_su2_partner(H_ZZ, H_X1)
+    seq, points = _jones_draws()
+    stack, _ = compile_stack(seq, points)
+    worst = 0.0
+    for conj, errors in zip(stack, points):
+        # the angles theta(1 + eps) that the compile formed, bit for bit
+        theta = math.pi / 2 * (1.0 + errors.values["a"])
+        phi = math.pi * (1.0 + errors.values["b"])
         direct = evolve(
-            [(1.0, 0.0, theta * math.cos(phi) * H_ZZ - theta * math.sin(phi) * h3)]
+            [(theta * math.cos(phi), 0.0, H_ZZ), (-theta * math.sin(phi), 0.0, h3)]
         )
-        worst = max(worst, distance(conj, direct))
+        worst = max(worst, distance(Unitary(conj), direct))
     return (
         worst <= 1e-12,
         f"conjugated-tilt deviation {worst:.2e} over 100 draws (want <= 1e-12)",

@@ -403,8 +403,13 @@ def _stable_deficit(w: complex | np.ndarray, pow_square: bool = False) -> float 
 
 
 def _hermitian_part(c: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
-    """Hermitian part of e^{i gamma} c, stacked over the shape of gamma."""
-    r = np.exp(1j * np.asarray(gamma))[..., None, None] * c
+    """Hermitian part of e^{i gamma} c, stacked over the shape of gamma.
+
+    The scan grid's phases are formed once (_GRID_PHASES); any other
+    angles form their own.
+    """
+    phase = _GRID_PHASES if gamma is _GRID_ANGLES else np.exp(1j * np.asarray(gamma))
+    r = phase[..., None, None] * c
     return 0.5 * (r + np.swapaxes(r, -1, -2).conj())
 
 
@@ -416,6 +421,11 @@ def _boundary_points(delta: np.ndarray, gamma: float | np.ndarray) -> np.ndarray
 
 
 _GRID_POINTS = 720
+# The scan's angles and their phases e^{i gamma}, read-only like _identity's.
+_GRID_ANGLES = np.linspace(0.0, 2 * math.pi, _GRID_POINTS, endpoint=False)
+_GRID_PHASES = np.exp(1j * _GRID_ANGLES)
+_GRID_ANGLES.flags.writeable = False
+_GRID_PHASES.flags.writeable = False
 _LOOKAHEAD = 3  # golden-section steps refined per stacked evaluation
 _REFINE_TOL = 1e-10
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -460,7 +470,7 @@ def _scan_max(f) -> float:
     them.  So the points chosen and the maximum returned are those of
     refining one angle at a time.
     """
-    gammas = np.linspace(0.0, 2 * math.pi, _GRID_POINTS, endpoint=False)
+    gammas = _GRID_ANGLES
     k = int(f(gammas, False).argmax())
     step = gammas[1] - gammas[0]
     a, b = gammas[k] - step, gammas[k] + step

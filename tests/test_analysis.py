@@ -1,6 +1,7 @@
 """Tests for sweeps, slope fits, crossover location, and the Magnus oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,24 @@ class TestFitSlope:
         assert fit.window == (1e-3, 1e-2)
         with pytest.raises(ValueError):
             fit_slope(eps[:3], y[:3])
+
+    @pytest.mark.parametrize(
+        "which, index, value",
+        [
+            ("infidelity", 2, math.nan),
+            ("infidelity", 3, math.inf),
+            ("eps", 0, 0.0),
+            ("eps", 1, -2e-3),
+            ("eps", 4, math.nan),
+            ("eps", 3, math.inf),
+        ],
+    )
+    def test_rejects_bad_points(self, which, index, value):
+        eps = [1e-3, 2e-3, 3e-3, 4e-3, 5e-3]
+        infid = [x**2 for x in eps]
+        (infid if which == "infidelity" else eps)[index] = value
+        with pytest.raises(ValueError, match=re.escape(f"{which}[{index}] = {value!r}")):
+            fit_slope(eps, infid)
 
     def test_floor_exclusion(self):
         eps = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])

@@ -68,6 +68,51 @@ class TestVerify:
         assert "[FAIL] toggling" in out
 
 
+class TestJonesCheck:
+    """The conjugation check compiles its 100 draws as one stack."""
+
+    def test_wrong_partner_fails(self, monkeypatch):
+        real = cli.unit_su2_partner
+        monkeypatch.setattr(cli, "unit_su2_partner", lambda h1, h2: -1.0 * real(h1, h2))
+        ok, message = cli._check_jones()
+        assert not ok
+        assert message.startswith("conjugated-tilt deviation ")
+        assert float(message.split()[2]) > 1e-12
+
+    def test_stack_matches_one_point_compiles(self):
+        seq, points = cli._jones_draws()
+        stack, _ = pulsecomp.compile_stack(seq, points)
+        assert stack.shape == (100, 4, 4)
+        for conj, errors in zip(stack, points):
+            theta = math.pi / 2 * (1.0 + errors.values["a"])
+            phi = math.pi * (1.0 + errors.values["b"])
+            one = pulsecomp.PulseSequence(
+                (
+                    pulsecomp.Pulse.single("b", -phi, cli.H_X1),
+                    pulsecomp.Pulse.single("a", theta, cli.H_ZZ),
+                    pulsecomp.Pulse.single("b", phi, cli.H_X1),
+                )
+            )
+            u = pulsecomp.compile_sequence(one, pulsecomp.ErrorAssignment.zero(["a", "b"]))
+            assert u.matrix.tobytes() == conj.tobytes()
+
+    def test_adds_at_most_three_synthesis_plans(self):
+        # a fresh interpreter, whose plan cache holds only what imports made
+        code = (
+            "from pulsecomp import cli, unitary\n"
+            "before = unitary._synthesis.cache_info().currsize\n"
+            "assert cli._check_jones()[0]\n"
+            "print(unitary._synthesis.cache_info().currsize - before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(pulsecomp.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        # (H_X1,), (H_ZZ,) and (H_ZZ, h3)
+        assert int(proc.stdout) <= 3
+
+
 class TestFigureXy:
     def test_slopes_two_and_six(self, tmp_path):
         out = tmp_path / "xy"

@@ -709,6 +709,15 @@ class TestLookahead:
         expected = _one_angle_scan_max(lambda g: f(g, False))
         assert unitary._scan_max(f).hex() == expected.hex()
 
+    def test_grid_constants_read_only(self):
+        gammas = np.linspace(0.0, 2 * math.pi, unitary._GRID_POINTS, endpoint=False)
+        assert unitary._GRID_ANGLES.tobytes() == gammas.tobytes()
+        assert unitary._GRID_PHASES.tobytes() == np.exp(1j * gammas).tobytes()
+        for grid in (unitary._GRID_ANGLES, unitary._GRID_PHASES):
+            assert not grid.flags.writeable
+            with pytest.raises(ValueError):
+                grid[0] = 1.0
+
     @pytest.mark.parametrize(
         "peak",
         [

@@ -138,12 +138,16 @@ def fit_slope(
 
     Points at or below the infidelity floor are excluded; at least 4
     usable points are required.  An eps that is not finite and positive, or
-    an infidelity that is not finite, raises a ValueError naming its index.
+    an infidelity that is not finite, raises a ValueError naming its index;
+    so do eps and infidelities of different lengths (naming both) and a
+    window whose bounds are NaN or out of order (naming the window).
     ``max_residual`` is the largest absolute deviation in log space, useful
     for flagging regime mixtures.
     """
     e = np.asarray(list(eps), dtype=float)
     y = np.asarray(list(infid), dtype=float)
+    if e.size != y.size:
+        raise ValueError(f"{e.size} eps values but {y.size} infidelities")
     for i, x in enumerate(e.tolist()):
         if not (math.isfinite(x) and x > 0.0):
             raise ValueError(f"eps[{i}] = {x!r} is not finite and positive")
@@ -153,6 +157,8 @@ def fit_slope(
     if window is None:
         window = (float(e.min()), float(e.max()))
     lo, hi = window
+    if not lo <= hi:
+        raise ValueError(f"window {tuple(window)!r} is not an interval lo <= hi")
     keep = (e >= lo * (1 - 1e-12)) & (e <= hi * (1 + 1e-12)) & (y > INFIDELITY_FLOOR)
     e, y = e[keep], y[keep]
     if e.size < 4:

@@ -402,22 +402,110 @@ def _stable_deficit(w: complex | np.ndarray, pow_square: bool = False) -> float 
     return -x / (1.0 + np.sqrt(np.maximum(0.0, 1.0 + x)))
 
 
-def _hermitian_part(c: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
-    """Hermitian part of e^{i gamma} c, stacked over the shape of gamma.
+def _phases(gamma: float | np.ndarray) -> np.ndarray:
+    """e^{i gamma}; the scan grid's are formed once (_GRID_PHASES)."""
+    return _GRID_PHASES if gamma is _GRID_ANGLES else np.exp(1j * np.asarray(gamma))
 
-    The scan grid's phases are formed once (_GRID_PHASES); any other
-    angles form their own.
-    """
-    phase = _GRID_PHASES if gamma is _GRID_ANGLES else np.exp(1j * np.asarray(gamma))
+
+def _hermitian_part(c: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Hermitian part of phase * c, stacked over the shape of phase."""
     r = phase[..., None, None] * c
     return 0.5 * (r + np.swapaxes(r, -1, -2).conj())
 
 
-def _boundary_points(delta: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
-    """Point of the numerical range of delta minimizing Re(e^{i gamma} w), per angle."""
-    _, v = np.linalg.eigh(_hermitian_part(delta, gamma))
+def _boundary_points(delta: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Point of the numerical range of delta minimizing Re(phase * w), per phase."""
+    _, v = np.linalg.eigh(_hermitian_part(delta, phase))
     psi = v[..., 0]
     return (psi.conj()[..., None, :] @ delta @ psi[..., :, None])[..., 0, 0]
+
+
+def _grid_deficits(delta: np.ndarray, idx=slice(None)) -> np.ndarray:
+    """1 - |1 + w| at the boundary points of the grid angles idx (all by default).
+
+    Each value is the one the whole 720-angle stack gives at that angle,
+    bit for bit, for any stack of at least two angles (a one-angle stack
+    can round differently).
+    """
+    return _stable_deficit(_boundary_points(delta, _GRID_PHASES[idx]))
+
+
+def _screened_grid(delta: np.ndarray) -> np.ndarray:
+    """The near regime's grid values for a 2x2 delta: exact wherever the
+    argmax can be, and below the exact maximum everywhere else.
+
+    The screen writes delta = d0 I + d.sigma in Pauli coefficients.  At a
+    grid phase z the Hermitian part of z delta is Re(z d0) I + h.sigma with
+    h = Re(z d), so its smaller eigenvalue has the eigenvector of Bloch
+    vector -h / rho, rho = |h| (half the eigenvalue gap g = 2 rho), and the
+    boundary point of Li's elliptical range (Proc. AMS 124, 1996) is
+    w = d0 - d.h / rho.  All 720 angles take a few array operations.  Each
+    screened deficit s_i is within
+
+        err_i = 2^-40 N (1 + N / g_i),   N = sum |delta_jk| >= ||delta||_2,
+
+    of the exact value f_i (``_grid_deficits``).  Both approximate the
+    deficit at the true boundary point.  Forming the Hermitian part, and
+    each eigensolver (LAPACK's backward-stable eigh; the closed form, a few
+    roundings relative in h and rho), perturb it by E with ||E|| <= c u N,
+    u = 2^-53.  That turns the eigenvector by at most 2||E|| / g
+    (Davis-Kahan), which moves w by at most 2N times as much; forming w
+    adds a few u N, and 1 - |1 + w| is 1/(1 - ||delta||_2) <= 1.12-Lipschitz
+    in w (the near regime has ||delta||_2 < 0.1) and rounds by a few u |w|.
+    So |f_i - s_i| <= c' u N (1 + N / g_i) with c' below 2^7 for any LAPACK
+    constant c up to 16.  err takes 2^13 u = 2^-40, 64 times that, which
+    costs little: near a smooth maximum, neighbouring grid values differ by
+    about N step^2 / 2 = 4e-5 N.  Where g_i is too small for Davis-Kahan
+    (g_i <= 2||E||), err_i exceeds 2.3 N, more than any w in the range can
+    move the deficit.  A delta with N below 2^-400 takes the exact grid;
+    above it, an underflow's absolute error (2^-1074, or that over rho)
+    is far below err_i.
+
+    Proof: the candidates C = {i : s_i + err_i >= max_j (s_j - err_j)} hold
+    the exact argmax k (f_k >= f_j >= s_j - err_j for every j, and
+    s_k + err_k >= f_k).  For i not in C, f_i <= s_i + err_i and
+    s_i < max_j (s_j - err_j) <= f_k.  So the returned array, exact on C
+    (in a stack of at least two angles) and s elsewhere, has its maximum,
+    at its first index, exactly where the exact grid has it.
+
+    Falls back to the exact grid if any screened value or bound is not
+    finite (an exactly scalar delta has rho = 0 everywhere) or if C is
+    every angle.
+    """
+    (p, q), (r, t) = delta.tolist()
+    n = float(np.abs(delta).sum())
+    if not n >= 2.0**-400:
+        return _grid_deficits(delta)
+    d0, dx, dy, dz = 0.5 * (p + t), 0.5 * (q + r), 0.5j * (q - r), 0.5 * (p - t)
+    z = _GRID_PHASES
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hx, hy, hz = (z * dx).real, (z * dy).real, (z * dz).real
+        rho = np.sqrt(hx * hx + hy * hy + hz * hz)
+        w = d0 - (dx * hx + dy * hy + dz * hz) / rho
+        wr, wi = w.real, w.imag
+        x = 2.0 * wr + (wr * wr + wi * wi)
+        s = -x / (1.0 + np.sqrt(1.0 + x))
+        err = 2.0**-40 * n * (1.0 + n / (2.0 * rho))
+    if not (np.isfinite(s).all() and np.isfinite(err).all()):
+        return _grid_deficits(delta)
+    candidates = np.flatnonzero(s + err >= (s - err).max())
+    if candidates.size == _GRID_POINTS:
+        return _grid_deficits(delta)
+    if candidates.size == 1:
+        candidates = np.append(candidates, (candidates[0] + 1) % _GRID_POINTS)
+    s[candidates] = _grid_deficits(delta, candidates)
+    return s
+
+
+def _boundary_deficits(delta: np.ndarray, gamma: float | np.ndarray, refine: bool) -> np.ndarray:
+    """The near regime's evaluator: 1 - |1 + w| at each angle's boundary point w.
+
+    A 2x2 delta's grid is screened (``_screened_grid``); other scans and
+    the refinement evaluate every angle.
+    """
+    if gamma is _GRID_ANGLES and delta.shape == (2, 2):
+        return _screened_grid(delta)
+    return _stable_deficit(_boundary_points(delta, _phases(gamma)), refine)
 
 
 _GRID_POINTS = 720
@@ -462,7 +550,10 @@ def _scan_max(f) -> float:
     """Maximum of a 2 pi-periodic f: a uniform scan, then golden-section refinement.
 
     f(angles, refine) is elementwise over a 1-D array of angles.  The scan
-    evaluates all grid angles at once (refine false).  The refinement
+    evaluates all grid angles at once (refine false) and reads only the
+    argmax, so f may return the exact value only where the argmax can be
+    and a value below the exact maximum elsewhere (``_screened_grid``).
+    The refinement
     (refine true: each value is the one a one-angle evaluation gives)
     evaluates the starting pair as one stack, then runs in rounds: each
     evaluates, in one stack, the 2^_LOOKAHEAD - 1 angles its next
@@ -495,8 +586,23 @@ def _worst_variance_infidelity(m: np.ndarray, b: np.ndarray, mu: float) -> float
     generator K; exact up to O(||K||^3), and evaluated from V - U
     differences so relative precision survives far below machine epsilon
     in fidelity.  A one-column subspace has the closed form; otherwise the
-    maximum is the largest value at 64 seeded random states, which can
-    fall short of it.
+    maximum is the largest value at 64 seeded random states
+    (``_variance_states``), which can fall short of it.
+
+    The 64 values are screened in one einsum each for e1 = <A1> and
+    e2 = <A2>; only the candidates C = {i : v_i + err >= max_j (v_j - err)}
+    are then evaluated exactly, in index order, with the per-state
+    expressions.  With S1 = sum |A1_jk| and S2 = sum |A2_jk|, both ways of
+    forming <A> sum at most d^2 products of three factors of modulus at
+    most |A_jk| (|psi_j| <= 1), so each is within (d^2 + 8) u sum |A_jk|
+    of the exact form (u = 2^-53) and they differ by twice that.  The
+    square e1^2 (|e1| <= S1) doubles e1's error, and e2 - e1^2 cancels, so
+    |v_exact - v_screened| <= (2 (d^2 + 8) + 3) u (S2 + S1^2); err takes
+    2^5 (d^2 + 10) u (S2 + S1^2), at least 16 times that.  A state outside
+    C has an exact value below max_j (v_j - err), which is at most the
+    exact maximum, so the maximum over C is the maximum over all 64 states,
+    bit for bit.  If any screened value is not finite, all 64 are
+    evaluated.
     """
     n = np.exp(-1j * mu) * m
     k = 1j * (n - np.eye(n.shape[0]))
@@ -509,15 +615,36 @@ def _worst_variance_infidelity(m: np.ndarray, b: np.ndarray, mu: float) -> float
         var = float((a2[0, 0] - a1[0, 0] ** 2).real)
         return max(0.0, 0.5 * var)
 
-    rng = np.random.default_rng(12345)
+    states = _variance_states(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e1 = np.einsum("ki,ij,kj->k", states.conj(), a1, states).real
+        e2 = np.einsum("ki,ij,kj->k", states.conj(), a2, states).real
+        v = 0.5 * (e2 - e1 * e1)
+        s1 = float(np.abs(a1).sum())
+        err = 2.0**5 * (d * d + 10) * 2.0**-53 * (float(np.abs(a2).sum()) + s1 * s1)
+        finite = np.isfinite(v).all() and math.isfinite(err)
+    candidates = np.flatnonzero(v + err >= (v - err).max()) if finite else range(len(states))
     best = -1.0
-    for _ in range(64):
-        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-        psi /= np.linalg.norm(psi)
+    for i in candidates:
+        psi = states[i].copy()
         e1 = float((psi.conj() @ a1 @ psi).real)
         e2 = float((psi.conj() @ a2 @ psi).real)
         best = max(best, 0.5 * (e2 - e1 * e1))
     return max(0.0, best)
+
+
+@lru_cache(maxsize=8)
+def _variance_states(d: int) -> np.ndarray:
+    """The 64 seeded unit states of the variance search, as a read-only (64, d) array."""
+    rng = np.random.default_rng(12345)
+    states = []
+    for _ in range(64):
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi /= np.linalg.norm(psi)
+        states.append(psi)
+    states = np.array(states)
+    states.flags.writeable = False
+    return states
 
 
 def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
@@ -536,6 +663,12 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     the scan applies it to all grid angles at once (one stacked
     eigendecomposition), and the golden-section refinement to the angles
     its next few steps can visit, one stack per round (see _scan_max).
+    For a two-dimensional subspace in the near regime, the grid is
+    screened: a closed form gives every angle's value to within a proven
+    rounding bound, and only the angles that can hold the maximum are
+    evaluated exactly (``_screened_grid``).  The variance search screens
+    its 64 states the same way (``_worst_variance_infidelity``).  Every
+    returned value comes from the exact evaluation, bit for bit.
     """
     if u.dim != v.dim:
         raise UnitaryError(f"dimension mismatch: {u.dim} vs {v.dim}")
@@ -561,10 +694,10 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     if np.linalg.norm(delta, ord=2) < 0.1:
         # |1+w| > 0 throughout, so the minimizer sits on the boundary of
         # the numerical range of delta.
-        infid = _scan_max(lambda g, refine: _stable_deficit(_boundary_points(delta, g), refine))
+        infid = _scan_max(lambda g, refine: _boundary_deficits(delta, g, refine))
         infid = min(1.0, max(0.0, infid))
         return FidelityReport(1.0 - infid, infid, "numerical-range")
     # Far regime: distance from the origin to the numerical range of c (0 if inside).
-    f = _scan_max(lambda g, refine: np.linalg.eigvalsh(_hermitian_part(c, g))[..., 0])
+    f = _scan_max(lambda g, refine: np.linalg.eigvalsh(_hermitian_part(c, _phases(g)))[..., 0])
     f = min(1.0, max(0.0, f))
     return FidelityReport(f, 1.0 - f, "numerical-range")

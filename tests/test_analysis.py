@@ -172,6 +172,22 @@ class TestFitSlope:
         with pytest.raises(ValueError, match=re.escape(f"{which}[{index}] = {value!r}")):
             fit_slope(eps, infid)
 
+    @pytest.mark.parametrize("n_eps, n_infid", [(5, 4), (4, 5), (0, 3)])
+    def test_rejects_length_mismatch(self, n_eps, n_infid):
+        eps = [1e-3, 2e-3, 3e-3, 4e-3, 5e-3][:n_eps]
+        infid = [1e-6, 4e-6, 9e-6, 16e-6, 25e-6][:n_infid]
+        with pytest.raises(ValueError, match=f"{n_eps} eps values but {n_infid} infidelities"):
+            fit_slope(eps, infid)
+
+    @pytest.mark.parametrize(
+        "window", [(math.nan, 1.0), (1e-3, math.nan), (math.nan, math.nan), (5e-3, 1e-3)]
+    )
+    def test_rejects_bad_window(self, window):
+        eps = [1e-3, 2e-3, 3e-3, 4e-3, 5e-3]
+        infid = [x**2 for x in eps]
+        with pytest.raises(ValueError, match=re.escape(f"window {window!r} is not an interval")):
+            fit_slope(eps, infid, window=window)
+
     def test_floor_exclusion(self):
         eps = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
         y = np.array([0.0, 0.0, 1e-8, 1e-6, 1e-4])

@@ -28,6 +28,14 @@ CASES = [
     ("chain", 3, "chain/seed3"),
     ("xy", 0, "xy"),
     ("heisenberg", 0, "heisenberg"),
+    # the code-space figures draw nothing from the seed: every seed writes
+    # the seed-0 CSVs
+    ("xy", 1, "xy"),
+    ("xy", 2, "xy"),
+    ("xy", 3, "xy"),
+    ("heisenberg", 1, "heisenberg"),
+    ("heisenberg", 2, "heisenberg"),
+    ("heisenberg", 3, "heisenberg"),
 ]
 IDS = [figure if seed == 0 else f"{figure}-seed{seed}" for figure, seed, _ in CASES]
 

@@ -737,3 +737,174 @@ class TestLookahead:
 
         assert int(f(gammas).argmax()) == (0 if peak is None else peak)
         assert unitary._scan_max(f).hex() == _one_angle_scan_max(f).hex()
+
+
+def _full_grid(delta: np.ndarray) -> np.ndarray:
+    """The near regime's grid as it was before the screen: the boundary point
+    of every grid angle from one stacked eigh, then 1 - |1 + w|.  The
+    reference the screened grid must match at its argmax, bit for bit."""
+    gamma = np.linspace(0.0, 2 * math.pi, unitary._GRID_POINTS, endpoint=False)
+    phase = np.exp(1j * np.asarray(gamma))
+    r = phase[..., None, None] * delta
+    _, v = np.linalg.eigh(0.5 * (r + np.swapaxes(r, -1, -2).conj()))
+    psi = v[..., 0]
+    w = (psi.conj()[..., None, :] @ delta @ psi[..., :, None])[..., 0, 0]
+    r = np.abs(w)
+    square = r ** 2
+    x = 2.0 * np.real(w) + square
+    return -x / (1.0 + np.sqrt(np.maximum(0.0, 1.0 + x)))
+
+
+def _loop_variance(m: np.ndarray, b: np.ndarray, mu: float) -> float:
+    """_worst_variance_infidelity as it was before the screen: all 64 seeded
+    states drawn and evaluated one at a time."""
+    n = np.exp(-1j * mu) * m
+    k = 1j * (n - np.eye(n.shape[0]))
+    k = 0.5 * (k + k.conj().T)
+    a1 = b.conj().T @ k @ b
+    kb = k @ b
+    a2 = kb.conj().T @ kb
+    d = b.shape[1]
+    if d == 1:
+        var = float((a2[0, 0] - a1[0, 0] ** 2).real)
+        return max(0.0, 0.5 * var)
+
+    rng = np.random.default_rng(12345)
+    best = -1.0
+    for _ in range(64):
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi /= np.linalg.norm(psi)
+        e1 = float((psi.conj() @ a1 @ psi).real)
+        e2 = float((psi.conj() @ a2 @ psi).real)
+        best = max(best, 0.5 * (e2 - e1 * e1))
+    return max(0.0, best)
+
+
+# 2x2 deltas on which the closed form is least accurate or the grid ties
+_DELTA_CLASSES = ["generic", "near-scalar", "scalar", "normal", "real", "real-equal-diagonal"]
+
+
+def _adversarial_delta(kind: str, seed: int, log_norm: float) -> np.ndarray:
+    """A 2x2 delta of the given class with spectral norm 10^log_norm."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    a = rng.normal() + 1j * rng.normal()
+    if kind == "generic":
+        delta = g
+    elif kind == "near-scalar":
+        delta = a * np.eye(2) + 10.0 ** rng.uniform(-16, -6) * g
+    elif kind == "scalar":
+        delta = a * np.eye(2)
+    elif kind == "normal":
+        q, _ = np.linalg.qr(g)
+        delta = q @ np.diag(rng.normal(size=2) + 1j * rng.normal(size=2)) @ q.conj().T
+    elif kind == "real":
+        delta = g.real.astype(complex)
+    else:
+        delta = g.real.astype(complex)
+        delta[1, 1] = delta[0, 0]
+    return delta * (10.0**log_norm / np.linalg.norm(delta, ord=2))
+
+
+def _reference_scan(delta: np.ndarray) -> float:
+    """The near regime's scan over the full grid, refined as _scan_max does."""
+
+    def f(g, refine):
+        if g is unitary._GRID_ANGLES:
+            return _full_grid(delta)
+        return unitary._stable_deficit(unitary._boundary_points(delta, np.exp(1j * g)), refine)
+
+    return unitary._scan_max(f)
+
+
+def _screened_scan(delta: np.ndarray) -> float:
+    return unitary._scan_max(lambda g, refine: unitary._boundary_deficits(delta, g, refine))
+
+
+class TestScreens:
+    """The screened grid and variance search return the exhaustive values, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-2.5, -1.0))
+    def test_leaky_pairs_match_full_grid(self, seed, log_scale):
+        u, v, s = _leaky_pair(seed, 10.0**log_scale, 2, dim=8)
+        m = u.matrix.conj().T @ v.matrix
+        b = s.basis
+        c = b.conj().T @ m @ b
+        tr = np.trace(m)
+        dev = np.linalg.norm(np.exp(-1j * float(np.angle(tr))) * m - np.eye(8), ord=2)
+        delta = np.exp(-1j * float(np.angle(np.trace(c)))) * c - np.eye(2)
+        assume(dev >= 1e-4 and np.linalg.norm(delta, ord=2) < 0.1)
+        expected = min(1.0, max(0.0, _reference_scan(delta)))
+        assert subspace_fidelity(u, v, s).infidelity.hex() == expected.hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(_DELTA_CLASSES),
+        seed=st.integers(0, 2**32 - 1),
+        log_norm=st.floats(-8.0, -1.05),
+    )
+    def test_adversarial_deltas_match_full_grid(self, kind, seed, log_norm):
+        delta = _adversarial_delta(kind, seed, log_norm)
+        full, screened = _full_grid(delta), unitary._screened_grid(delta)
+        k = int(full.argmax())
+        assert int(screened.argmax()) == k
+        assert screened[k].tobytes() == full[k].tobytes()
+        assert _screened_scan(delta).hex() == _reference_scan(delta).hex()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(_DELTA_CLASSES),
+        seed=st.integers(0, 2**32 - 1),
+        subset_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_candidate_stacks_match_full_stack(self, kind, seed, subset_seed):
+        delta = _adversarial_delta(kind, seed, -2.0)
+        full = _full_grid(delta)
+        rng = np.random.default_rng(subset_seed)
+        for size in (2, 3, int(rng.integers(4, unitary._GRID_POINTS + 1))):
+            idx = rng.choice(unitary._GRID_POINTS, size=size, replace=False)
+            assert unitary._grid_deficits(delta, idx).tobytes() == full[idx].tobytes()
+        assert unitary._grid_deficits(delta).tobytes() == full.tobytes()
+
+    def test_scalar_delta_falls_back_without_warning(self, recwarn):
+        delta = (0.03 - 0.02j) * np.eye(2)
+        with np.errstate(all="raise"):
+            screened = unitary._screened_grid(delta)
+        assert screened.tobytes() == _full_grid(delta).tobytes()
+        assert _screened_scan(delta).hex() == _reference_scan(delta).hex()
+        assert not recwarn.list
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-9.0, -4.5),
+        d=st.integers(2, 4),
+    )
+    def test_variance_matches_state_loop(self, seed, log_scale, d):
+        u, v, s = _leaky_pair(seed, 10.0**log_scale, d, dim=8)
+        m = u.matrix.conj().T @ v.matrix
+        mu = float(np.angle(np.trace(m)))
+        got = unitary._worst_variance_infidelity(m, s.basis, mu)
+        assert got.hex() == _loop_variance(m, s.basis, mu).hex()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_variance_ties_match_state_loop(self, d):
+        # A1 and A2 are multiples of I, so all 64 values agree to rounding
+        # and every state is a candidate.
+        m, b = np.exp(0.3j) * np.eye(6), np.eye(6)[:, :d].astype(complex)
+        got = unitary._worst_variance_infidelity(m, b, 0.0)
+        assert got.hex() == _loop_variance(m, b, 0.0).hex()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_variance_states_are_the_loop_draws(self, d):
+        states = unitary._variance_states(d)
+        rng = np.random.default_rng(12345)
+        for row in states:
+            psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+            psi /= np.linalg.norm(psi)
+            assert row.tobytes() == psi.tobytes()
+        assert states.shape == (64, d)
+        assert not states.flags.writeable
+        with pytest.raises(ValueError):
+            states[0, 0] = 1.0

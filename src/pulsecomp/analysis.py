@@ -9,6 +9,7 @@ key) so sign patterns are reproducible and portable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -217,7 +218,12 @@ def random_sign_assignment(
     Signs come from one Philox draw per label, taken in sorted label
     order; the correlated pair shares the draw of its first-sorted member.
     The realized pattern (sorted label order) is recorded in ``signs``.
+    The seed must be an integer (not a bool) in [0, 2**128), Philox's keys.
     """
+    integral = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+    if not (integral and 0 <= seed < 2**128):
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    seed = int(seed)
     if not 0 <= magnitude < math.inf:
         raise ValueError(f"magnitude must be finite and >= 0, got {magnitude!r}")
     ordered = sorted(set(labels))

@@ -540,7 +540,12 @@ def cmd_sweep(config_path: str, seed: int) -> int:
     else:
         sys.stdout.write(csv)
     if fit:
-        f = fit_slope(result.eps(), result.infidelities())
+        try:
+            f = fit_slope(result.eps(), result.infidelities())
+        except ValueError as exc:
+            # e.g. fewer than 4 points above INFIDELITY_FLOOR; the CSV stands
+            print(f"error: slope fit: {exc}", file=sys.stderr)
+            return 1
         print(
             f"slope fit: exponent {f.exponent:.4f}, prefactor {f.prefactor:.6g}, "
             f"max residual {f.max_residual:.3g} over "

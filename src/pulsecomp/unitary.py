@@ -402,11 +402,6 @@ def _stable_deficit(w: complex | np.ndarray, pow_square: bool = False) -> float 
     return -x / (1.0 + np.sqrt(np.maximum(0.0, 1.0 + x)))
 
 
-def _phases(gamma: float | np.ndarray) -> np.ndarray:
-    """e^{i gamma}; the scan grid's are formed once (_GRID_PHASES)."""
-    return _GRID_PHASES if gamma is _GRID_ANGLES else np.exp(1j * np.asarray(gamma))
-
-
 def _hermitian_part(c: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """Hermitian part of phase * c, stacked over the shape of phase."""
     r = phase[..., None, None] * c
@@ -431,16 +426,16 @@ def _grid_deficits(delta: np.ndarray, idx=slice(None)) -> np.ndarray:
 
 
 def _screened_grid(delta: np.ndarray) -> np.ndarray:
-    """The near regime's grid values for a 2x2 delta: exact wherever the
-    argmax can be, and below the exact maximum everywhere else.
+    """The near regime's grid values: exact wherever the argmax can be, and
+    below the exact maximum everywhere else.
 
-    The screen writes delta = d0 I + d.sigma in Pauli coefficients.  At a
-    grid phase z the Hermitian part of z delta is Re(z d0) I + h.sigma with
-    h = Re(z d), so its smaller eigenvalue has the eigenvector of Bloch
-    vector -h / rho, rho = |h| (half the eigenvalue gap g = 2 rho), and the
-    boundary point of Li's elliptical range (Proc. AMS 124, 1996) is
-    w = d0 - d.h / rho.  All 720 angles take a few array operations.  Each
-    screened deficit s_i is within
+    A 2x2 delta is screened: it is written d0 I + d.sigma in Pauli
+    coefficients.  At a grid phase z the Hermitian part of z delta is
+    Re(z d0) I + h.sigma with h = Re(z d), so its smaller eigenvalue has the
+    eigenvector of Bloch vector -h / rho, rho = |h| (half the eigenvalue gap
+    g = 2 rho), and the boundary point of Li's elliptical range (Proc. AMS
+    124, 1996) is w = d0 - d.h / rho.  All 720 angles take a few array
+    operations.  Each screened deficit s_i is within
 
         err_i = 2^-40 N (1 + N / g_i),   N = sum |delta_jk| >= ||delta||_2,
 
@@ -468,44 +463,33 @@ def _screened_grid(delta: np.ndarray) -> np.ndarray:
     (in a stack of at least two angles) and s elsewhere, has its maximum,
     at its first index, exactly where the exact grid has it.
 
-    Falls back to the exact grid if any screened value or bound is not
-    finite (an exactly scalar delta has rho = 0 everywhere) or if C is
-    every angle.
+    Every other delta takes the exact grid, and so does one whose screen
+    would not narrow it: C is taken as every angle when delta is not 2x2,
+    when N is below 2^-400 or when any screened value or bound is not
+    finite (an exactly scalar delta has rho = 0 everywhere).
     """
-    (p, q), (r, t) = delta.tolist()
     n = float(np.abs(delta).sum())
-    if not n >= 2.0**-400:
-        return _grid_deficits(delta)
-    d0, dx, dy, dz = 0.5 * (p + t), 0.5 * (q + r), 0.5j * (q - r), 0.5 * (p - t)
-    z = _GRID_PHASES
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hx, hy, hz = (z * dx).real, (z * dy).real, (z * dz).real
-        rho = np.sqrt(hx * hx + hy * hy + hz * hz)
-        w = d0 - (dx * hx + dy * hy + dz * hz) / rho
-        wr, wi = w.real, w.imag
-        x = 2.0 * wr + (wr * wr + wi * wi)
-        s = -x / (1.0 + np.sqrt(1.0 + x))
-        err = 2.0**-40 * n * (1.0 + n / (2.0 * rho))
-    if not (np.isfinite(s).all() and np.isfinite(err).all()):
-        return _grid_deficits(delta)
-    candidates = np.flatnonzero(s + err >= (s - err).max())
+    candidates = np.arange(_GRID_POINTS)
+    if delta.shape == (2, 2) and n >= 2.0**-400:
+        (p, q), (r, t) = delta.tolist()
+        d0, dx, dy, dz = 0.5 * (p + t), 0.5 * (q + r), 0.5j * (q - r), 0.5 * (p - t)
+        z = _GRID_PHASES
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hx, hy, hz = (z * dx).real, (z * dy).real, (z * dz).real
+            rho = np.sqrt(hx * hx + hy * hy + hz * hz)
+            w = d0 - (dx * hx + dy * hy + dz * hz) / rho
+            wr, wi = w.real, w.imag
+            x = 2.0 * wr + (wr * wr + wi * wi)
+            s = -x / (1.0 + np.sqrt(1.0 + x))
+            err = 2.0**-40 * n * (1.0 + n / (2.0 * rho))
+        if np.isfinite(s).all() and np.isfinite(err).all():
+            candidates = np.flatnonzero(s + err >= (s - err).max())
     if candidates.size == _GRID_POINTS:
         return _grid_deficits(delta)
     if candidates.size == 1:
         candidates = np.append(candidates, (candidates[0] + 1) % _GRID_POINTS)
     s[candidates] = _grid_deficits(delta, candidates)
     return s
-
-
-def _boundary_deficits(delta: np.ndarray, gamma: float | np.ndarray, refine: bool) -> np.ndarray:
-    """The near regime's evaluator: 1 - |1 + w| at each angle's boundary point w.
-
-    A 2x2 delta's grid is screened (``_screened_grid``); other scans and
-    the refinement evaluate every angle.
-    """
-    if gamma is _GRID_ANGLES and delta.shape == (2, 2):
-        return _screened_grid(delta)
-    return _stable_deficit(_boundary_points(delta, _phases(gamma)), refine)
 
 
 _GRID_POINTS = 720
@@ -546,30 +530,27 @@ def _golden_tree(a, b, x1, x2, left: bool) -> list[tuple]:
     return nodes
 
 
-def _scan_max(f) -> float:
-    """Maximum of a 2 pi-periodic f: a uniform scan, then golden-section refinement.
+def _scan_max(grid: np.ndarray, f) -> float:
+    """Maximum of a 2 pi-periodic function: a uniform scan, then golden-section refinement.
 
-    f(angles, refine) is elementwise over a 1-D array of angles.  The scan
-    evaluates all grid angles at once (refine false) and reads only the
-    argmax, so f may return the exact value only where the argmax can be
-    and a value below the exact maximum elsewhere (``_screened_grid``).
-    The refinement
-    (refine true: each value is the one a one-angle evaluation gives)
-    evaluates the starting pair as one stack, then runs in rounds: each
-    evaluates, in one stack, the 2^_LOOKAHEAD - 1 angles its next
-    _LOOKAHEAD steps can visit, then replays the steps' comparisons on
-    them.  So the points chosen and the maximum returned are those of
+    grid holds the function's values at the _GRID_ANGLES.  Only its argmax
+    is read, so it may be exact only where the argmax can be and below the
+    exact maximum elsewhere (``_screened_grid``).  f(angles) evaluates a
+    1-D stack of angles, each value the one a one-angle evaluation gives.
+    The refinement evaluates the starting pair as one stack, then runs in
+    rounds: each evaluates, in one stack, the 2^_LOOKAHEAD - 1 angles its
+    next _LOOKAHEAD steps can visit, then replays the steps' comparisons
+    on them.  So the points chosen and the maximum returned are those of
     refining one angle at a time.
     """
-    gammas = _GRID_ANGLES
-    k = int(f(gammas, False).argmax())
-    step = gammas[1] - gammas[0]
-    a, b = gammas[k] - step, gammas[k] + step
+    k = int(grid.argmax())
+    step = _GRID_ANGLES[1] - _GRID_ANGLES[0]
+    a, b = _GRID_ANGLES[k] - step, _GRID_ANGLES[k] + step
     x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    f1, f2 = f(np.array([x1, x2]), True)
+    f1, f2 = f(np.array([x1, x2]))
     while b - a > _REFINE_TOL:
         nodes = _golden_tree(a, b, x1, x2, f1 < f2)
-        values = f(np.array([node[4] for node in nodes]), True)
+        values = f(np.array([node[4] for node in nodes]))
         i = 0
         while i < len(nodes) and b - a > _REFINE_TOL:
             left = f1 < f2
@@ -659,16 +640,17 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     expansion in the deviation generator, which keeps relative precision
     when the infidelity sits below machine epsilon in fidelity.
 
-    Each leaky regime has one elementwise evaluator over support angles:
-    the scan applies it to all grid angles at once (one stacked
-    eigendecomposition), and the golden-section refinement to the angles
-    its next few steps can visit, one stack per round (see _scan_max).
-    For a two-dimensional subspace in the near regime, the grid is
-    screened: a closed form gives every angle's value to within a proven
-    rounding bound, and only the angles that can hold the maximum are
-    evaluated exactly (``_screened_grid``).  The variance search screens
-    its 64 states the same way (``_worst_variance_infidelity``).  Every
-    returned value comes from the exact evaluation, bit for bit.
+    Each leaky regime hands _scan_max its values at the 720 grid angles
+    and a refinement evaluator, which the golden-section refinement applies
+    to the angles its next few steps can visit, one stack per round.  The
+    far regime forms both from one smallest-eigenvalue expression (one
+    stacked eigendecomposition for the grid).  The near regime's grid is
+    ``_screened_grid``'s: for a two-dimensional subspace a closed form
+    gives every angle's value to within a proven rounding bound, and only
+    the angles that can hold the maximum are evaluated exactly.  The
+    variance search screens its 64 states the same way
+    (``_worst_variance_infidelity``).  Every returned value comes from the
+    exact evaluation, bit for bit.
     """
     if u.dim != v.dim:
         raise UnitaryError(f"dimension mismatch: {u.dim} vs {v.dim}")
@@ -694,10 +676,16 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     if np.linalg.norm(delta, ord=2) < 0.1:
         # |1+w| > 0 throughout, so the minimizer sits on the boundary of
         # the numerical range of delta.
-        infid = _scan_max(lambda g, refine: _boundary_deficits(delta, g, refine))
+        infid = _scan_max(
+            _screened_grid(delta),
+            lambda g: _stable_deficit(_boundary_points(delta, np.exp(1j * g)), pow_square=True),
+        )
         infid = min(1.0, max(0.0, infid))
         return FidelityReport(1.0 - infid, infid, "numerical-range")
     # Far regime: distance from the origin to the numerical range of c (0 if inside).
-    f = _scan_max(lambda g, refine: np.linalg.eigvalsh(_hermitian_part(c, _phases(g)))[..., 0])
+    def smallest(phases):
+        return np.linalg.eigvalsh(_hermitian_part(c, phases))[..., 0]
+
+    f = _scan_max(smallest(_GRID_PHASES), lambda g: smallest(np.exp(1j * g)))
     f = min(1.0, max(0.0, f))
     return FidelityReport(f, 1.0 - f, "numerical-range")

@@ -276,6 +276,26 @@ class TestRandomSigns:
         with pytest.raises(ValueError, match="magnitude must be finite and >= 0"):
             random_sign_assignment(0, ["a"], magnitude)
 
+    @pytest.mark.parametrize(
+        "seed",
+        [1.5, 1.0, True, False, -1, 2**128, "3", None, np.float64(2.0), np.bool_(True)],
+        ids=["fraction", "integral-float", "true", "false", "negative", "past-philox-keys",
+             "string", "none", "numpy-float", "numpy-bool"],
+    )
+    def test_non_integer_or_out_of_range_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\), got"):
+            random_sign_assignment(seed, ["a", "b"], 0.1)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint8(7), 7], ids=["int64", "uint8", "int"])
+    def test_integer_seed_recorded_as_int(self, seed):
+        e = random_sign_assignment(seed, ["a", "b", "c"], 0.1)
+        assert type(e.seed) is int and e.seed == 7
+        assert e.signs == random_sign_assignment(7, ["a", "b", "c"], 0.1).signs
+
+    def test_largest_philox_key_accepted(self):
+        e = random_sign_assignment(2**128 - 1, ["a"], 0.1)
+        assert e.seed == 2**128 - 1
+
 
 class TestCrossover:
     @staticmethod

@@ -223,6 +223,21 @@ class TestSweepCommand:
         cfg = self._config(tmp_path, grid=[1e-3], fit=False)
         assert run_cli("sweep", "--config", str(cfg)) == 0
 
+    def test_fit_below_floor_reports_error_and_keeps_csv(self, tmp_path, capsys):
+        # bb1_w cancels both errors, so at most one point is above INFIDELITY_FLOOR
+        cfg = self._config(
+            tmp_path,
+            sequence={"type": "bb1_w", "theta": "pi/4", "controls": ["ZZ", "X1"]},
+            errors={"vary": ["ZZ", "X1"]},
+            grid=[1e-9, 2e-9, 4e-9, 8e-9],
+        )
+        assert run_cli("sweep", "--config", str(cfg)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: slope fit: need >= 4 points")
+        assert "slope fit: exponent" not in captured.out
+        rows, eps, _ = load_csv(tmp_path / "out.csv")
+        assert len(rows) == 4 and eps.tolist() == [1e-9, 2e-9, 4e-9, 8e-9]
+
     def test_unresolved_labels(self, tmp_path, capsys):
         cfg = self._config(
             tmp_path,

@@ -28,8 +28,14 @@ CASES = [
     ("chain", 3, "chain/seed3"),
     ("xy", 0, "xy"),
     ("heisenberg", 0, "heisenberg"),
-    # the code-space figures draw nothing from the seed: every seed writes
-    # the seed-0 CSVs
+    # the two-qubit and code-space figures draw nothing from the seed:
+    # every seed writes the seed-0 CSVs
+    ("wj", 1, "wj"),
+    ("wj", 2, "wj"),
+    ("wj", 3, "wj"),
+    ("grid", 1, "grid"),
+    ("grid", 2, "grid"),
+    ("grid", 3, "grid"),
     ("xy", 1, "xy"),
     ("xy", 2, "xy"),
     ("xy", 3, "xy"),

@@ -497,10 +497,29 @@ class TestSubspaceFidelity:
 
 
 def _record_scans(monkeypatch) -> list:
-    """Make unitary._scan_max record each function it is given."""
+    """Make unitary._scan_max record each (grid, f) pair it is given."""
     real, scans = unitary._scan_max, []
-    monkeypatch.setattr(unitary, "_scan_max", lambda f: scans.append(f) or real(f))
+    monkeypatch.setattr(
+        unitary, "_scan_max", lambda grid, f: scans.append((grid, f)) or real(grid, f)
+    )
     return scans
+
+
+def _one_angle(u: Unitary, v: Unitary, s: Subspace):
+    """The leaky regime subspace_fidelity(u, v, s) scans, and its value at
+    one 0-d angle, formed from the pair as subspace_fidelity forms it: the
+    reference each scanned value must match (a size-1 stack of a 1x1
+    compression can round differently)."""
+    m = u.matrix.conj().T @ v.matrix
+    c = s.basis.conj().T @ m @ s.basis
+    delta = np.exp(-1j * float(np.angle(np.trace(c)))) * c - np.eye(c.shape[0])
+    if np.linalg.norm(delta, ord=2) < 0.1:
+        return "near", lambda x: unitary._stable_deficit(
+            unitary._boundary_points(delta, np.exp(1j * np.asarray(x)))
+        )
+    return "far", lambda x: np.linalg.eigvalsh(
+        unitary._hermitian_part(c, np.exp(1j * np.asarray(x)))
+    )[..., 0]
 
 
 def _leaky_pair(
@@ -518,11 +537,11 @@ def _leaky_pair(
     return Unitary(np.eye(dim)), v, Subspace(basis)
 
 
-def _one_angle_scan_max(f) -> float:
+def _one_angle_scan_max(grid: np.ndarray, f) -> float:
     """The refinement one angle at a time, as _scan_max ran it before the
     look-ahead: the reference the look-ahead must match bit for bit."""
     gammas = np.linspace(0.0, 2 * math.pi, unitary._GRID_POINTS, endpoint=False)
-    k = int(f(gammas).argmax())
+    k = int(grid.argmax())
     step = gammas[1] - gammas[0]
     g = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = gammas[k] - step, gammas[k] + step
@@ -545,28 +564,21 @@ def _one_angle_scan_max(f) -> float:
 _REGIME_SCALES = {"near": (-2.5, -1.7), "far": (0.2, 0.5)}
 
 
-def _regime(f) -> str:
-    """'far' if the evaluator takes the numerical range of c (eigvalsh), else 'near'."""
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
-        real = np.linalg.eigvalsh
-        mp.setattr(np.linalg, "eigvalsh", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        f(np.zeros(1), False)
-    return "far" if calls else "near"
-
-
 class TestSupportScan:
     """Each scanned evaluator gives on the stacked grid what it gives per angle."""
 
     @staticmethod
-    def assert_scans_agree(scans) -> None:
+    def assert_scans_agree(scans, one_angle) -> None:
+        """The grid's argmax and the refinement evaluator's values on the
+        stacked grid are the one-angle evaluation's, the latter bit for bit."""
         gammas = np.linspace(0.0, 2 * math.pi, unitary._GRID_POINTS, endpoint=False)
-        for f in scans:
-            stacked = f(gammas, False)
-            scalar = np.array([f(g, False) for g in gammas])
-            assert stacked.shape == scalar.shape
+        for grid, f in scans:
+            stacked = f(gammas)
+            scalar = np.array([one_angle(g) for g in gammas])
+            assert grid.shape == stacked.shape == scalar.shape
             assert np.abs(stacked - scalar).max() <= 1e-14
-            assert stacked.argmax() == scalar.argmax()
+            assert stacked.tobytes() == scalar.tobytes()
+            assert grid.argmax() == stacked.argmax() == scalar.argmax()
 
     def test_code_space_curves(self, monkeypatch):
         theta = math.pi / 4
@@ -579,6 +591,7 @@ class TestSupportScan:
             corrected = heisenberg_logical(axis, theta, corrected=True)
             curves += [("heisenberg3", plain, plain), ("heisenberg3", plain, corrected)]
         scans = _record_scans(monkeypatch)
+        scanned = 0
         for name, plain, seq in curves:
             label = next(iter(plain.labels))
             ideal = compile_sequence(plain, ErrorAssignment.zero([label]))
@@ -586,7 +599,9 @@ class TestSupportScan:
             for eps in np.geomspace(1e-4, 0.9, 16):
                 actual = compile_sequence(seq, ErrorAssignment.uniform([label], eps))
                 subspace_fidelity(ideal, actual, code)
-        self.assert_scans_agree(scans)
+                self.assert_scans_agree(scans[scanned:], _one_angle(ideal, actual, code)[1])
+                scanned = len(scans)
+        assert scanned > 0
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -600,7 +615,7 @@ class TestSupportScan:
             scans = _record_scans(mp)
             subspace_fidelity(u, v, s)
         assert len(scans) == 1
-        self.assert_scans_agree(scans)
+        self.assert_scans_agree(scans, _one_angle(u, v, s)[1])
 
     def test_near_regime_call_is_one_stacked_eigh(self, monkeypatch):
         theta = math.pi / 4
@@ -626,12 +641,12 @@ class TestSupportScan:
         # One stacked grid scan, one stack of the two starting points, then
         # one stack per round of _LOOKAHEAD golden-section steps (the last
         # round may stop early), against one call per step one angle at a time.
-        one_angle = []
-        _one_angle_scan_max(lambda g: one_angle.append(g) or scans[0](g, False))
-        steps = len(one_angle) - 3
+        one_angle, visited = _one_angle(ideal, actual, code)[1], []
+        _one_angle_scan_max(scans[0][0], lambda g: visited.append(g) or one_angle(g))
+        steps = len(visited) - 2
         assert steps == 40
         assert lookahead_calls == 2 + math.ceil(steps / unitary._LOOKAHEAD) == 16
-        self.assert_scans_agree(scans)
+        self.assert_scans_agree(scans, one_angle)
 
 
 def _scan_cases():
@@ -645,16 +660,19 @@ def _scan_cases():
 
 
 def _drawn_scan(case):
-    """The evaluator subspace_fidelity scans for a _scan_cases draw, a
-    random leaky pair on C^8 in the drawn regime."""
+    """The (grid, f) pair subspace_fidelity scans for a _scan_cases draw, a
+    random leaky pair on C^8 in the drawn regime, and the one-angle
+    evaluation of that pair (``_one_angle``)."""
     seed, u, d, regime = case
     lo, hi = _REGIME_SCALES[regime]
+    pair = _leaky_pair(seed, 10.0 ** (lo + u * (hi - lo)), d, dim=8)
     with pytest.MonkeyPatch.context() as mp:
         scans = _record_scans(mp)
-        subspace_fidelity(*_leaky_pair(seed, 10.0 ** (lo + u * (hi - lo)), d, dim=8))
+        subspace_fidelity(*pair)
     assert len(scans) == 1
-    assume(_regime(scans[0]) == regime)
-    return scans[0]
+    drawn, one_angle = _one_angle(*pair)
+    assume(drawn == regime)
+    return (*scans[0], one_angle)
 
 
 class TestLookahead:
@@ -663,7 +681,7 @@ class TestLookahead:
     @settings(max_examples=40, deadline=None)
     @given(case=_scan_cases(), angles_seed=st.integers(0, 2**32 - 1))
     def test_stacks_match_one_angle(self, case, angles_seed):
-        f, d = _drawn_scan(case), case[2]
+        (_, f, one_angle), d = _drawn_scan(case), case[2]
         rng = np.random.default_rng(angles_seed)
         xs = rng.uniform(-0.1, 2 * math.pi + 0.1, 2**unitary._LOOKAHEAD + 1)
         for n in range(1, xs.size + 1):
@@ -673,16 +691,16 @@ class TestLookahead:
             # (test_stack_sizes).
             if n == 1 and d == 1:
                 continue
-            one_angle = np.array([f(x, False) for x in xs[:n]])
-            assert f(xs[:n], True).tobytes() == one_angle.tobytes()
+            expected = np.array([one_angle(x) for x in xs[:n]])
+            assert f(xs[:n]).tobytes() == expected.tobytes()
 
     @settings(max_examples=20, deadline=None)
     @given(case=_scan_cases())
     def test_stack_sizes(self, case):
-        f, sizes = _drawn_scan(case), []
-        unitary._scan_max(lambda g, refine: sizes.append((g.size, refine)) or f(g, refine))
-        assert sizes[:2] == [(unitary._GRID_POINTS, False), (2, True)]
-        assert set(sizes[2:]) == {(2**unitary._LOOKAHEAD - 1, True)}
+        (grid, f, _), sizes = _drawn_scan(case), []
+        unitary._scan_max(grid, lambda g: sizes.append(g.size) or f(g))
+        assert sizes[0] == 2
+        assert set(sizes[1:]) == {2**unitary._LOOKAHEAD - 1}
 
     def test_square_witness(self):
         """At a |w| whose array square and numpy-scalar square differ in the
@@ -705,9 +723,9 @@ class TestLookahead:
     @settings(max_examples=40, deadline=None)
     @given(case=_scan_cases())
     def test_matches_one_angle_refinement(self, case):
-        f = _drawn_scan(case)
-        expected = _one_angle_scan_max(lambda g: f(g, False))
-        assert unitary._scan_max(f).hex() == expected.hex()
+        grid, f, one_angle = _drawn_scan(case)
+        expected = _one_angle_scan_max(grid, one_angle)
+        assert unitary._scan_max(grid, f).hex() == expected.hex()
 
     def test_grid_constants_read_only(self):
         gammas = np.linspace(0.0, 2 * math.pi, unitary._GRID_POINTS, endpoint=False)
@@ -730,13 +748,14 @@ class TestLookahead:
         gammas = np.linspace(0.0, 2 * math.pi, unitary._GRID_POINTS, endpoint=False)
 
         # products and differences round alike per element and per stack
-        def f(g, refine=False):
+        def f(g):
             if peak is None:
                 return 0.0 * g
             return -(g - gammas[peak]) * (g - gammas[peak])
 
-        assert int(f(gammas).argmax()) == (0 if peak is None else peak)
-        assert unitary._scan_max(f).hex() == _one_angle_scan_max(f).hex()
+        grid = f(gammas)
+        assert int(grid.argmax()) == (0 if peak is None else peak)
+        assert unitary._scan_max(grid, f).hex() == _one_angle_scan_max(grid, f).hex()
 
 
 def _full_grid(delta: np.ndarray) -> np.ndarray:
@@ -806,19 +825,20 @@ def _adversarial_delta(kind: str, seed: int, log_norm: float) -> np.ndarray:
     return delta * (10.0**log_norm / np.linalg.norm(delta, ord=2))
 
 
+def _near_refinement(delta: np.ndarray):
+    """The near regime's refinement evaluator, as subspace_fidelity forms it."""
+    return lambda g: unitary._stable_deficit(
+        unitary._boundary_points(delta, np.exp(1j * g)), pow_square=True
+    )
+
+
 def _reference_scan(delta: np.ndarray) -> float:
     """The near regime's scan over the full grid, refined as _scan_max does."""
-
-    def f(g, refine):
-        if g is unitary._GRID_ANGLES:
-            return _full_grid(delta)
-        return unitary._stable_deficit(unitary._boundary_points(delta, np.exp(1j * g)), refine)
-
-    return unitary._scan_max(f)
+    return unitary._scan_max(_full_grid(delta), _near_refinement(delta))
 
 
 def _screened_scan(delta: np.ndarray) -> float:
-    return unitary._scan_max(lambda g, refine: unitary._boundary_deficits(delta, g, refine))
+    return unitary._scan_max(unitary._screened_grid(delta), _near_refinement(delta))
 
 
 class TestScreens:

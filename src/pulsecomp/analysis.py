@@ -20,6 +20,7 @@ from .sequences import (
     CompileError,
     ErrorAssignment,
     PulseSequence,
+    _finite_real,
     compile_sequence,
     compile_stack,
     w_correction,
@@ -110,12 +111,14 @@ def sweep(
     magnitude at fault.  ``metric(target, stack)`` scores the whole
     (K, d, d) stack and returns K values, one per grid point; it defaults
     to the full-space worst-case infidelity.
-    Grid points must be finite, positive and ascending.
+    Grid points must be finite real (non-boolean) numbers, positive and
+    ascending; a ValueError names the first that is not finite and real.
     """
     pts = list(grid)
-    bad = [e for e in pts if not math.isfinite(e)]
+    bad = [(i, e) for i, e in enumerate(pts) if not _finite_real(e)]
     if bad:
-        raise ValueError(f"grid point {bad[0]} is not finite")
+        i, e = bad[0]
+        raise ValueError(f"grid point {e!r} at index {i} is not a finite real number")
     if any(e <= 0 for e in pts) or any(b <= a for a, b in zip(pts, pts[1:])):
         raise ValueError("grid must be positive and strictly ascending")
     points = [errors_for(eps) for eps in pts]
@@ -218,14 +221,17 @@ def random_sign_assignment(
     Signs come from one Philox draw per label, taken in sorted label
     order; the correlated pair shares the draw of its first-sorted member.
     The realized pattern (sorted label order) is recorded in ``signs``.
-    The seed must be an integer (not a bool) in [0, 2**128), Philox's keys.
+    The seed must be an integer (not a bool) in [0, 2**128), Philox's keys,
+    and the magnitude a finite real number >= 0 (not a bool).
     """
     integral = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
     if not (integral and 0 <= seed < 2**128):
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     seed = int(seed)
-    if not 0 <= magnitude < math.inf:
-        raise ValueError(f"magnitude must be finite and >= 0, got {magnitude!r}")
+    if not (_finite_real(magnitude) and magnitude >= 0):
+        raise ValueError(
+            f"magnitude must be finite and >= 0 (a real number, not a bool), got {magnitude!r}"
+        )
     ordered = sorted(set(labels))
     rng = np.random.Generator(np.random.Philox(key=seed))
     pair = frozenset(correlated_pair) if correlated_pair else frozenset()

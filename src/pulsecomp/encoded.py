@@ -21,6 +21,7 @@ from .sequences import (
     PulseSequence,
     SequenceError,
     _bb1_w_unchecked,
+    _require_finite_theta,
     compile_sequence,
 )
 from .unitary import Subspace, matrix_of, matrix_to_hamiltonian
@@ -127,6 +128,7 @@ _EX_LABEL = "EX"
 
 def _p3_pulses(theta: float) -> tuple[tuple[tuple[int, int], float], ...]:
     """(coupled pair, angle) of each pulse of the five-pulse z rotation."""
+    _require_finite_theta(theta)
     return (
         ((1, 2), math.pi / 4.0),
         ((2, 3), 0.5 * math.pi),

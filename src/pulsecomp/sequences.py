@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,12 +45,28 @@ _PULSES: WeakValueDictionary = WeakValueDictionary()
 _SEQUENCES: WeakValueDictionary = WeakValueDictionary()
 
 
+def _finite_real(value) -> bool:
+    """Whether value is a real, non-boolean number that is finite as a float."""
+    # a float skips the numbers.Real test, which costs far more than the rest
+    if type(value) is not float and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int or Fraction too large for a float
+        return False
+
+
+def _require_finite_theta(theta) -> None:
+    """Raise a SequenceError naming theta unless it is a finite real, non-boolean number."""
+    if not _finite_real(theta):
+        raise SequenceError(f"theta = {theta!r} is not finite or not a real number")
+
+
 def _finite(value, noun: str, label: str, error: type) -> float:
     """float(value) for a real, non-boolean, finite number; else ``error`` naming the label."""
-    # a float skips the numbers.Real test, which costs far more than the rest
-    real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
-    # an int too large for a float is not finite as one (math.isfinite would raise)
-    if not (real and abs(value) <= sys.float_info.max):
+    if not _finite_real(value):
         raise error(f"{noun} {value!r} for label {label!r} is not a finite real number")
     return float(value)
 
@@ -433,9 +448,8 @@ def compile_sequence(
 
 
 def phi_of(theta: float) -> float:
-    """Correction-pulse angle acos(-theta / 4 pi)."""
-    if not math.isfinite(theta):
-        raise SequenceError(f"theta = {theta!r} is not finite")
+    """Correction-pulse angle acos(-theta / 4 pi) for a finite real, non-boolean theta."""
+    _require_finite_theta(theta)
     x = -theta / (4.0 * math.pi)
     if abs(x) > 1.0:
         raise SequenceError(f"|theta| = {abs(theta):g} exceeds 4*pi")
@@ -631,8 +645,9 @@ def bb1_wj(
 
 def _chain_hamiltonians(n: int) -> dict[str, Hamiltonian]:
     """The n-qubit chain's controls by label: X_j, then Y_1, then Z_jZ_{j+1}."""
-    if n < 1:
-        raise SequenceError(f"chain length must be >= 1, got {n}")
+    # numbers.Integral admits numpy ints; a bool is an int to Python but not a length
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise SequenceError(f"chain length n must be an integer >= 1, got {n!r}")
 
     def control(positions: dict[int, str]) -> Hamiltonian:
         return Hamiltonian.single(0.5, "".join(positions.get(k, "I") for k in range(1, n + 1)))

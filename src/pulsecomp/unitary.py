@@ -361,9 +361,17 @@ def _arc_report(m: np.ndarray) -> list[FidelityReport]:
 
 
 def fidelities(u: Unitary, stack: np.ndarray) -> list[FidelityReport]:
-    """Worst-case state fidelity between u and each unitary of a (K, d, d) stack."""
-    if stack.shape[-1] != u.dim:
-        raise UnitaryError(f"dimension mismatch: {u.dim} vs {stack.shape[-1]}")
+    """Worst-case state fidelity between u and each unitary of a (K, d, d) stack.
+
+    A stack of another shape than (K, u.dim, u.dim), or not unitary to
+    1e-10 (``check_unitary``), raises a UnitaryError naming its shape or
+    first defect.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1:] != (u.dim, u.dim):
+        raise UnitaryError(f"stack shape {stack.shape} is not (K, {u.dim}, {u.dim})")
+    if len(stack):
+        check_unitary(stack)
     return _arc_report(u.matrix.conj().T @ stack)
 
 
@@ -388,17 +396,10 @@ def distance(u: Unitary, v: Unitary, align_phase: bool = False) -> float:
     return float(np.linalg.norm(u.matrix - vm, ord=2))
 
 
-def _stable_deficit(w: complex | np.ndarray, pow_square: bool = False) -> float | np.ndarray:
-    """1 - |1 + w| evaluated without cancellation for small w (elementwise).
-
-    pow_square squares each |w| of a 1-D stack as a one-angle evaluation does.
-    """
+def _stable_deficit(w: np.ndarray) -> np.ndarray:
+    """1 - |1 + w| evaluated without cancellation for small w (elementwise)."""
     r = np.abs(w)
-    # A numpy scalar's ** 2 calls libm pow and an array's multiplies; they
-    # differ in the last bit for about one |w| in a thousand, so refinement
-    # stacks square Python floats to keep each angle's one-angle value.
-    square = np.array([x ** 2 for x in r.tolist()]) if pow_square else r ** 2
-    x = 2.0 * np.real(w) + square
+    x = 2.0 * np.real(w) + r * r
     return -x / (1.0 + np.sqrt(np.maximum(0.0, 1.0 + x)))
 
 
@@ -415,14 +416,13 @@ def _boundary_points(delta: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return (psi.conj()[..., None, :] @ delta @ psi[..., :, None])[..., 0, 0]
 
 
-def _grid_deficits(delta: np.ndarray, idx=slice(None)) -> np.ndarray:
-    """1 - |1 + w| at the boundary points of the grid angles idx (all by default).
+def _deficits(delta: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """1 - |1 + w| at the boundary points of delta for a 1-D stack of phases.
 
-    Each value is the one the whole 720-angle stack gives at that angle,
-    bit for bit, for any stack of at least two angles (a one-angle stack
-    can round differently).
+    Each value is the whole 720-angle stack's at that phase, bit for bit,
+    in any stack of two or more phases, or of one unless delta is 1x1.
     """
-    return _stable_deficit(_boundary_points(delta, _GRID_PHASES[idx]))
+    return _stable_deficit(_boundary_points(delta, phases))
 
 
 def _screened_grid(delta: np.ndarray) -> np.ndarray:
@@ -439,7 +439,7 @@ def _screened_grid(delta: np.ndarray) -> np.ndarray:
 
         err_i = 2^-40 N (1 + N / g_i),   N = sum |delta_jk| >= ||delta||_2,
 
-    of the exact value f_i (``_grid_deficits``).  Both approximate the
+    of the exact value f_i (``_deficits``).  Both approximate the
     deficit at the true boundary point.  Forming the Hermitian part, and
     each eigensolver (LAPACK's backward-stable eigh; the closed form, a few
     roundings relative in h and rho), perturb it by E with ||E|| <= c u N,
@@ -460,8 +460,8 @@ def _screened_grid(delta: np.ndarray) -> np.ndarray:
     the exact argmax k (f_k >= f_j >= s_j - err_j for every j, and
     s_k + err_k >= f_k).  For i not in C, f_i <= s_i + err_i and
     s_i < max_j (s_j - err_j) <= f_k.  So the returned array, exact on C
-    (in a stack of at least two angles) and s elsewhere, has its maximum,
-    at its first index, exactly where the exact grid has it.
+    and s elsewhere, has its maximum, at its first index, exactly where
+    the exact grid has it.
 
     Every other delta takes the exact grid, and so does one whose screen
     would not narrow it: C is taken as every angle when delta is not 2x2,
@@ -485,10 +485,8 @@ def _screened_grid(delta: np.ndarray) -> np.ndarray:
         if np.isfinite(s).all() and np.isfinite(err).all():
             candidates = np.flatnonzero(s + err >= (s - err).max())
     if candidates.size == _GRID_POINTS:
-        return _grid_deficits(delta)
-    if candidates.size == 1:
-        candidates = np.append(candidates, (candidates[0] + 1) % _GRID_POINTS)
-    s[candidates] = _grid_deficits(delta, candidates)
+        return _deficits(delta, _GRID_PHASES)
+    s[candidates] = _deficits(delta, _GRID_PHASES[candidates])
     return s
 
 
@@ -536,11 +534,12 @@ def _scan_max(grid: np.ndarray, f) -> float:
     grid holds the function's values at the _GRID_ANGLES.  Only its argmax
     is read, so it may be exact only where the argmax can be and below the
     exact maximum elsewhere (``_screened_grid``).  f(angles) evaluates a
-    1-D stack of angles, each value the one a one-angle evaluation gives.
-    The refinement evaluates the starting pair as one stack, then runs in
-    rounds: each evaluates, in one stack, the 2^_LOOKAHEAD - 1 angles its
-    next _LOOKAHEAD steps can visit, then replays the steps' comparisons
-    on them.  So the points chosen and the maximum returned are those of
+    1-D stack of at least two angles, each value the same whatever else the
+    stack holds (the value of the stack [x, x] at x).  The refinement
+    evaluates the starting pair as one stack, then runs in rounds: each
+    evaluates, in one stack, the 2^_LOOKAHEAD - 1 angles its next
+    _LOOKAHEAD steps can visit, then replays the steps' comparisons on
+    them.  So the points chosen and the maximum returned are those of
     refining one angle at a time.
     """
     k = int(grid.argmax())
@@ -560,15 +559,15 @@ def _scan_max(grid: np.ndarray, f) -> float:
     return float(max(f1, f2))
 
 
-def _worst_variance_infidelity(m: np.ndarray, b: np.ndarray, mu: float) -> float:
-    """max over subspace states of Var(K)/2 for M = e^{i mu} exp(-i K).
+def _worst_variance_infidelity(e: np.ndarray, b: np.ndarray) -> float:
+    """max over subspace states of Var(K)/2 for e = e^{-i mu} M - I = exp(-i K) - I.
 
     Second-order perturbation of 1 - |<psi|M|psi>| in the deviation
-    generator K; exact up to O(||K||^3), and evaluated from V - U
-    differences so relative precision survives far below machine epsilon
-    in fidelity.  A one-column subspace has the closed form; otherwise the
-    maximum is the largest value at 64 seeded random states
-    (``_variance_states``), which can fall short of it.
+    generator K, the Hermitian part of i e; exact up to O(||K||^3), and
+    evaluated from V - U differences so relative precision survives far
+    below machine epsilon in fidelity.  A one-column subspace has the
+    closed form; otherwise the maximum is the largest value at 64 seeded
+    random states (``_variance_states``), which can fall short of it.
 
     The 64 values are screened in one einsum each for e1 = <A1> and
     e2 = <A2>; only the candidates C = {i : v_i + err >= max_j (v_j - err)}
@@ -585,8 +584,7 @@ def _worst_variance_infidelity(m: np.ndarray, b: np.ndarray, mu: float) -> float
     bit for bit.  If any screened value is not finite, all 64 are
     evaluated.
     """
-    n = np.exp(-1j * mu) * m
-    k = 1j * (n - np.eye(n.shape[0]))
+    k = 1j * e
     k = 0.5 * (k + k.conj().T)
     a1 = b.conj().T @ k @ b
     kb = k @ b
@@ -644,11 +642,11 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     and a refinement evaluator, which the golden-section refinement applies
     to the angles its next few steps can visit, one stack per round.  The
     far regime forms both from one smallest-eigenvalue expression (one
-    stacked eigendecomposition for the grid).  The near regime's grid is
-    ``_screened_grid``'s: for a two-dimensional subspace a closed form
-    gives every angle's value to within a proven rounding bound, and only
-    the angles that can hold the maximum are evaluated exactly.  The
-    variance search screens its 64 states the same way
+    stacked eigendecomposition for the grid), the near regime from
+    ``_deficits``.  Its grid is ``_screened_grid``'s: for a two-dimensional
+    subspace a closed form gives every angle's value to within a proven
+    rounding bound, and only the angles that can hold the maximum are
+    evaluated.  The variance search screens its 64 states the same way
     (``_worst_variance_infidelity``).  Every returned value comes from the
     exact evaluation, bit for bit.
     """
@@ -666,9 +664,9 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
         return _arc_report(c[None])[0]
     tr = np.trace(m)
     mu = float(np.angle(tr)) if abs(tr) > 0 else 0.0
-    dev = np.linalg.norm(np.exp(-1j * mu) * m - np.eye(m.shape[0]), ord=2)
-    if dev < 1e-4:
-        infid = min(1.0, _worst_variance_infidelity(m, b, mu))
+    e = np.exp(-1j * mu) * m - np.eye(m.shape[0])
+    if np.linalg.norm(e, ord=2) < 1e-4:
+        infid = min(1.0, _worst_variance_infidelity(e, b))
         return FidelityReport(1.0 - infid, infid, "numerical-range")
     trc = np.trace(c)
     muc = float(np.angle(trc)) if abs(trc) > 0 else 0.0
@@ -676,10 +674,7 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     if np.linalg.norm(delta, ord=2) < 0.1:
         # |1+w| > 0 throughout, so the minimizer sits on the boundary of
         # the numerical range of delta.
-        infid = _scan_max(
-            _screened_grid(delta),
-            lambda g: _stable_deficit(_boundary_points(delta, np.exp(1j * g)), pow_square=True),
-        )
+        infid = _scan_max(_screened_grid(delta), lambda g: _deficits(delta, np.exp(1j * g)))
         infid = min(1.0, max(0.0, infid))
         return FidelityReport(1.0 - infid, infid, "numerical-range")
     # Far regime: distance from the origin to the numerical range of c (0 if inside).

@@ -76,13 +76,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(seq, target, lambda e: ErrorAssignment.uniform(["a"], e), [0.0, 1e-3])
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "bad",
+        [math.nan, math.inf, 10**400, True, "1", 1 + 0j, None],
+        ids=["nan", "inf", "huge-int", "true", "string", "complex", "none"],
+    )
     def test_non_finite_point_rejected(self, bad):
         # errors_for ignores the grid value, so only the grid check can stop
         # a non-finite point from reaching the CSV.
         seq = PulseSequence((Pulse.single("a", 0.5, HX),))
         target = evolve([(0.5, 0.0, HX)])
-        with pytest.raises(ValueError, match=f"grid point {bad}"):
+        expected = f"grid point {bad!r} at index 1 is not a finite real number"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             sweep(seq, target, lambda e: ErrorAssignment.uniform(["a"], 1e-3), [1e-3, bad])
 
     def test_missing_label_names_first_bad_eps(self):
@@ -271,10 +276,21 @@ class TestRandomSigns:
         with pytest.raises(ValueError):
             random_sign_assignment(0, ["a"], -0.1)
 
-    @pytest.mark.parametrize("magnitude", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "magnitude",
+        [math.nan, math.inf, True, False, 10**400, "1", 1 + 0j, None, np.bool_(True)],
+        ids=["nan", "inf", "true", "false", "huge-int", "string", "complex", "none",
+             "numpy-bool"],
+    )
     def test_non_finite_magnitude_rejected(self, magnitude):
-        with pytest.raises(ValueError, match="magnitude must be finite and >= 0"):
+        with pytest.raises(ValueError, match="^magnitude must be finite and >= 0") as info:
             random_sign_assignment(0, ["a"], magnitude)
+        assert str(info.value).endswith(f"got {magnitude!r}")
+
+    @pytest.mark.parametrize("magnitude", [np.float64(0.25), np.int64(2), 3])
+    def test_real_magnitudes_accepted(self, magnitude):
+        e = random_sign_assignment(0, ["a", "b"], magnitude)
+        assert sorted(abs(v) for v in e.values.values()) == [magnitude, magnitude]
 
     @pytest.mark.parametrize(
         "seed",

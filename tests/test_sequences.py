@@ -4,6 +4,7 @@ import copy
 import gc
 import math
 import pickle
+import re
 import weakref
 
 import numpy as np
@@ -37,7 +38,7 @@ from pulsecomp import (
     wj_chain,
 )
 from pulsecomp import pauli, sequences, unitary
-from pulsecomp.encoded import heisenberg_coupling
+from pulsecomp.encoded import heisenberg_coupling, heisenberg_logical, p3_bb1, p3_sequence
 
 HX = Hamiltonian.single(0.5, "X")
 HY = Hamiltonian.single(0.5, "Y")
@@ -63,6 +64,36 @@ class TestPhiOf:
     def test_nan_rejected(self):
         with pytest.raises(SequenceError, match="theta = nan is not finite"):
             phi_of(math.nan)
+
+    @pytest.mark.parametrize(
+        "theta",
+        [10**400, -(10**400), True, False, "1", 1 + 0j, None, np.bool_(True)],
+        ids=["huge-int", "huge-negative-int", "true", "false", "string", "complex", "none",
+             "numpy-bool"],
+    )
+    def test_non_finite_or_non_real_theta_named(self, theta):
+        expected = f"theta = {theta!r} is not finite or not a real number"
+        with pytest.raises(SequenceError, match=f"^{re.escape(expected)}$"):
+            phi_of(theta)
+
+    @pytest.mark.parametrize("theta", [np.int64(3), 3, np.float32(0.5)], ids=str)
+    def test_real_numbers_accepted(self, theta):
+        assert phi_of(theta) == math.acos(-theta / (4.0 * math.pi))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda t: bb1_w(t, HX, HY, "a", "b"),
+            lambda t: bb1_j(t, HX, HY, "a", "b"),
+            p3_bb1,
+            p3_sequence,
+            lambda t: heisenberg_logical("z", t, corrected=True),
+        ],
+        ids=["bb1_w", "bb1_j", "p3_bb1", "p3_sequence", "heisenberg_logical"],
+    )
+    def test_builders_name_huge_theta(self, build):
+        with pytest.raises(SequenceError, match=r"^theta = 1000\d* is not finite"):
+            build(10**400)
 
 
 class TestPulseTypes:
@@ -411,6 +442,20 @@ class TestWjChain:
     def test_invalid_length(self):
         with pytest.raises(SequenceError):
             wj_chain(0, 0.5)
+
+    @pytest.mark.parametrize(
+        "n", [True, False, 2.0, "2", None, np.float64(2.0), np.bool_(True)],
+        ids=["true", "false", "float", "string", "none", "numpy-float", "numpy-bool"],
+    )
+    def test_non_integer_length_named(self, n):
+        expected = f"chain length n must be an integer >= 1, got {n!r}"
+        for call in (lambda: chain_labels(n), lambda: wj_chain(n, 0.5)):
+            with pytest.raises(SequenceError, match=f"^{re.escape(expected)}$"):
+                call()
+
+    def test_numpy_int_length_accepted(self):
+        assert chain_labels(np.int64(2)) == chain_labels(2)
+        assert wj_chain(np.int64(2), 0.5) is wj_chain(2, 0.5)
 
 
 class TestCompile:

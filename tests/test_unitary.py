@@ -1,6 +1,7 @@
 """Tests for dense unitary synthesis and the worst-case fidelity metrics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pulsecomp import (
     compile_sequence,
     distance,
     evolve,
+    fidelities,
     fidelity,
     matrix_of,
     subspace_fidelity,
@@ -378,6 +380,35 @@ class TestFidelity:
         with pytest.raises(UnitaryError):
             fidelity(Unitary(np.eye(2)), Unitary(np.eye(4)))
 
+    @pytest.mark.parametrize(
+        "shape", [(2, 2), (1, 3, 2), (1, 2, 3), (1, 4, 4), (2, 1, 2, 2), (2,)], ids=str
+    )
+    def test_stack_shape_named(self, shape):
+        stack = np.zeros(shape, dtype=complex)
+        expected = f"stack shape {shape} is not (K, 2, 2)"
+        with pytest.raises(UnitaryError, match=f"^{re.escape(expected)}$"):
+            fidelities(Unitary(np.eye(2)), stack)
+
+    @pytest.mark.parametrize(
+        "point",
+        [5 * np.eye(2), np.zeros((2, 2)), np.full((2, 2), np.nan)],
+        ids=["scaled", "zero", "nan"],
+    )
+    def test_non_unitary_stack_rejected(self, point):
+        stack = np.stack([np.eye(2), point])
+        with pytest.raises(UnitaryError, match="^not unitary: defect"):
+            fidelities(Unitary(np.eye(2)), stack)
+
+    def test_stack_matches_pointwise(self):
+        rng = np.random.default_rng(3)
+        u = random_unitary(rng, 4)
+        vs = [random_unitary(rng, 4) for _ in range(5)]
+        stack = np.stack([v.matrix for v in vs])
+        assert fidelities(u, stack) == [fidelity(u, v) for v in vs]
+        assert fidelities(u, stack[:0]) == []
+        # a real unitary stack is accepted as is
+        assert fidelities(Unitary(np.eye(2)), np.eye(2)[None])[0].infidelity == 0.0
+
 
 class TestDistance:
     def test_x_vs_minus_x_aligned(self):
@@ -507,19 +538,26 @@ def _record_scans(monkeypatch) -> list:
 
 def _one_angle(u: Unitary, v: Unitary, s: Subspace):
     """The leaky regime subspace_fidelity(u, v, s) scans, and its value at
-    one 0-d angle, formed from the pair as subspace_fidelity forms it: the
-    reference each scanned value must match (a size-1 stack of a 1x1
-    compression can round differently)."""
+    one angle x, formed from the pair as subspace_fidelity forms it and
+    evaluated on the stack [x, x], element 0: the reference each scanned
+    value must match (a size-1 stack of a 1x1 compression can round
+    differently)."""
     m = u.matrix.conj().T @ v.matrix
     c = s.basis.conj().T @ m @ s.basis
     delta = np.exp(-1j * float(np.angle(np.trace(c)))) * c - np.eye(c.shape[0])
     if np.linalg.norm(delta, ord=2) < 0.1:
-        return "near", lambda x: unitary._stable_deficit(
-            unitary._boundary_points(delta, np.exp(1j * np.asarray(x)))
-        )
-    return "far", lambda x: np.linalg.eigvalsh(
-        unitary._hermitian_part(c, np.exp(1j * np.asarray(x)))
-    )[..., 0]
+        regime = "near"
+
+        def f(phases):
+            return unitary._stable_deficit(unitary._boundary_points(delta, phases))
+
+    else:
+        regime = "far"
+
+        def f(phases):
+            return np.linalg.eigvalsh(unitary._hermitian_part(c, phases))[..., 0]
+
+    return regime, lambda x: f(np.exp(1j * np.array([x, x])))[0]
 
 
 def _leaky_pair(
@@ -560,7 +598,7 @@ def _one_angle_scan_max(grid: np.ndarray, f) -> float:
 
 
 # Log10 scales of exp(-i scale K) on C^8 that put a code space's
-# compression in each leaky regime (checked by _regime; few draws miss).
+# compression in each leaky regime (checked by _one_angle; few draws miss).
 _REGIME_SCALES = {"near": (-2.5, -1.7), "far": (0.2, 0.5)}
 
 
@@ -702,24 +740,6 @@ class TestLookahead:
         assert sizes[0] == 2
         assert set(sizes[1:]) == {2**unitary._LOOKAHEAD - 1}
 
-    def test_square_witness(self):
-        """At a |w| whose array square and numpy-scalar square differ in the
-        last bit (and carry into the deficit), the refinement square keeps
-        the one-angle value."""
-        rng = np.random.default_rng(0)
-        for _ in range(400_000):
-            w = np.complex128(1j * rng.uniform(0.0, 0.1))
-            array_square = (np.abs(np.array([w])) ** 2)[0]
-            if array_square == np.abs(w) ** 2:
-                continue
-            one_angle = unitary._stable_deficit(w)
-            if unitary._stable_deficit(np.array([w]))[0] != one_angle:
-                break
-        else:
-            pytest.fail("no |w| whose array and scalar squares differ")
-        refined = unitary._stable_deficit(np.array([w]), pow_square=True)
-        assert refined.tobytes() == np.array([one_angle]).tobytes()
-
     @settings(max_examples=40, deadline=None)
     @given(case=_scan_cases())
     def test_matches_one_angle_refinement(self, case):
@@ -774,11 +794,10 @@ def _full_grid(delta: np.ndarray) -> np.ndarray:
     return -x / (1.0 + np.sqrt(np.maximum(0.0, 1.0 + x)))
 
 
-def _loop_variance(m: np.ndarray, b: np.ndarray, mu: float) -> float:
+def _loop_variance(e: np.ndarray, b: np.ndarray) -> float:
     """_worst_variance_infidelity as it was before the screen: all 64 seeded
     states drawn and evaluated one at a time."""
-    n = np.exp(-1j * mu) * m
-    k = 1j * (n - np.eye(n.shape[0]))
+    k = 1j * e
     k = 0.5 * (k + k.conj().T)
     a1 = b.conj().T @ k @ b
     kb = k @ b
@@ -827,9 +846,7 @@ def _adversarial_delta(kind: str, seed: int, log_norm: float) -> np.ndarray:
 
 def _near_refinement(delta: np.ndarray):
     """The near regime's refinement evaluator, as subspace_fidelity forms it."""
-    return lambda g: unitary._stable_deficit(
-        unitary._boundary_points(delta, np.exp(1j * g)), pow_square=True
-    )
+    return lambda g: unitary._deficits(delta, np.exp(1j * g))
 
 
 def _reference_scan(delta: np.ndarray) -> float:
@@ -882,10 +899,11 @@ class TestScreens:
         delta = _adversarial_delta(kind, seed, -2.0)
         full = _full_grid(delta)
         rng = np.random.default_rng(subset_seed)
-        for size in (2, 3, int(rng.integers(4, unitary._GRID_POINTS + 1))):
+        phases = unitary._GRID_PHASES
+        for size in (1, 2, 3, int(rng.integers(4, unitary._GRID_POINTS + 1))):
             idx = rng.choice(unitary._GRID_POINTS, size=size, replace=False)
-            assert unitary._grid_deficits(delta, idx).tobytes() == full[idx].tobytes()
-        assert unitary._grid_deficits(delta).tobytes() == full.tobytes()
+            assert unitary._deficits(delta, phases[idx]).tobytes() == full[idx].tobytes()
+        assert unitary._deficits(delta, phases).tobytes() == full.tobytes()
 
     def test_scalar_delta_falls_back_without_warning(self, recwarn):
         delta = (0.03 - 0.02j) * np.eye(2)
@@ -904,17 +922,17 @@ class TestScreens:
     def test_variance_matches_state_loop(self, seed, log_scale, d):
         u, v, s = _leaky_pair(seed, 10.0**log_scale, d, dim=8)
         m = u.matrix.conj().T @ v.matrix
-        mu = float(np.angle(np.trace(m)))
-        got = unitary._worst_variance_infidelity(m, s.basis, mu)
-        assert got.hex() == _loop_variance(m, s.basis, mu).hex()
+        e = np.exp(-1j * float(np.angle(np.trace(m)))) * m - np.eye(8)
+        got = unitary._worst_variance_infidelity(e, s.basis)
+        assert got.hex() == _loop_variance(e, s.basis).hex()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_variance_ties_match_state_loop(self, d):
         # A1 and A2 are multiples of I, so all 64 values agree to rounding
         # and every state is a candidate.
-        m, b = np.exp(0.3j) * np.eye(6), np.eye(6)[:, :d].astype(complex)
-        got = unitary._worst_variance_infidelity(m, b, 0.0)
-        assert got.hex() == _loop_variance(m, b, 0.0).hex()
+        e, b = np.exp(0.3j) * np.eye(6) - np.eye(6), np.eye(6)[:, :d].astype(complex)
+        got = unitary._worst_variance_infidelity(e, b)
+        assert got.hex() == _loop_variance(e, b).hex()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_variance_states_are_the_loop_draws(self, d):

@@ -220,10 +220,15 @@ def random_sign_assignment(
 
     Signs come from one Philox draw per label, taken in sorted label
     order; the correlated pair shares the draw of its first-sorted member.
-    The realized pattern (sorted label order) is recorded in ``signs``.
-    The seed must be an integer (not a bool) in [0, 2**128), Philox's keys,
-    and the magnitude a finite real number >= 0 (not a bool).
+    Then each label of a group (overlapping groups and the pair joined)
+    takes the sign of the group's first-sorted label, so grouped labels
+    share one value.  The realized pattern (sorted label order) is
+    recorded in ``signs``.  ``labels`` is a collection of labels (a lone
+    string is rejected), the seed an integer (not a bool) in [0, 2**128),
+    Philox's keys, and the magnitude a finite real number >= 0 (not a bool).
     """
+    if isinstance(labels, str):
+        raise ValueError(f"labels must be a collection of labels, not the string {labels!r}")
     integral = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
     if not (integral and 0 <= seed < 2**128):
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
@@ -242,9 +247,20 @@ def random_sign_assignment(
             draws[label] = draws[rep]
             continue
         draws[label] = 1.0 if rng.integers(0, 2) == 1 else -1.0
+    all_groups = tuple(groups) + ((pair,) if pair else ())
+    joined: list[set] = []
+    for group in all_groups:
+        merged = set(group)
+        for other in [j for j in joined if j & merged]:
+            joined.remove(other)
+            merged |= other
+        joined.append(merged)
+    for merged in joined:
+        drawn = sorted(merged & draws.keys())
+        for label in drawn[1:]:
+            draws[label] = draws[drawn[0]]
     values = {l: draws[l] * magnitude for l in ordered}
     signs = "".join("+" if draws[l] > 0 else "-" for l in ordered)
-    all_groups = tuple(groups) + ((pair,) if pair else ())
     return ErrorAssignment(values, groups=all_groups, seed=seed, signs=signs)
 
 
@@ -255,7 +271,9 @@ _CROSSOVER_SLOPE, _CROSSOVER_BRACKET = 4.0, 1.2
 
 
 def local_slope(infid_fn: Callable[[float], float], eps: float) -> float:
-    """Two-point log-log slope of infid_fn around eps."""
+    """Two-point log-log slope of infid_fn around eps, a finite real > 0 (not a bool)."""
+    if not (_finite_real(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0 (a real number, not a bool), got {eps!r}")
     lo, hi = infid_fn(eps / _SLOPE_STEP), infid_fn(eps * _SLOPE_STEP)
     if lo <= INFIDELITY_FLOOR or hi <= INFIDELITY_FLOOR:
         return float("nan")

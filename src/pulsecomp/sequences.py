@@ -282,10 +282,13 @@ class ErrorAssignment:
 
     @classmethod
     def zero(cls, labels) -> "ErrorAssignment":
-        return cls({l: 0.0 for l in labels})
+        return cls.uniform(labels, 0.0)
 
     @classmethod
     def uniform(cls, labels, eps: float) -> "ErrorAssignment":
+        """eps for every label; a lone string is rejected, not split into characters."""
+        if isinstance(labels, str):
+            raise CompileError(f"labels must be a collection of labels, not the string {labels!r}")
         return cls({l: eps for l in labels})
 
 
@@ -456,34 +459,51 @@ def phi_of(theta: float) -> float:
     return math.acos(x)
 
 
-def _w_correction_items(
-    phi: float, h1: Hamiltonian, h2: Hamiltonian, l1: str, l2: str
-) -> tuple[Pulse, Pulse, Pulse]:
-    def tilted(scale: float, angle: float) -> Pulse:
-        return Pulse(
-            (
-                (l1, scale * math.cos(angle), h1),
-                (l2, scale * math.sin(angle), h2),
-            )
-        )
-
-    outer = tilted(math.pi, phi)
-    return (outer, tilted(2.0 * math.pi, 3.0 * phi), outer)
+# A single-qubit composite pulse is a tuple of (angle, phase) rows in time order: a rotation
+# by angle about the xy-plane axis at phase, or (phase None) the bare rotation it corrects.
 
 
-def w_correction(
-    phi: float, h1: Hamiltonian, h2: Hamiltonian, l1: str, l2: str
-) -> PulseSequence:
+def _bb1_correction(phi: float) -> tuple:
+    """BB1's correction rows (Wimperis, J. Magn. Reson. A 109, 221 (1994))."""
+    return ((math.pi, phi), (2.0 * math.pi, 3.0 * phi), (math.pi, phi))
+
+
+def _bb1_rows(theta: float) -> tuple:
+    """BB1 for theta: the bare rotation, then its correction at phi_of(theta)."""
+    return ((theta, None), *_bb1_correction(phi_of(theta)))
+
+
+def lift_w(rows, h1: Hamiltonian, h2: Hamiltonian, l1: str, l2: str) -> PulseSequence:
+    """Rows as simultaneous pulses: (a, p) is (l1: a cos p, l2: a sin p); su(2) unchecked."""
+    items: list[Pulse] = []
+    for a, p in rows:
+        if p is None:
+            items.append(Pulse.single(l1, a, h1))
+        else:
+            a, p = _finite(a, "angle", l1, SequenceError), _finite(p, "phase", l2, SequenceError)
+            items.append(Pulse(((l1, a * math.cos(p), h1), (l2, a * math.sin(p), h2))))
+    return PulseSequence(items)
+
+
+def lift_j(rows, h1: Hamiltonian, h2: Hamiltonian, l1: str, l2: str) -> PulseSequence:
+    """Rows as conjugated pulses: (a, p) is l2: -p, l1: a, l2: p; su(2) unchecked."""
+    items: list[Pulse] = []
+    for a, p in rows:
+        bare = Pulse.single(l1, a, h1)
+        tilt = None if p is None else Pulse.single(l2, p, h2)
+        items += (bare,) if tilt is None else (tilt.inverse(), bare, tilt)
+    return PulseSequence(items)
+
+
+def w_correction(phi: float, h1: Hamiltonian, h2: Hamiltonian, l1: str, l2: str) -> PulseSequence:
     """The three simultaneous correction pulses alone (no main rotation)."""
-    return PulseSequence(_w_correction_items(phi, h1, h2, l1, l2))
+    return lift_w(_bb1_correction(phi), h1, h2, l1, l2)
 
 
 def _bb1_w_unchecked(
     theta: float, h1: Hamiltonian, h2: Hamiltonian, l1: str, l2: str
 ) -> PulseSequence:
-    phi = phi_of(theta)
-    main = Pulse.single(l1, theta, h1)
-    return PulseSequence((main, *_w_correction_items(phi, h1, h2, l1, l2)))
+    return lift_w(_bb1_rows(theta), h1, h2, l1, l2)
 
 
 def _require_unit_su2(h1: Hamiltonian, h2: Hamiltonian, consequence: str) -> None:
@@ -494,47 +514,26 @@ def _require_unit_su2(h1: Hamiltonian, h2: Hamiltonian, consequence: str) -> Non
         )
 
 
-def bb1_w(
-    theta: float, h1: Hamiltonian, h2: Hamiltonian, l1: str, l2: str
-) -> PulseSequence:
-    """Four-pulse broadband sequence using simultaneous tilted-axis pulses.
+def bb1_w(theta: float, h1: Hamiltonian, h2: Hamiltonian, l1: str, l2: str) -> PulseSequence:
+    """BB1 lifted to four simultaneous pulses (``lift_w``).
 
     Requires the pair to close as su(2) with unit structure constants, so
-    each simultaneous pulse is a rotation and the pi/2pi/pi correction
-    collapses to the identity at zero error.  Compensates a shared
-    (correlated) error on both controls to second order.
+    each pulse is a rotation and the correction collapses to the identity
+    at zero error.  Compensates a shared (correlated) error on both
+    controls to second order.
     """
     _require_unit_su2(h1, h2, "simultaneous correction pulses would not be rotations")
     return _bb1_w_unchecked(theta, h1, h2, l1, l2)
 
 
-def bb1_j(
-    theta: float, h1: Hamiltonian, h2: Hamiltonian, l1: str, l2: str
-) -> PulseSequence:
-    """Ten-pulse conjugation-based sequence using only the two controls.
+def bb1_j(theta: float, h1: Hamiltonian, h2: Hamiltonian, l1: str, l2: str) -> PulseSequence:
+    """BB1 lifted to ten pulses of the two controls alone (``lift_j``).
 
-    Tilted axes are produced by conjugating H1 pulses with H2 rotations.
     Exact for any H2 error when the H1 error vanishes; compensates the H1
     error to second order when H2 is error free.
     """
     _require_unit_su2(h1, h2, "conjugation would not tilt the rotation axis")
-    phi = phi_of(theta)
-
-    def block(scale: float, tilt: float) -> tuple[Pulse, ...]:
-        return (
-            Pulse.single(l2, -tilt, h2),
-            Pulse.single(l1, scale * math.pi, h1),
-            Pulse.single(l2, tilt, h2),
-        )
-
-    return PulseSequence(
-        (
-            Pulse.single(l1, theta, h1),
-            *block(1.0, phi),
-            *block(2.0, 3.0 * phi),
-            *block(1.0, phi),
-        )
-    )
+    return lift_j(_bb1_rows(theta), h1, h2, l1, l2)
 
 
 # Largest distance, up to global phase, of a replacement from its pulse at zero error.

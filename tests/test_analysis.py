@@ -21,6 +21,7 @@ from pulsecomp import (
     fidelity,
     fit_slope,
     fit_sweep,
+    local_slope,
     locate_crossover,
     magnus_m3,
     magnus_residual,
@@ -267,6 +268,30 @@ class TestRandomSigns:
             )
             assert e.values["X1"] == e.values["Y1"]
 
+    def test_groups_share_first_sorted_sign(self):
+        # each grouped label takes its group's first-sorted draw; the rest keep theirs
+        labels = ["X1", "Y1", "ZZ"]
+        for s in range(16):
+            free = random_sign_assignment(s, labels, 1e-3)
+            e = random_sign_assignment(s, labels, 1e-3, groups=(frozenset({"X1", "Y1"}),))
+            assert e.values == {"X1": free.values["X1"], "Y1": free.values["X1"],
+                                "ZZ": free.values["ZZ"]}
+            assert e.signs == "".join("+" if e.values[l] > 0 else "-" for l in labels)
+
+    def test_overlapping_groups_joined(self):
+        # b-c and a-c share c; x, drawn for no label, links d and e
+        groups = tuple(map(frozenset, (("b", "c"), ("a", "c"), ("d", "x"), ("x", "e"))))
+        for s in range(16):
+            free = random_sign_assignment(s, list("abcdef"), 1.0, ("a", "f"))
+            e = random_sign_assignment(s, list("abcdef"), 1.0, ("a", "f"), groups)
+            v = e.values
+            assert v["a"] == v["b"] == v["c"] == v["f"] == free.values["a"]
+            assert v["d"] == v["e"] == v["x"] == free.values["d"]
+
+    def test_string_labels_rejected(self):
+        with pytest.raises(ValueError, match=r"^labels must be a collection .* string 'X1'$"):
+            random_sign_assignment(0, "X1", 0.1)
+
     def test_signs_recorded_in_sorted_order(self):
         e = random_sign_assignment(3, ["b", "a"], 1.0)
         assert len(e.signs) == 2
@@ -311,6 +336,22 @@ class TestRandomSigns:
     def test_largest_philox_key_accepted(self):
         e = random_sign_assignment(2**128 - 1, ["a"], 0.1)
         assert e.seed == 2**128 - 1
+
+
+class TestLocalSlope:
+    def test_power_law(self):
+        assert local_slope(lambda x: x**4, 1e-3) == pytest.approx(4.0)
+        assert local_slope(lambda x: x**2, np.float64(1e-3)) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "eps", [0.0, -1e-3, True, np.bool_(True), math.nan, math.inf, "1e-3", None, 1e-3j],
+        ids=["zero", "negative", "true", "numpy-bool", "nan", "inf", "string", "none",
+             "complex"],
+    )
+    def test_bad_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="^eps must be finite and > 0") as info:
+            local_slope(lambda x: x**2 + 1e-20, eps)
+        assert str(info.value).endswith(f"got {eps!r}")
 
 
 class TestCrossover:

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import hashlib
 import math
 import pickle
 import re
@@ -32,6 +33,9 @@ from pulsecomp import (
     evolve,
     fidelities,
     fidelity,
+    fit_slope,
+    lift_j,
+    lift_w,
     phi_of,
     substitute,
     w_correction,
@@ -167,6 +171,14 @@ class TestErrorAssignment:
         with pytest.raises(CompileError, match=r"^error .* for label 'zz' is not a finite real"):
             ErrorAssignment({"a": 0.1, "zz": bad})
 
+    @pytest.mark.parametrize(
+        "make", [ErrorAssignment.zero, lambda l: ErrorAssignment.uniform(l, 0.1)],
+        ids=["zero", "uniform"],
+    )
+    def test_string_labels_rejected(self, make):
+        with pytest.raises(CompileError, match=r"^labels must be a collection .* string 'X1'$"):
+            make("X1")
+
     def test_real_numbers_accepted(self):
         e = ErrorAssignment({"a": 1, "b": np.float64(0.25), "c": -0.0})
         assert e.values == {"a": 1, "b": 0.25, "c": 0.0}
@@ -221,6 +233,55 @@ class TestBb1J:
         assert tilt_angles == pytest.approx(
             sorted([phi, -phi, phi, -phi, 3 * phi, -3 * phi])
         )
+
+
+def sk1_rows(theta):
+    """SK1 (Brown, Harrow & Chuang, PRA 70, 052318 (2004)): theta, then 2 pi at -phi and phi."""
+    phi = phi_of(theta)
+    return ((theta, None), (2 * math.pi, -phi), (2 * math.pi, phi))
+
+
+class TestLifts:
+    """The lifts keep a single-qubit sequence's order on any su(2) pair."""
+
+    @pytest.mark.parametrize("rows, order", [(sk1_rows, 4.0), (sequences._bb1_rows, 6.0)],
+                             ids=["sk1", "bb1"])
+    @pytest.mark.parametrize("lift", [lift_w, lift_j], ids=["w", "j"])
+    @pytest.mark.parametrize("h1, h2", [(HZZ, HX1), (HX, HY), (HZZ, HY1)],
+                             ids=["zz-x1", "x-y", "zz-y1"])
+    @pytest.mark.parametrize("theta", [math.pi / 4, 1.3])
+    def test_lifted_slope_is_single_qubit_order(self, rows, order, lift, h1, h2, theta):
+        seq = lift(rows(theta), h1, h2, "a", "b")
+        target = evolve([(theta, 0.0, h1)])
+        eps = np.geomspace(1e-3, 1e-2, 6)
+        # W: both controls share the error; J: the conjugating control is error free
+        shared = lift is lift_w
+        infid = [
+            fidelity(target, compile_sequence(
+                seq, ErrorAssignment({"a": e, "b": e if shared else 0.0}))).infidelity
+            for e in eps
+        ]
+        assert fit_slope(eps, infid).exponent == pytest.approx(order, abs=0.2)
+
+    def test_bare_row_is_the_l1_pulse(self):
+        for lift in (lift_w, lift_j):
+            assert lift(((0.0, None),), HX, HY, "a", "b").items == (Pulse.single("a", 0.0, HX),)
+
+    @pytest.mark.parametrize("lift", [lift_w, lift_j], ids=["w", "j"])
+    @pytest.mark.parametrize("a, p, value, label", [
+        (True, 0.5, "True", "a"), (1.0, True, "True", "b"), (1.0, math.inf, "inf", "b"),
+        (math.nan, 0.5, "nan", "a"), (1.0, "0.5", "'0.5'", "b"),
+    ], ids=["bool-angle", "bool-phase", "inf-phase", "nan-angle", "string-phase"])
+    def test_bad_rows_rejected_with_label(self, lift, a, p, value, label):
+        with pytest.raises(SequenceError, match=rf"^(angle|phase) {value} for label '{label}' is not"):
+            lift(((a, p),), HX, HY, "a", "b")
+
+    def test_rows_map_to_their_pulses(self):
+        w = lift_w(((2.0, 0.5),), HX, HY, "a", "b")
+        assert w.items == (Pulse((("a", 2.0 * math.cos(0.5), HX), ("b", 2.0 * math.sin(0.5), HY))),)
+        j = lift_j(((2.0, 0.5),), HX, HY, "a", "b")
+        assert j.items == (Pulse.single("b", -0.5, HY), Pulse.single("a", 2.0, HX),
+                           Pulse.single("b", 0.5, HY))
 
 
 class TestBb1Wj:
@@ -317,6 +378,72 @@ class TestInterning:
             plain = compile_sequence(seq, errs)
             cached = compile_sequence(seq, errs, CompileCache())
             assert np.array_equal(plain.matrix, cached.matrix)
+
+
+def dag_signature(seq: PulseSequence) -> str:
+    """SHA-256 of a sharing-aware serialization of a sequence's DAG.
+
+    One line per distinct node in post-order: a pulse's terms (label,
+    ``float.hex`` angle, Hamiltonian), a block's child indices and its
+    required groups (each sorted, in order).  A node reached twice is
+    written once, so the digest pins the sharing as well as the values.
+    """
+    order: dict = {}
+    lines = []
+
+    def visit(item) -> int:
+        if item not in order:
+            if isinstance(item, Pulse):
+                line = " ; ".join(f"{l} {t.hex()} {h}" for l, t, h in item.terms)
+            else:
+                kids = [visit(sub) for sub in item.items]
+                line = f"{kids} {[sorted(g) for g in item.required_groups]}"
+            order[item] = len(order)
+            lines.append(line)
+        return order[item]
+
+    visit(seq)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+_DAG_ANGLES = (
+    math.pi / 4, math.pi / 2, 1.0, -0.7, 3 * math.pi, -4 * math.pi, 4 * math.pi,
+    0.0, -0.0, 1e-300,
+)
+
+_DAG_BUILDERS = {
+    "bb1_w": lambda t: bb1_w(t, HZZ, HX1, "a", "b"),
+    "bb1_j": lambda t: bb1_j(t, HZZ, HX1, "a", "b"),
+    "bb1_wj": lambda t: bb1_wj(t, HZZ, HX1, HY1, "a", "b", "c"),
+    "w_correction": lambda t: w_correction(phi_of(t), HX, HY, "a", "b"),
+    "p3_bb1": p3_bb1,
+    "heisenberg_logical": lambda t: heisenberg_logical("x", t, corrected=True),
+}
+
+# Digests of each builder's DAGs over _DAG_ANGLES (wj_chain: n = 1..4 at
+# pi/4).  Any change to a builder's angles, Hamiltonians, labels, order or
+# sharing changes them.
+_DAG_DIGESTS = {
+    "bb1_w": "56e2b3f5c9c2ce9e9525e51628e279a6a520eb2cfa01575030e7a66b58263fc5",
+    "bb1_j": "0b1a602881926e161931b2e94e9c28e8368cb137d3073e91fb7c454e660421ee",
+    "bb1_wj": "fcb50bd3729f5051a71f09f69bc69fad8c39c41805ebf6dd5b5da3096ad94226",
+    "w_correction": "8d08fd783d928ebd495e5618cee86575af141658c7a87ddfea6b0b6055672fb8",
+    "p3_bb1": "9847fc0d1c7567f71f1918d3d678d5bf90914f34cdb3aa4695c65e2ef1605682",
+    "heisenberg_logical": "a7771513235af86b8df032087d5335a9236bc51139a07261355c339451c7beab",
+    "wj_chain": "88710dd30a9fd7c5905d94a6704b14d1d53c6e1bd3e809f65a122a7cbb3beceb",
+}
+
+
+class TestDagStructure:
+    @pytest.mark.parametrize("name", sorted(_DAG_BUILDERS))
+    def test_builder_dags_pinned(self, name):
+        build = _DAG_BUILDERS[name]
+        signatures = [dag_signature(build(t)) for t in _DAG_ANGLES]
+        assert hashlib.sha256(" ".join(signatures).encode()).hexdigest() == _DAG_DIGESTS[name]
+
+    def test_chain_dags_pinned(self):
+        signatures = [dag_signature(wj_chain(n, math.pi / 4)) for n in range(1, 5)]
+        assert hashlib.sha256(" ".join(signatures).encode()).hexdigest() == _DAG_DIGESTS["wj_chain"]
 
 
 class TestPulseCount:

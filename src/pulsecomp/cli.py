@@ -463,18 +463,33 @@ def _config_grid(cfg: dict) -> list[float]:
     raise UsageError("config needs a grid (list of points, or lo/hi/points)")
 
 
+def _known(labels, seq: PulseSequence, what: str):
+    """``labels`` if the sequence has each of them; else a UsageError naming one."""
+    for l in labels:
+        if l not in seq.labels:
+            raise UsageError(
+                f"{what} names label {l!r}, which the sequence does not have "
+                f"(its labels: {', '.join(sorted(seq.labels))})"
+            )
+    return labels
+
+
 def _config_errors(cfg: dict, seq: PulseSequence, seed: int):
     spec = _object(cfg.get("errors", {}), "errors")
     groups = spec.get("groups", [])
     if not isinstance(groups, list):
         raise UsageError("errors 'groups' must be a list of label lists")
-    groups = tuple(frozenset(_labels(g, "errors.groups entry")) for g in groups)
-    fixed = _object(spec.get("fixed", {}), "errors.fixed")
+    groups = tuple(
+        frozenset(_known(_labels(g, "errors.groups entry"), seq, "errors.groups"))
+        for g in groups
+    )
+    fixed = _known(_object(spec.get("fixed", {}), "errors.fixed"), seq, "errors.fixed")
     fixed = {l: _number(v, f"errors.fixed.{l}") for l, v in fixed.items()}
     rand = spec.get("random_signs")
     if rand is not None:
         pair = _object(rand, "errors.random_signs").get("correlated_pair") or []
-        pair = tuple(_labels(pair, "errors.random_signs.correlated_pair")) or None
+        what = "errors.random_signs.correlated_pair"
+        pair = tuple(_known(_labels(pair, what), seq, what)) or None
         rseed = _number(rand.get("seed", seed), "errors.random_signs.seed", int)
         if rseed not in _PHILOX_KEYS:
             raise UsageError(f"errors.random_signs.seed must lie in [0, 2**128), got {rseed}")
@@ -486,6 +501,7 @@ def _config_errors(cfg: dict, seq: PulseSequence, seed: int):
         return errors_for
     vary = spec.get("vary", sorted(seq.labels - set(fixed)))
     vary = _labels([vary] if isinstance(vary, str) else vary, "errors.vary")
+    vary = _known(vary, seq, "errors.vary")
 
     def errors_for(e: float) -> ErrorAssignment:
         values = dict(fixed)

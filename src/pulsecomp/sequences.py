@@ -14,7 +14,7 @@ import math
 import numbers
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Callable, Mapping, Optional, Union
 from weakref import WeakValueDictionary
@@ -69,6 +69,18 @@ def _finite(value, noun: str, label: str, error: type) -> float:
     if not _finite_real(value):
         raise error(f"{noun} {value!r} for label {label!r} is not a finite real number")
     return float(value)
+
+
+def _group(group, error: type) -> frozenset[str]:
+    """A group of labels as a frozenset of label strings; else ``error`` naming it."""
+    if not isinstance(group, str):
+        try:
+            labels = frozenset(group)
+        except TypeError:  # not iterable, or an unhashable member
+            labels = None
+        if labels is not None and all(isinstance(l, str) for l in labels):
+            return labels
+    raise error(f"group {group!r} is not a collection of label strings")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -131,9 +143,11 @@ class PulseSequence:
     ``items`` may mix pulses and sub-sequences (corrected blocks); the
     flattened pulse list is exposed as ``pulses``.  ``required_groups``
     lists label sets whose errors must resolve to one value at compile
-    time.  Sequences are interned on the ids of their (already interned)
-    items and on their groups, so a repeated block is one shared node of a
-    DAG and a ``CompileCache`` key costs O(1).
+    time, each kept as a frozenset of label strings (a string group is
+    rejected, not split into characters).  Sequences are interned on the
+    ids of their (already interned) items and on their groups, so a
+    repeated block is one shared node of a DAG and a ``CompileCache`` key
+    costs O(1).
     """
 
     items: tuple[Item, ...]
@@ -141,7 +155,7 @@ class PulseSequence:
 
     def __new__(cls, items, required_groups=()) -> "PulseSequence":
         items = tuple(items)
-        required_groups = tuple(required_groups)
+        required_groups = tuple([_group(g, SequenceError) for g in required_groups])
         # Keyed on the items' ids: the live node holds its items, so their
         # ids stay theirs, and a key that held them would keep a dropped
         # DAG's children alive until a later collection freed their parent.
@@ -225,6 +239,14 @@ class PulseSequence:
         visit(self)
         return tuple(order), keys, children, tuple(groups.items())
 
+    @cached_property
+    def _proved(self) -> set:
+        """The (angle, Hamiltonian) pulses this block passed ``substitute``'s check against.
+
+        Kept while the node lives; a failed check adds nothing.
+        """
+        return set()
+
     def inverse(self) -> "PulseSequence":
         return self._inverse
 
@@ -249,8 +271,9 @@ class ErrorAssignment:
     """Map from control label to systematic error, with shared groups.
 
     Labels in one group share a single value; supplying conflicting values
-    for grouped labels is rejected.  ``seed`` and ``signs`` record how a
-    random-sign assignment was drawn.
+    for grouped labels is rejected.  Values are kept as floats and each
+    group as a frozenset of label strings (a string group is rejected).
+    ``seed`` and ``signs`` record how a random-sign assignment was drawn.
     """
 
     values: Mapping[str, float]
@@ -259,10 +282,9 @@ class ErrorAssignment:
     signs: str = ""
 
     def __post_init__(self) -> None:
-        resolved = dict(self.values)
-        for label, val in resolved.items():
-            _finite(val, "error", label, CompileError)
-        for group in self.groups:
+        resolved = {l: _finite(v, "error", l, CompileError) for l, v in dict(self.values).items()}
+        groups = tuple([_group(g, CompileError) for g in self.groups])
+        for group in groups:
             assigned = {resolved[l] for l in group if l in resolved}
             if len(assigned) > 1:
                 raise CompileError(
@@ -273,6 +295,7 @@ class ErrorAssignment:
                 for l in group:
                     resolved[l] = val
         object.__setattr__(self, "values", resolved)
+        object.__setattr__(self, "groups", groups)
 
     def resolve(self, label: str) -> float:
         try:
@@ -506,8 +529,14 @@ def _bb1_w_unchecked(
     return lift_w(_bb1_rows(theta), h1, h2, l1, l2)
 
 
+@lru_cache(maxsize=256)
+def _closes_unit_su2(h1: Hamiltonian, h2: Hamiltonian) -> bool:
+    """Whether the pair closes as su(2) with unit structure constants, once per pair."""
+    return unit_su2_partner(h1, h2) is not None
+
+
 def _require_unit_su2(h1: Hamiltonian, h2: Hamiltonian, consequence: str) -> None:
-    if unit_su2_partner(h1, h2) is None:
+    if not _closes_unit_su2(h1, h2):
         raise SequenceError(
             f"({h1}) and ({h2}) do not close as su(2) with unit structure "
             f"constants; {consequence}"
@@ -552,11 +581,13 @@ def substitute(
 
     The builder maps a target angle to a replacement sequence; pulses with
     negative angles receive the reversed, angle-negated block.  Each
-    distinct angle's replacement is verified once against the pulse's
-    ideal action at zero error (up to global phase).  The checks of one
-    top-level call, including those of substitutions its builder makes,
-    share one compile cache, so a block's check reuses the zero-error
-    matrices of its already-checked sub-blocks.
+    distinct (angle, Hamiltonian) pulse's replacement is verified once
+    against its ideal action at zero error (up to global phase), and an
+    interned block that passed against an (angle, Hamiltonian) is not
+    checked against it again while it lives; a failed check is not
+    recorded.  The checks of one top-level call, including those of
+    substitutions its builder makes, share one compile cache, so a block's
+    check reuses the zero-error matrices of its already-checked sub-blocks.
     """
     if _CHECK_CACHE.get() is not None:
         return _substitute(seq, label, builder)
@@ -572,29 +603,32 @@ def _substitute(
     label: str,
     builder: Callable[[float], PulseSequence],
 ) -> PulseSequence:
-    checked: dict[float, PulseSequence] = {}
+    checked: dict[tuple[float, Hamiltonian], PulseSequence] = {}
     groups: list[frozenset[str]] = list(seq.required_groups)
 
     def replacement(pulse: Pulse) -> PulseSequence:
         (_, theta, h) = pulse.terms[0]
         mag = abs(theta)
-        if mag not in checked:
+        key = (mag, h)
+        if key not in checked:
             block = builder(mag)
-            ideal = compile_sequence(
-                block, ErrorAssignment.zero(block.labels), _CHECK_CACHE.get()
-            )
-            target = evolve([(mag, 0.0, h)])
-            mismatch = distance(target, ideal, align_phase=True)
-            if mismatch > _CHECK_TOL:
-                raise SequenceError(
-                    f"replacement for {label!r} at angle {mag:g} deviates from "
-                    f"the ideal pulse by {mismatch:.3e}"
+            if key not in block._proved:
+                ideal = compile_sequence(
+                    block, ErrorAssignment.zero(block.labels), _CHECK_CACHE.get()
                 )
-            checked[mag] = block
+                target = evolve([(mag, 0.0, h)])
+                mismatch = distance(target, ideal, align_phase=True)
+                if mismatch > _CHECK_TOL:
+                    raise SequenceError(
+                        f"replacement for {label!r} at angle {mag:g} deviates from "
+                        f"the ideal pulse by {mismatch:.3e}"
+                    )
+                block._proved.add(key)
+            checked[key] = block
             for g in block.required_groups:
                 if g not in groups:
                     groups.append(g)
-        block = checked[mag]
+        block = checked[key]
         return block if theta >= 0 else block.inverse()
 
     def walk(item: Item) -> Item:

@@ -344,6 +344,33 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", str(path)) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "errors,what,label",
+        [
+            ({"fixed": {"x1": 0.01}}, "errors.fixed", "x1"),
+            ({"vary": ["ZZ", "Y1"]}, "errors.vary", "Y1"),
+            ({"vary": "ZZ", "fixed": {"X1": 0.0}, "groups": [["X1", "Q"]]}, "errors.groups", "Q"),
+            (
+                {"random_signs": {"correlated_pair": ["ZZ", "Q"]}},
+                "errors.random_signs.correlated_pair",
+                "Q",
+            ),
+            ({"random_signs": {}, "groups": [["Q"]]}, "errors.groups", "Q"),
+        ],
+        ids=["fixed", "vary", "groups", "correlated-pair", "random-signs-groups"],
+    )
+    def test_unknown_error_label_exits_two(self, tmp_path, capsys, errors, what, label):
+        cfg = self._config(
+            tmp_path, sequence={"type": "bb1_w", "theta": "pi/4", "controls": ["ZZ", "X1"]},
+            errors=errors,
+        )
+        assert run_cli("sweep", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {what} names label {label!r}, which the sequence does not have "
+            "(its labels: X1, ZZ)\n"
+        )
+        assert not (tmp_path / "out.csv").exists()
+
     def test_random_sign_model(self, tmp_path):
         cfg = self._config(
             tmp_path,

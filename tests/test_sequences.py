@@ -183,6 +183,27 @@ class TestErrorAssignment:
         e = ErrorAssignment({"a": 1, "b": np.float64(0.25), "c": -0.0})
         assert e.values == {"a": 1, "b": 0.25, "c": 0.0}
 
+    def test_values_kept_as_floats(self):
+        e = ErrorAssignment({"a": 1, "b": np.float64(0.25)}, groups=(frozenset({"b", "c"}),))
+        assert [type(v) for v in e.values.values()] == [float, float, float]
+
+    def test_conflict_message_prints_floats(self):
+        values = {"X1": np.float64(-0.001), "Y1": np.float64(0.001)}
+        with pytest.raises(CompileError) as info:
+            ErrorAssignment(values, groups=(frozenset({"X1", "Y1"}),))
+        assert str(info.value) == "group ['X1', 'Y1'] has conflicting errors [-0.001, 0.001]"
+
+    @pytest.mark.parametrize("group", [("a", "b"), ["a", "b"], {"a", "b"}, frozenset("ab")])
+    def test_groups_kept_as_frozensets(self, group):
+        e = ErrorAssignment({"a": 0.1}, groups=(group,))
+        assert e.groups == (frozenset({"a", "b"}),)
+        assert e.resolve("b") == 0.1
+
+    @pytest.mark.parametrize("group", ["X1ZZ", ("a", 1), [["a"]], 5, None])
+    def test_bad_groups_rejected(self, group):
+        with pytest.raises(CompileError, match=r"^group .* is not a collection of label strings$"):
+            ErrorAssignment({"a": 0.1}, groups=(group,))
+
 
 class TestBb1W:
     def test_collapse_at_zero(self):
@@ -356,6 +377,18 @@ class TestInterning:
         assert blocks[0] is blocks[4] and blocks[1] is blocks[5]
         assert blocks[0] is blocks[1].inverse()
         assert blocks[2] is blocks[3].inverse()
+
+    def test_groups_interned_as_frozensets(self):
+        items = (Pulse.single("a", 0.3, HX),)
+        seq = PulseSequence(items, required_groups=(frozenset({"a", "b"}),))
+        for group in (("a", "b"), ["b", "a"], {"a", "b"}):
+            assert PulseSequence(items, required_groups=(group,)) is seq
+        assert seq.required_groups == (frozenset({"a", "b"}),)
+
+    @pytest.mark.parametrize("groups", [["X1ZZ"], "ab", [("a", 1)], [[["a"]]], [5]])
+    def test_bad_groups_rejected(self, groups):
+        with pytest.raises(SequenceError, match=r"^group .* is not a collection of label strings$"):
+            PulseSequence((Pulse.single("a", 0.3, HX),), required_groups=groups)
 
     def test_copy_and_pickle_keep_identity(self):
         seq = bb1_wj(0.5, HZZ, HX1, HY1, "a", "b", "c")
@@ -538,6 +571,84 @@ class TestSubstitute:
         assert substitute(seq, "a", grouped).required_groups == (own, shared)
 
 
+class TestProofMemo:
+    """substitute proves an interned block once per (angle, H) while it lives."""
+
+    @pytest.fixture
+    def check_compiles(self, monkeypatch):
+        calls = []
+        real = sequences.compile_sequence
+        monkeypatch.setattr(
+            sequences, "compile_sequence", lambda *a, **k: calls.append(a[0]) or real(*a, **k)
+        )
+        return calls
+
+    def test_rebuild_of_live_chain_makes_no_check_compile(self, check_compiles):
+        gc.collect()
+        seq = wj_chain(3, 0.5813)  # an angle no other test builds
+        assert len(check_compiles) == 30
+        del check_compiles[:]
+        assert wj_chain(3, 0.5813) is seq
+        assert check_compiles == []
+
+    def test_each_pair_closure_tested_once(self, monkeypatch):
+        calls = []
+        real = sequences.unit_su2_partner
+        monkeypatch.setattr(
+            sequences, "unit_su2_partner", lambda h1, h2: calls.append((h1, h2)) or real(h1, h2)
+        )
+        sequences._closes_unit_su2.cache_clear()
+        wj_chain(3, 0.5813)
+        # (X1, Y1), then (ZZ12, X1), (X2, ZZ12), (ZZ23, X2) and (X3, ZZ23)
+        assert len(calls) == len(set(calls)) == 5
+        del calls[:]
+        wj_chain(3, 0.5813)
+        assert calls == []
+
+    def test_closure_failure_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(SequenceError, match="do not close as su"):
+                bb1_w(0.5, HX, HX, "a", "b")
+
+    def test_failed_check_raises_again(self, check_compiles):
+        block = PulseSequence((Pulse.single("b", 0.31, HX1),))  # half the wanted angle
+        seq = PulseSequence((Pulse.single("b", 0.62, HX1),))
+        for _ in range(2):
+            with pytest.raises(SequenceError, match="deviates from the ideal pulse"):
+                substitute(seq, "b", lambda x: block)
+        assert check_compiles == [block, block]
+        assert block.__dict__.get("_proved", set()) == set()
+
+    def test_proof_is_per_angle_and_hamiltonian(self, check_compiles):
+        block = PulseSequence((Pulse.single("b", 0.83, HX1),))
+        builder = lambda x: block
+        substitute(PulseSequence((Pulse.single("b", 0.83, HX1),)), "b", builder)
+        substitute(PulseSequence((Pulse.single("b", -0.83, HX1),)), "b", builder)
+        assert check_compiles == [block]
+        assert block._proved == {(0.83, HX1)}
+        # the same block is not proved against another Hamiltonian ...
+        with pytest.raises(SequenceError, match="deviates from the ideal pulse"):
+            substitute(PulseSequence((Pulse.single("b", 0.83, HY1),)), "b", builder)
+        # ... nor another angle
+        with pytest.raises(SequenceError, match="deviates from the ideal pulse"):
+            substitute(PulseSequence((Pulse.single("b", 0.84, HX1),)), "b", builder)
+        assert check_compiles == [block] * 3
+        assert block._proved == {(0.83, HX1)}
+
+    def test_each_hamiltonian_of_a_label_checked(self):
+        # one label on two Hamiltonians at one angle: the Y pulse's block is checked too
+        seq = PulseSequence((Pulse.single("a", 0.8, HX1), Pulse.single("a", 0.8, HY1)))
+        with pytest.raises(SequenceError, match="deviates from the ideal pulse"):
+            substitute(seq, "a", lambda x: PulseSequence((Pulse.single("a", x, HX1),)))
+
+    def test_proved_block_keeps_merging_groups(self):
+        shared = frozenset({"a", "c"})
+        block = PulseSequence(bb1_w(0.29, HX1, HY1, "a", "c").items, required_groups=(shared,))
+        seq = PulseSequence((Pulse.single("a", 0.29, HX1),))
+        for _ in range(2):
+            assert substitute(seq, "a", lambda x: block).required_groups == (shared,)
+
+
 class TestWjChain:
     def test_level_zero_is_single_qubit_correction(self):
         assert wj_chain(1, 0.9).dump() == bb1_w(0.9, HX, HY, "X1", "Y1").dump()
@@ -701,9 +812,17 @@ class TestCompile:
         compile_sequence(seq, ErrorAssignment.uniform(seq.labels, 1e-3))
         assert len(sequences._SEQUENCES) > before[0]
         assert len(sequences._PULSES) > before[1]
+        # the blocks substitute proved keep their record, which keeps none alive
+        proved = [
+            weakref.ref(node)
+            for node in seq._program[0]
+            if isinstance(node, PulseSequence) and node.__dict__.get("_proved")
+        ]
+        assert len(proved) == 6
         del seq
         gc.collect()
         assert (len(sequences._SEQUENCES), len(sequences._PULSES)) == before
+        assert [ref() for ref in proved] == [None] * 6
 
     def test_cache_key_includes_errors(self):
         seq = bb1_w(0.5, HX, HY, "a", "b")

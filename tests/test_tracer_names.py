@@ -62,7 +62,9 @@ def test_every_counter_hook_fires(tracer):
     recorder = tracer.Recorder(trace=True)
     recorder.install()
     try:
-        chain = sequences.wj_chain(2, math.pi / 4)
+        # an angle no other test builds: a live DAG of this chain would have
+        # its blocks proved already, and its rebuild would make no check compile
+        chain = sequences.wj_chain(2, 0.6417)
         sequences.compile_sequence(chain, sequences.ErrorAssignment.uniform(chain.labels, 1e-3))
         plain = encoded.p3_sequence(math.pi / 4)
         ideal = sequences.compile_sequence(plain, sequences.ErrorAssignment.zero(plain.labels))

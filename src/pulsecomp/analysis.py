@@ -21,6 +21,7 @@ from .sequences import (
     ErrorAssignment,
     PulseSequence,
     _finite_real,
+    _group,
     compile_sequence,
     compile_stack,
     w_correction,
@@ -218,14 +219,14 @@ def random_sign_assignment(
 ) -> ErrorAssignment:
     """Equal-magnitude errors with seeded random signs.
 
-    Signs come from one Philox draw per label, taken in sorted label
-    order; the correlated pair shares the draw of its first-sorted member.
-    Then each label of a group (overlapping groups and the pair joined)
-    takes the sign of the group's first-sorted label, so grouped labels
-    share one value.  The realized pattern (sorted label order) is
-    recorded in ``signs``.  ``labels`` is a collection of labels (a lone
-    string is rejected), the seed an integer (not a bool) in [0, 2**128),
-    Philox's keys, and the magnitude a finite real number >= 0 (not a bool).
+    Signs come from one Philox draw per label, in sorted label order; the
+    correlated pair (two distinct labels, or None) shares the draw of its
+    first-sorted member.  Then each label of a group (overlapping groups
+    and the pair joined) takes the sign of the group's first-sorted label,
+    so grouped labels share one value.  The realized pattern (sorted label
+    order) is recorded in ``signs``.  ``labels`` is a collection of labels
+    (a lone string is rejected), the seed an integer (not a bool) in
+    [0, 2**128), Philox's keys, and the magnitude a finite real >= 0 (not a bool).
     """
     if isinstance(labels, str):
         raise ValueError(f"labels must be a collection of labels, not the string {labels!r}")
@@ -239,14 +240,15 @@ def random_sign_assignment(
         )
     ordered = sorted(set(labels))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    pair = frozenset(correlated_pair) if correlated_pair else frozenset()
+    pair = frozenset() if correlated_pair is None else _group(correlated_pair, ValueError)
+    if correlated_pair is not None and len(pair) != 2:
+        raise ValueError(f"correlated_pair {correlated_pair!r} is not two distinct labels")
     draws: dict[str, float] = {}
     for label in ordered:
-        if label in pair and any(p in draws for p in pair):
-            rep = next(p for p in sorted(pair) if p in draws)
-            draws[label] = draws[rep]
-            continue
-        draws[label] = 1.0 if rng.integers(0, 2) == 1 else -1.0
+        if label in pair and pair & draws.keys():  # its partner, drawn first, sorts first
+            draws[label] = draws[min(pair)]
+        else:
+            draws[label] = 1.0 if rng.integers(0, 2) == 1 else -1.0
     all_groups = tuple(groups) + ((pair,) if pair else ())
     joined: list[set] = []
     for group in all_groups:

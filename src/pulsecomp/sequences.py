@@ -65,7 +65,9 @@ def _require_finite_theta(theta) -> None:
 
 
 def _finite(value, noun: str, label: str, error: type) -> float:
-    """float(value) for a real, non-boolean, finite number; else ``error`` naming the label."""
+    """float(value) for a real, non-boolean, finite number under a label string; else ``error``."""
+    if not isinstance(label, str):
+        raise error(f"label {label!r} is not a string")
     if not _finite_real(value):
         raise error(f"{noun} {value!r} for label {label!r} is not a finite real number")
     return float(value)
@@ -87,16 +89,19 @@ def _group(group, error: type) -> frozenset[str]:
 class Pulse:
     """Simultaneous application of labeled Hamiltonian terms.
 
-    Each term is (label, theta, hamiltonian); the systematic error of the
-    label multiplies theta at compile time.  Pulses are interned: building
-    one whose terms equal a live pulse's (angles compared bit for bit, so
-    0.0 and -0.0 differ) returns that pulse.
+    Each term is (label string, finite real theta, ``Hamiltonian``); the
+    label's systematic error multiplies theta at compile time.  Pulses are
+    interned: building one whose terms equal a live pulse's (angles
+    compared bit for bit, so 0.0 and -0.0 differ) returns that pulse.
     """
 
     terms: tuple[tuple[str, float, Hamiltonian], ...]
 
     def __new__(cls, terms) -> "Pulse":
         terms = tuple((l, _finite(theta, "angle", l, SequenceError), h) for l, theta, h in terms)
+        for l, _, h in terms:
+            if not isinstance(h, Hamiltonian):
+                raise SequenceError(f"term {h!r} for label {l!r} is not a Hamiltonian")
         key = tuple((label, theta.hex(), h) for label, theta, h in terms)
         node = _PULSES.get(key)
         if node is None:
@@ -164,6 +169,9 @@ class PulseSequence:
         if node is None:
             if not items:
                 raise SequenceError("empty pulse sequence")
+            for it in items:
+                if not isinstance(it, (Pulse, PulseSequence)):
+                    raise SequenceError(f"item {it!r} is neither a Pulse nor a PulseSequence")
             sizes = {it.n_qubits for it in items}
             if len(sizes) > 1:
                 raise SequenceError(f"mixed qubit counts in sequence: {sorted(sizes)}")
@@ -207,37 +215,44 @@ class PulseSequence:
         return tuple(sorted(self.labels))
 
     @cached_property
-    def _program(self) -> tuple:
-        """The compile walk's fixed structure: (nodes, keys, children, groups).
-
-        ``nodes`` are the distinct nodes in post-order, this one last; a
-        node's ``keys`` index its labels in ``_sorted_labels`` (a pulse's in
-        term order, a block's sorted); ``children`` index a block's items
-        (a pulse has none); ``groups`` pairs each tuple of Hamiltonians with
-        its pulses, each as (node index, term angles), in post-order.
-        Derived on the first compile and kept while the node lives; the
-        synthesis plans stay in ``_synthesis``'s cache, looked up per compile.
-        """
-        place = {l: j for j, l in enumerate(self._sorted_labels)}
+    def _dag(self) -> tuple:
+        """(nodes, children): the distinct nodes in post-order, this one last, and
+        each node's items as indices into ``nodes`` (a pulse has none)."""
         order: dict = {}  # node -> its index in post-order
-        keys, children, groups = [], [], {}
+        children = []
 
         def visit(item: Item) -> int:
             if item not in order:
-                if isinstance(item, Pulse):
-                    kids, labels = (), [l for l, _, _ in item.terms]
-                    hams = tuple([h for _, _, h in item.terms])
-                    angles = tuple([t for _, t, _ in item.terms])
-                    groups.setdefault(hams, []).append((len(order), angles))
-                else:
-                    kids, labels = tuple([visit(sub) for sub in item.items]), item._sorted_labels
-                keys.append(tuple([place[l] for l in labels]))
+                kids = () if isinstance(item, Pulse) else tuple([visit(sub) for sub in item.items])
                 children.append(kids)
                 order[item] = len(order)
             return order[item]
 
         visit(self)
-        return tuple(order), keys, children, tuple(groups.items())
+        return tuple(order), children
+
+    @cached_property
+    def _program(self) -> tuple:
+        """The compile walk's fixed structure: (nodes, keys, children, groups).
+
+        ``nodes`` and ``children`` are ``_dag``'s; a node's ``keys`` index its
+        labels in ``_sorted_labels`` (a pulse's in term order, a block's
+        sorted); ``groups`` pairs each tuple of Hamiltonians with its pulses,
+        each as (node index, term angles), in post-order.  Derived on the
+        first compile and kept while the node lives; the synthesis plans stay
+        in ``_synthesis``'s cache, looked up per compile.
+        """
+        nodes, children = self._dag
+        place = {l: j for j, l in enumerate(self._sorted_labels)}
+        keys, groups = [], {}
+        for i, node in enumerate(nodes):
+            if isinstance(node, Pulse):
+                labels, angles, hams = zip(*node.terms)
+                groups.setdefault(hams, []).append((i, angles))
+            else:
+                labels = node._sorted_labels
+            keys.append(tuple([place[l] for l in labels]))
+        return nodes, keys, children, tuple(groups.items())
 
     @cached_property
     def _proved(self) -> set:
@@ -268,7 +283,7 @@ class PulseSequence:
 
 @dataclass(frozen=True)
 class ErrorAssignment:
-    """Map from control label to systematic error, with shared groups.
+    """Map from control label (a string) to systematic error, with shared groups.
 
     Labels in one group share a single value; supplying conflicting values
     for grouped labels is rejected.  Values are kept as floats and each
@@ -291,9 +306,7 @@ class ErrorAssignment:
                     f"group {sorted(group)} has conflicting errors {sorted(assigned)}"
                 )
             if assigned:
-                val = assigned.pop()
-                for l in group:
-                    resolved[l] = val
+                resolved.update(dict.fromkeys(group, assigned.pop()))
         object.__setattr__(self, "values", resolved)
         object.__setattr__(self, "groups", groups)
 
@@ -577,7 +590,9 @@ def substitute(
     label: str,
     builder: Callable[[float], PulseSequence],
 ) -> PulseSequence:
-    """Replace every pulse carrying ``label`` by a corrected block.
+    """Replace every pulse carrying ``label`` by a corrected block, rewriting
+    each distinct node of the sequence's DAG once, so the cost follows the
+    distinct nodes, not the flattened pulse count.
 
     The builder maps a target angle to a replacement sequence; pulses with
     negative angles receive the reversed, angle-negated block.  Each
@@ -589,65 +604,45 @@ def substitute(
     substitutions its builder makes, share one compile cache, so a block's
     check reuses the zero-error matrices of its already-checked sub-blocks.
     """
-    if _CHECK_CACHE.get() is not None:
-        return _substitute(seq, label, builder)
-    token = _CHECK_CACHE.set(CompileCache())
+    cache = _CHECK_CACHE.get()
+    token = _CHECK_CACHE.set(cache := CompileCache()) if cache is None else None
     try:
-        return _substitute(seq, label, builder)
-    finally:
-        _CHECK_CACHE.reset(token)
-
-
-def _substitute(
-    seq: PulseSequence,
-    label: str,
-    builder: Callable[[float], PulseSequence],
-) -> PulseSequence:
-    checked: dict[tuple[float, Hamiltonian], PulseSequence] = {}
-    groups: list[frozenset[str]] = list(seq.required_groups)
-
-    def replacement(pulse: Pulse) -> PulseSequence:
-        (_, theta, h) = pulse.terms[0]
-        mag = abs(theta)
-        key = (mag, h)
-        if key not in checked:
-            block = builder(mag)
-            if key not in block._proved:
-                ideal = compile_sequence(
-                    block, ErrorAssignment.zero(block.labels), _CHECK_CACHE.get()
-                )
-                target = evolve([(mag, 0.0, h)])
-                mismatch = distance(target, ideal, align_phase=True)
-                if mismatch > _CHECK_TOL:
-                    raise SequenceError(
-                        f"replacement for {label!r} at angle {mag:g} deviates from "
-                        f"the ideal pulse by {mismatch:.3e}"
-                    )
-                block._proved.add(key)
-            checked[key] = block
-            for g in block.required_groups:
-                if g not in groups:
-                    groups.append(g)
-        block = checked[key]
-        return block if theta >= 0 else block.inverse()
-
-    def walk(item: Item) -> Item:
-        if isinstance(item, Pulse):
-            if label not in item.labels:
-                return item
-            if len(item.terms) > 1:
+        checked: dict[tuple[float, Hamiltonian], PulseSequence] = {}
+        groups = list(seq.required_groups)
+        nodes, children = seq._dag
+        out: list[Item] = []  # each node's rewrite, by its index in post-order
+        for node, kids in zip(nodes[:-1], children):  # the root is rebuilt after the loop
+            if label not in node.labels:
+                out.append(node)
+            elif kids:
+                out.append(PulseSequence([out[c] for c in kids], node.required_groups))
+            elif len(node.terms) > 1:
                 raise SequenceError(
                     f"label {label!r} appears in a simultaneous pulse; only "
                     "single-term pulses can be substituted"
                 )
-            return replacement(item)
-        return PulseSequence(
-            tuple(walk(sub) for sub in item.items),
-            required_groups=item.required_groups,
-        )
-
-    items = tuple(walk(it) for it in seq.items)
-    return PulseSequence(items, required_groups=tuple(groups))
+            else:
+                (_, theta, h) = node.terms[0]
+                mag = abs(theta)
+                key = (mag, h)
+                if key not in checked:
+                    block = builder(mag)
+                    if key not in block._proved:
+                        ideal = compile_sequence(block, ErrorAssignment.zero(block.labels), cache)
+                        mismatch = distance(evolve([(mag, 0.0, h)]), ideal, align_phase=True)
+                        if mismatch > _CHECK_TOL:
+                            raise SequenceError(
+                                f"replacement for {label!r} at angle {mag:g} deviates from "
+                                f"the ideal pulse by {mismatch:.3e}"
+                            )
+                        block._proved.add(key)
+                    checked[key] = block
+                    groups += [g for g in dict.fromkeys(block.required_groups) if g not in groups]
+                out.append(checked[key] if theta >= 0 else checked[key].inverse())
+        return PulseSequence([out[c] for c in children[-1]], tuple(groups))
+    finally:
+        if token is not None:
+            _CHECK_CACHE.reset(token)
 
 
 def _nested_j(h1: Hamiltonian, h2: Hamiltonian, l1: str, l2: str, inner):

@@ -257,7 +257,7 @@ class _Synthesis:
         if c == math.inf:
             raise PauliError(f"A^2 of words {', '.join(self.words)} overflows")
         amat = _pauli_sum((d, d), zip(a, self.matrices))
-        if c is None or c < 0.0:
+        if c is None:
             w, v = np.linalg.eigh(amat)
             return (v * np.exp(-1j * w)) @ v.conj().T
         r = math.sqrt(c)
@@ -626,6 +626,13 @@ def _variance_states(d: int) -> np.ndarray:
     return states
 
 
+def _phase_deviation(x: np.ndarray) -> np.ndarray:
+    """e^{-i arg tr x} x - I, taking arg 0 when tr x = 0."""
+    tr = np.trace(x)
+    mu = float(np.angle(tr)) if abs(tr) > 0 else 0.0
+    return np.exp(-1j * mu) * x - np.eye(x.shape[0])
+
+
 def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     """Worst-case fidelity restricted to states in the subspace.
 
@@ -662,15 +669,11 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     leak = np.abs(m @ b - b @ c).max()
     if leak < 1e-10:
         return _arc_report(c[None])[0]
-    tr = np.trace(m)
-    mu = float(np.angle(tr)) if abs(tr) > 0 else 0.0
-    e = np.exp(-1j * mu) * m - np.eye(m.shape[0])
+    e = _phase_deviation(m)
     if np.linalg.norm(e, ord=2) < 1e-4:
         infid = min(1.0, _worst_variance_infidelity(e, b))
         return FidelityReport(1.0 - infid, infid, "numerical-range")
-    trc = np.trace(c)
-    muc = float(np.angle(trc)) if abs(trc) > 0 else 0.0
-    delta = np.exp(-1j * muc) * c - np.eye(c.shape[0])
+    delta = _phase_deviation(c)
     if np.linalg.norm(delta, ord=2) < 0.1:
         # |1+w| > 0 throughout, so the minimizer sits on the boundary of
         # the numerical range of delta.

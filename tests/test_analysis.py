@@ -268,6 +268,19 @@ class TestRandomSigns:
             )
             assert e.values["X1"] == e.values["Y1"]
 
+    @pytest.mark.parametrize(
+        "pair", ["XY", ("X1",), ("X1", "X1"), ("X1", "Y1", "ZZ12"), ("X1", 5), 5, ()], ids=repr
+    )
+    def test_correlated_pair_must_be_two_distinct_labels(self, pair):
+        with pytest.raises(ValueError, match="not two distinct labels|not a collection of label"):
+            random_sign_assignment(0, ["X1", "Y1", "ZZ12"], 0.5, correlated_pair=pair)
+
+    def test_correlated_pair_as_list_or_set(self):
+        tied = random_sign_assignment(3, ["X1", "Y1", "ZZ12"], 0.5, correlated_pair=("X1", "Y1"))
+        for pair in (["Y1", "X1"], {"X1", "Y1"}):
+            e = random_sign_assignment(3, ["X1", "Y1", "ZZ12"], 0.5, correlated_pair=pair)
+            assert e.values == tied.values and e.signs == tied.signs
+
     def test_groups_share_first_sorted_sign(self):
         # each grouped label takes its group's first-sorted draw; the rest keep theirs
         labels = ["X1", "Y1", "ZZ"]

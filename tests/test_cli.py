@@ -371,6 +371,21 @@ class TestSweepCommand:
         )
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize(
+        "pair", [["X1"], ["X1", "X1"], ["X1", "Y1", "ZZ12"]], ids=["one", "twice", "three"]
+    )
+    def test_correlated_pair_not_a_pair_exits_two(self, tmp_path, capsys, pair):
+        cfg = self._config(
+            tmp_path, sequence={"type": "wj_chain", "chain_n": 2, "theta": "pi/4"},
+            errors={"random_signs": {"seed": 0, "correlated_pair": pair}},
+        )
+        assert run_cli("sweep", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == (
+            "error: errors.random_signs.correlated_pair must name two distinct labels, "
+            f"or none, got {pair}\n"
+        )
+        assert not (tmp_path / "out.csv").exists()
+
     def test_random_sign_model(self, tmp_path):
         cfg = self._config(
             tmp_path,

@@ -118,9 +118,29 @@ class TestPulseTypes:
         with pytest.raises(SequenceError, match=r"^angle .* for label 'zz' is not a finite real"):
             Pulse((("a", 0.5, HX), ("zz", bad, HY)))
 
+    @pytest.mark.parametrize("bad", [5, ["a"], None, b"a"], ids=repr)
+    def test_non_string_label_rejected(self, bad):
+        # checked before the intern lookup, so an unhashable label is named too
+        with pytest.raises(SequenceError, match=r"^label .* is not a string$"):
+            Pulse.single(bad, 1.0, HX)
+
+    @pytest.mark.parametrize(
+        "bad", ["X", 0.5, None, PauliString("X")], ids=["str", "float", "none", "pauli-string"]
+    )
+    def test_non_hamiltonian_term_rejected(self, bad):
+        with pytest.raises(SequenceError, match=r"^term .* for label 'a' is not a Hamiltonian$"):
+            Pulse.single("a", 1.0, bad)
+
     def test_empty_sequence_rejected(self):
         with pytest.raises(SequenceError):
             PulseSequence(())
+
+    @pytest.mark.parametrize(
+        "bad", ["x", None, HX, ("a", 1.0, HX)], ids=["str", "none", "hamiltonian", "term"]
+    )
+    def test_bad_item_rejected(self, bad):
+        with pytest.raises(SequenceError, match=r"^item .* is neither a Pulse nor a PulseSeq"):
+            PulseSequence((Pulse.single("a", 1.0, HX), bad))
 
     def test_nested_flattening_and_labels(self):
         inner = PulseSequence((Pulse.single("b", 1.0, HY),))
@@ -170,6 +190,11 @@ class TestErrorAssignment:
     def test_non_number_rejected_with_label(self, bad):
         with pytest.raises(CompileError, match=r"^error .* for label 'zz' is not a finite real"):
             ErrorAssignment({"a": 0.1, "zz": bad})
+
+    @pytest.mark.parametrize("bad", [5, None, ("a",)], ids=repr)
+    def test_non_string_label_rejected(self, bad):
+        with pytest.raises(CompileError, match=r"^label .* is not a string$"):
+            ErrorAssignment({"a": 0.1, bad: 0.1})
 
     @pytest.mark.parametrize(
         "make", [ErrorAssignment.zero, lambda l: ErrorAssignment.uniform(l, 0.1)],
@@ -555,6 +580,22 @@ class TestSubstitute:
         assert np.abs(
             compile_sequence(sub, errs).matrix - compile_sequence(flat, errs).matrix
         ).max() < 1e-14
+
+    def test_rewrites_each_distinct_node_once(self, monkeypatch):
+        seq = wj_chain(4, math.pi / 4)
+        h = sequences._chain_hamiltonians(4)["ZZ12"]
+        builder = lambda x: PulseSequence((Pulse.single("ZZ12", x, h),))
+        distinct = len(seq._program[0])
+        built = []
+        real = PulseSequence.__new__
+        monkeypatch.setattr(
+            PulseSequence, "__new__", lambda cls, *a, **k: built.append(1) or real(cls, *a, **k)
+        )
+        sub = substitute(seq, "ZZ12", builder)
+        # a walk along every path to a shared block would build one per path
+        assert len(built) <= 2 * distinct
+        assert sub.pulse_count == seq.pulse_count
+        assert substitute(seq, "Q", builder) is seq
 
     def test_replacement_groups_merged_once(self):
         shared = frozenset({"a", "c"})

@@ -210,6 +210,13 @@ def magnus_residual(phi: float, eps: float, h1: Hamiltonian, h2: Hamiltonian) ->
     return float(np.linalg.norm(t - model, ord=2))
 
 
+def correlated_group(pair, what: str = "correlated_pair") -> frozenset[str]:
+    """A correlated pair's labels: two distinct label strings, else a ValueError naming ``what``."""
+    if len(group := _group(pair, ValueError)) != 2:
+        raise ValueError(f"{what} {pair!r} is not two distinct labels")
+    return group
+
+
 def random_sign_assignment(
     seed: int,
     labels: Sequence[str],
@@ -240,9 +247,7 @@ def random_sign_assignment(
         )
     ordered = sorted(set(labels))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    pair = frozenset() if correlated_pair is None else _group(correlated_pair, ValueError)
-    if correlated_pair is not None and len(pair) != 2:
-        raise ValueError(f"correlated_pair {correlated_pair!r} is not two distinct labels")
+    pair = frozenset() if correlated_pair is None else correlated_group(correlated_pair)
     draws: dict[str, float] = {}
     for label in ordered:
         if label in pair and pair & draws.keys():  # its partner, drawn first, sorts first

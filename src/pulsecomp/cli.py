@@ -26,6 +26,7 @@ from .analysis import (
     SweepResult,
     SweepRow,
     correction_unitary,
+    correlated_group,
     fit_slope,
     infidelity_of,
     magnus_residual,
@@ -487,11 +488,9 @@ def _config_errors(cfg: dict, seq: PulseSequence, seed: int):
     fixed = {l: _number(v, f"errors.fixed.{l}") for l, v in fixed.items()}
     rand = spec.get("random_signs")
     if rand is not None:
-        pair = _object(rand, "errors.random_signs").get("correlated_pair") or []
+        pair = _object(rand, "errors.random_signs").get("correlated_pair")
         what = "errors.random_signs.correlated_pair"
-        pair = tuple(_known(_labels(pair, what), seq, what)) or None
-        if pair and len(set(pair)) != 2:
-            raise UsageError(f"{what} must name two distinct labels, or none, got {list(pair)}")
+        pair = correlated_group(_known(_labels(pair, what), seq, what), what) if pair else None
         rseed = _number(rand.get("seed", seed), "errors.random_signs.seed", int)
         if rseed not in _PHILOX_KEYS:
             raise UsageError(f"errors.random_signs.seed must lie in [0, 2**128), got {rseed}")
@@ -679,7 +678,7 @@ def _check_exchange_conjugation() -> tuple[bool, str]:
     d = np.abs(u @ a23 @ u.conj().T + a23).max()
     g12 = matrix_of(heisenberg_coupling(1, 2))
     g23 = matrix_of(heisenberg_coupling(2, 3))
-    perm = (np.eye(8) + g12) @ (np.eye(8) + g23) / 4  # swaps (I + g)/2: cycle 1->2->3->1
+    perm = np.eye(8)[:, [0, 4, 1, 5, 2, 6, 3, 7]]  # b = q1 q2 q3 -> q3 q1 q2: cycle 1->2->3->1
     d2 = np.abs(g12 @ g23 - g23 @ g12 - 4.0 * (perm - perm.T)).max()
     return (
         max(d, d2) <= 1e-12,

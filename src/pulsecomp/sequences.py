@@ -306,7 +306,9 @@ class ErrorAssignment:
                     f"group {sorted(group)} has conflicting errors {sorted(assigned)}"
                 )
             if assigned:
-                resolved.update(dict.fromkeys(group, assigned.pop()))
+                val = assigned.pop()
+                for l in group:
+                    resolved[l] = val
         object.__setattr__(self, "values", resolved)
         object.__setattr__(self, "groups", groups)
 

@@ -68,6 +68,20 @@ class TestVerify:
         assert "[FAIL] toggling" in out
 
 
+class TestExchangeCheck:
+    """The Heisenberg commutator is compared with a permutation built apart from the couplings."""
+
+    def test_wrong_qubits_fail(self, monkeypatch):
+        real = cli.heisenberg_coupling
+        # g23 taken on qubits 1 and 3: its commutator with g12 is the reverse cycle's
+        monkeypatch.setattr(
+            cli, "heisenberg_coupling", lambda i, j: real(1, 3) if (i, j) == (2, 3) else real(i, j)
+        )
+        ok, message = cli._check_exchange_conjugation()
+        assert not ok
+        assert float(message.split()[-4]) > 1e-12
+
+
 class TestJonesCheck:
     """The conjugation check compiles its 100 draws as one stack."""
 
@@ -381,8 +395,7 @@ class TestSweepCommand:
         )
         assert run_cli("sweep", "--config", str(cfg)) == 2
         assert capsys.readouterr().err == (
-            "error: errors.random_signs.correlated_pair must name two distinct labels, "
-            f"or none, got {pair}\n"
+            f"error: errors.random_signs.correlated_pair {pair} is not two distinct labels\n"
         )
         assert not (tmp_path / "out.csv").exists()
 

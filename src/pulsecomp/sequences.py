@@ -73,6 +73,26 @@ def _finite(value, noun: str, label: str, error: type) -> float:
     return float(value)
 
 
+def _iterable(values, what: str):
+    """An iterator over values; else a SequenceError naming them."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise SequenceError(f"{what} {values!r} is not a collection") from None
+
+
+def _term(term) -> tuple[str, float, Hamiltonian]:
+    """A pulse term as (label string, float angle, Hamiltonian); else a SequenceError naming it."""
+    try:
+        l, theta, h = term
+    except (TypeError, ValueError):  # not iterable, or not three values
+        raise SequenceError(f"term {term!r} is not a (label, angle, Hamiltonian) triple") from None
+    theta = _finite(theta, "angle", l, SequenceError)
+    if not isinstance(h, Hamiltonian):
+        raise SequenceError(f"term {h!r} for label {l!r} is not a Hamiltonian")
+    return l, theta, h
+
+
 def _group(group, error: type) -> frozenset[str]:
     """A group of labels as a frozenset of label strings; else ``error`` naming it."""
     if not isinstance(group, str):
@@ -98,10 +118,7 @@ class Pulse:
     terms: tuple[tuple[str, float, Hamiltonian], ...]
 
     def __new__(cls, terms) -> "Pulse":
-        terms = tuple((l, _finite(theta, "angle", l, SequenceError), h) for l, theta, h in terms)
-        for l, _, h in terms:
-            if not isinstance(h, Hamiltonian):
-                raise SequenceError(f"term {h!r} for label {l!r} is not a Hamiltonian")
+        terms = tuple(map(_term, _iterable(terms, "pulse terms")))
         key = tuple((label, theta.hex(), h) for label, theta, h in terms)
         node = _PULSES.get(key)
         if node is None:
@@ -159,7 +176,7 @@ class PulseSequence:
     required_groups: tuple[frozenset[str], ...] = ()
 
     def __new__(cls, items, required_groups=()) -> "PulseSequence":
-        items = tuple(items)
+        items = tuple(_iterable(items, "sequence items"))
         required_groups = tuple([_group(g, SequenceError) for g in required_groups])
         # Keyed on the items' ids: the live node holds its items, so their
         # ids stay theirs, and a key that held them would keep a dropped
@@ -331,17 +348,19 @@ class ErrorAssignment:
 
 
 class CompileCache:
-    """Memo for compiled pulses and nested blocks across compiles, keyed by
-    (node, errors).
+    """Memo for compiled blocks across compiles, keyed by (block, errors).
 
-    The errors are those of the node's labels, in a fixed order, each as
+    The errors are those of the block's labels, in a fixed order, each as
     the tuple of its value at the points compiled together (one value for
-    ``compile_sequence``).  Nodes are interned, so a key hashes the node's
-    identity, not its tree.  A compile asks about its root, and about the
-    children of each distinct node it lacks, once each; nothing below a
-    hit is asked, and it puts every node it computed.  Only errors that
-    recur can hit: repeated assignments, or blocks whose labels keep their
-    errors while others change.
+    ``compile_sequence``).  Blocks are interned, so a key hashes the
+    block's identity, not its tree.  A compile asks about its root, and
+    about the sub-blocks of each distinct block it lacks, once each;
+    nothing below a hit is asked, and it puts every block it multiplied.
+    Pulses are neither asked about nor put: a needed pulse is always
+    synthesized, which costs one row of its plan, about what its entry
+    would cost to store and look up.  Only errors that recur can hit:
+    repeated assignments, or blocks whose labels keep their errors while
+    others change.
     """
 
     def __init__(self) -> None:
@@ -370,12 +389,14 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
     Runs the sequence's ``_program`` (derived once per interned sequence
     and kept while it lives) without recursion.  With a ``cache``, the
     nodes are marked in reverse post-order: the root is needed, and a
-    needed node the cache lacks makes its children needed, so the cache is
-    asked about the root and the children of misses, never below a hit.
-    Each synthesis plan, looked up once per call in ``_synthesis``'s
-    256-entry lru, then synthesizes the distinct scale rows theta(1+eps)
-    of all its needed pulses and points in one call, which checks them
-    unitary, and the needed blocks are multiplied in post-order.  A node
+    needed block the cache lacks makes its items needed, so the cache is
+    asked about the root and the sub-blocks of misses, never below a hit;
+    a needed pulse is synthesized without asking, and only the blocks
+    multiplied here are put.  Each synthesis plan, looked up once per call
+    in ``_synthesis``'s 256-entry lru, then synthesizes the distinct scale
+    rows theta(1+eps) of all its needed pulses and points in one call,
+    which checks them unitary, and the needed blocks are multiplied in
+    post-order.  A node
     whose labels' errors agree at every point (0.0 and -0.0 agree, as they
     give equal scales) is synthesized or multiplied at one point and
     broadcast against the others.  If a plan's synthesis fails, the walk
@@ -402,11 +423,11 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
     varying = [col.count(col[0]) < len(col) for col in columns]
     mats: list = [None] * len(nodes)
     needed = [cache is None] * len(nodes)
-    fresh = []  # (cache key, node index) of the needed nodes the cache lacks
+    fresh = []  # (cache key, node index) of the needed blocks the cache lacks
     if cache is not None:
         needed[-1] = True
         for i in range(len(nodes) - 1, -1, -1):
-            if needed[i]:
+            if needed[i] and children[i]:  # a block; a needed pulse is synthesized
                 key = (nodes[i], tuple(map(columns.__getitem__, keys[i])))
                 mats[i] = cache.get(key)
                 if mats[i] is None:
@@ -482,8 +503,8 @@ def compile_sequence(
 
     The one-point case of ``compile_stack``: each distinct node is compiled
     once per call, and the pulses that share a synthesis plan are
-    synthesized together.  Pass a ``cache`` to share compiled pulses and
-    blocks across calls.
+    synthesized together.  Pass a ``cache`` to share compiled blocks across
+    calls; pulses are synthesized afresh each call.
     """
     return Unitary(_walk(seq, (errors,), cache))
 
@@ -606,6 +627,10 @@ def substitute(
     substitutions its builder makes, share one compile cache, so a block's
     check reuses the zero-error matrices of its already-checked sub-blocks.
     """
+    if not isinstance(seq, PulseSequence):
+        raise SequenceError(f"{seq!r} is not a PulseSequence")
+    if not isinstance(label, str):
+        raise SequenceError(f"label {label!r} is not a string")
     cache = _CHECK_CACHE.get()
     token = _CHECK_CACHE.set(cache := CompileCache()) if cache is None else None
     try:

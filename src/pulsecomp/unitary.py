@@ -272,11 +272,16 @@ class _Synthesis:
         the one-point API, which also checks it.  From there on the rows
         are (R,) columns in the same IEEE operations: ``coefficients``, the
         sums of A^2 and ``square_identity_coefficients`` (a plan with no
-        words has c = 0), then the matrices stacked with (R, 1, 1) columns
-        and one eigendecomposition of the rows that fail the test; only cos
-        and sin stay per row, since numpy's may differ from the math
-        module's in the last bit, and the stack is checked unitary as one.
-        A row that ``unitary`` rejects makes this raise some ValueError; the
+        words has c = 0), with cos and sin per row, since numpy's may differ
+        from the math module's in the last bit.  The matrices are then
+        formed in chunks of at most _CHUNK_ENTRIES matrix entries (whole
+        rows, at least one), which fill one preallocated stack in order:
+        per chunk, the Pauli sum with (rows, 1, 1) columns, the closed form,
+        one eigendecomposition of the rows that fail the test, and the
+        unitarity check.  So the temporaries stay within a few chunks
+        whatever R is, each row's bits do not depend on its chunk, and the
+        first row that fails the check raises as it would in one stack.  A
+        row that ``unitary`` rejects makes this raise some ValueError; the
         compile walk then replays its pulses alone for the error to raise.
         """
         if len(rows) < _ARRAY_ROWS:
@@ -290,27 +295,35 @@ class _Synthesis:
             a = self.coefficients(np.array(rows).T)
             c = square_identity_coefficients(self.square_sums(a), len(rows))
             closed = c >= 0.0
-            rest = np.flatnonzero(~closed)
             # r = 0 where the eigendecomposition below replaces the closed form
             roots = np.sqrt(np.where(closed, c, 0.0)).tolist()
-            amat = _pauli_sum(
-                (len(rows), d, d), ((x[:, None, None], m) for x, m in zip(a, self.matrices))
-            )
             # math.cos(inf), the overflowed square's, raises ValueError
             cos = np.array([1.0 if r < 1e-150 else math.cos(r) for r in roots])
             sinc = np.array([1j if r < 1e-150 else 1j * (math.sin(r) / r) for r in roots])
-            u = cos[:, None, None] * _identity(d) - sinc[:, None, None] * amat
-            if rest.size:
-                w, v = np.linalg.eigh(amat[rest])
-                u[rest] = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
-            # a non-finite coefficient leaves NaN here, which fails the check
-            check_unitary(u)
+            u = np.empty((len(rows), d, d), dtype=complex)
+            step = max(1, _CHUNK_ENTRIES // (d * d))
+            for lo in range(0, len(rows), step):
+                part = slice(lo, lo + step)
+                amat = _pauli_sum(
+                    u[part].shape, ((x[part, None, None], m) for x, m in zip(a, self.matrices))
+                )
+                u[part] = cos[part, None, None] * _identity(d) - sinc[part, None, None] * amat
+                rest = np.flatnonzero(~closed[part])
+                if rest.size:
+                    w, v = np.linalg.eigh(amat[rest])
+                    u[lo + rest] = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+                # a non-finite coefficient leaves NaN here, which fails the check
+                check_unitary(u[part])
         return u
 
 
 # Fewest rows for which ``_Synthesis.unitaries`` takes its array form; below
 # it, synthesizing the rows one at a time is faster.
 _ARRAY_ROWS = 8
+
+# Most matrix entries ``_Synthesis.unitaries`` forms at once: 128 rows at
+# d = 8, 512 at d = 4.
+_CHUNK_ENTRIES = 2**13
 
 
 @lru_cache(maxsize=256)

@@ -131,6 +131,18 @@ class TestPulseTypes:
         with pytest.raises(SequenceError, match=r"^term .* for label 'a' is not a Hamiltonian$"):
             Pulse.single("a", 1.0, bad)
 
+    def test_short_term_rejected(self):
+        with pytest.raises(SequenceError, match=r"^term \('a', 1.0\) is not a \(label, angle, Ham"):
+            Pulse([("a", 1.0)])
+
+    def test_non_collection_terms_rejected(self):
+        with pytest.raises(SequenceError, match=r"^pulse terms 5 is not a collection$"):
+            Pulse(5)
+
+    def test_non_collection_items_rejected(self):
+        with pytest.raises(SequenceError, match=r"^sequence items 5 is not a collection$"):
+            PulseSequence(5)
+
     def test_empty_sequence_rejected(self):
         with pytest.raises(SequenceError):
             PulseSequence(())
@@ -556,6 +568,17 @@ class TestSubstitute:
             substitute(bb1_j(0.8, HZZ, HX1, "a", "b"), "b", outer)
         assert sequences._CHECK_CACHE.get() is None
 
+    def test_non_string_label_rejected(self):
+        seq = bb1_j(0.8, HZZ, HX1, "a", "b")
+        with pytest.raises(SequenceError, match=r"^label \['a'\] is not a string$"):
+            substitute(seq, ["a"], lambda x: PulseSequence((Pulse.single("a", x, HZZ),)))
+
+    def test_pulse_rejected_as_sequence(self):
+        with pytest.raises(SequenceError, match=r"^Pulse\(.*\) is not a PulseSequence$"):
+            substitute(
+                Pulse.single("a", 1.0, HX), "a", lambda x: PulseSequence((Pulse.single("a", x, HX),))
+            )
+
     def test_simultaneous_pulse_rejected(self):
         seq = PulseSequence((Pulse((("a", 1.0, HX), ("b", 1.0, HY))),))
         with pytest.raises(SequenceError):
@@ -831,10 +854,30 @@ class TestCompile:
             cache.gets = cache.puts = 0
             compile_sequence(seq, ErrorAssignment({"ZZ": zz, "X1": 1e-2, "Y1": 1e-2}), cache)
             traffic.append((cache.gets, cache.puts))
-        # cold: every distinct node misses; warm: the root hits and nothing
-        # below it is asked; a new ZZ error: the nodes carrying ZZ miss, and
-        # the X1/Y1-only blocks they hold hit
-        assert traffic == [(20, 20), (1, 0), (8, 4)]
+        # only blocks are asked about and put (5 of the 20 nodes); cold:
+        # every block misses; warm: the root hits and nothing below it is
+        # asked; a new ZZ error: the root, the one block carrying ZZ, misses,
+        # and the four X1/Y1-only blocks it holds hit
+        assert traffic == [(5, 5), (1, 0), (5, 1)]
+
+    def test_cache_holds_blocks_only(self):
+        class Recording(CompileCache):
+            def __init__(self):
+                super().__init__()
+                self.asked = []
+
+            def get(self, key):
+                self.asked.append(key[0])
+                return super().get(key)
+
+        seq = wj_chain(2, math.pi / 4)
+        errors = ErrorAssignment.uniform(seq.labels, 1e-3)
+        cache = Recording()
+        compiled = compile_sequence(seq, errors, cache)
+        # a needed pulse is synthesized, never looked up or stored
+        assert cache._store and all(isinstance(node, PulseSequence) for node, _ in cache._store)
+        assert all(isinstance(node, PulseSequence) for node in cache.asked)
+        assert compiled.matrix.tobytes() == compile_sequence(seq, errors).matrix.tobytes()
 
     def test_program_does_not_keep_sequence_alive(self):
         seq = wj_chain(2, math.pi / 4)
@@ -1039,6 +1082,37 @@ class TestStack:
         points.insert(3, ErrorAssignment({"a": 1e-3, "b": 1e307}))
         with pytest.raises(PauliError, match=r"^A\^2 of words Y overflows$"):
             compile_stack(seq, points)
+
+    @pytest.mark.parametrize(
+        "b, c, message",
+        [
+            # the square of Y's coefficient 2e307 overflows, so its cos raises
+            (1e307, 0.0, r"^A\^2 of words Y overflows$"),
+            # Y's coefficient is inf - inf: a nan row that fails its chunk's check
+            (1e308, 1e308, r"^coefficient nan of Y is not finite$"),
+        ],
+        ids=["overflow", "nan"],
+    )
+    def test_bad_row_in_a_later_chunk_raises_as_alone(self, monkeypatch, b, c, message):
+        # four rows per chunk at d = 2: the 12 distinct rows of the (Y, Y)
+        # pulse span three chunks, and the bad row, the tenth, is in the third
+        monkeypatch.setattr(unitary, "_CHUNK_ENTRIES", 4 * 2 * 2)
+        seq = PulseSequence(
+            (Pulse.single("a", 0.5, HX), Pulse((("b", 4.0, HY), ("c", -4.0, HY))))
+        )
+        points = [ErrorAssignment({"a": 1e-3, "b": 1e-3 * k, "c": 0.0}) for k in range(11)]
+        points.insert(9, ErrorAssignment({"a": 1e-3, "b": b, "c": c}))
+        with pytest.raises(PauliError, match=message):
+            compile_sequence(seq, points[9])
+        chunks = []  # the rows of each stack that unitary's checks see
+        real = unitary.check_unitary
+        monkeypatch.setattr(
+            unitary, "check_unitary", lambda m: (m.ndim == 3 and chunks.append(len(m))) or real(m)
+        )
+        with pytest.raises(PauliError, match=message):
+            compile_stack(seq, points)
+        # the overflow raises before any chunk; the nan row fails the third chunk's check
+        assert chunks == ([] if c == 0.0 else [4, 4, 4])
 
     def test_non_finite_raises_first_pulse_in_walk_order(self):
         # plan (HX,) is met first, but its bad pulse follows plan (HY,)'s

@@ -2,6 +2,8 @@
 
 import math
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -103,6 +105,27 @@ def plan_rows(draw):
         )
     )
     return unitary._Synthesis(hams), rows
+
+
+@st.composite
+def chunked_plan_rows(draw):
+    """A pulse's plan at d = 2, 4 or 8, _ARRAY_ROWS to 24 rows of its finite
+    per-term scales, and an entry budget under which the rows span 1-3
+    chunks, with the number of chunks."""
+    hams = tuple(h for _, _, h in draw(simultaneous_terms()))
+    scale = st.sampled_from([0.0, -0.0, math.pi]) | st.floats(-10.0, 10.0)
+    rows = draw(
+        st.lists(
+            st.lists(scale, min_size=len(hams), max_size=len(hams)),
+            min_size=unitary._ARRAY_ROWS,
+            max_size=24,
+        )
+    )
+    plan = unitary._Synthesis(hams)
+    step = -(-len(rows) // draw(st.integers(1, 3)))  # rows per chunk
+    # the budget rounds down to whole rows
+    budget = step * plan.dim**2 + draw(st.integers(0, plan.dim**2 - 1))
+    return plan, rows, budget, -(-len(rows) // step)
 
 
 def outcome(f, terms):
@@ -290,6 +313,41 @@ class TestEvolve:
             assert (type(walked.value), str(walked.value)) == (type(exc), str(exc))
         else:
             assert [m.tobytes() for m in plan.unitaries(rows)] == [m.tobytes() for m in stack]
+
+    @settings(max_examples=150, deadline=None)
+    @given(chunked_plan_rows())
+    def test_chunked_rows_match_scalar_rows(self, case):
+        plan, rows, budget, chunks = case
+        assert 1 <= chunks <= 3
+        checked = []
+        real = unitary.check_unitary
+        with mock.patch.object(unitary, "_CHUNK_ENTRIES", budget), mock.patch.object(
+            unitary, "check_unitary", lambda m: checked.append(len(m)) or real(m)
+        ):
+            stack = plan.unitaries(rows)
+        # one check per chunk, each of whole rows, in order
+        assert len(checked) == chunks and sum(checked) == len(rows)
+        assert [m.tobytes() for m in stack] == [plan.unitary(row).tobytes() for row in rows]
+
+    def test_array_synthesis_memory_bounded_by_a_chunk(self):
+        # the shape of `figure chain`'s largest plan: 832 rows at d = 8, on
+        # the closed-form and the eigendecomposition paths
+        rng = np.random.default_rng(0)
+        chunk = unitary._CHUNK_ENTRIES * np.dtype(complex).itemsize
+        xii, yii, ixx = (Hamiltonian.single(0.5, w) for w in ("XII", "YII", "IXX"))
+        for hams in ((xii, yii), (xii + ixx,)):
+            plan = unitary._Synthesis(hams)
+            rows = rng.uniform(-4.0, 4.0, (832, len(hams))).tolist()
+            assert len(rows) >= 4 * (unitary._CHUNK_ENTRIES // plan.dim**2)  # several chunks
+            plan.unitaries(rows[: unitary._ARRAY_ROWS])  # fill the module's caches
+            tracemalloc.start()
+            try:
+                out = plan.unitaries(rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # synthesizing all rows at once peaked at out.nbytes + 20 to 34 chunks
+            assert peak <= out.nbytes + 8 * chunk
 
     @pytest.mark.parametrize("theta, eps", [(1e308, 1.0), (0.5, math.nan)])
     def test_non_finite_scale_names_word(self, theta, eps):

@@ -157,6 +157,20 @@ class Hamiltonian:
         s = PauliString(word)
         return cls.from_terms(s.n_qubits, [(coeff, s)])
 
+    _hash = None  # not a field: the hash, once computed
+
+    def __hash__(self) -> int:
+        # the dataclass hash, computed once: plans, pulses and su(2) verdicts are keyed on it
+        h = self._hash
+        if h is None:
+            h = hash((self.n_qubits, self.terms))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # a string hash differs between processes, so a pickle carries only the fields
+        return (Hamiltonian, (self.n_qubits, self.terms))
+
     @cached_property
     def coefficients(self) -> dict[str, float]:
         return {s.letters: c for c, s in self.terms}

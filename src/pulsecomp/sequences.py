@@ -21,6 +21,7 @@ from weakref import WeakValueDictionary
 
 import numpy as np
 
+from . import unitary
 from .pauli import Hamiltonian, unit_su2_partner
 from .unitary import Unitary, _identity, _synthesis, check_unitary, distance, evolve
 
@@ -73,12 +74,12 @@ def _finite(value, noun: str, label: str, error: type) -> float:
     return float(value)
 
 
-def _iterable(values, what: str):
-    """An iterator over values; else a SequenceError naming them."""
+def _iterable(values, what: str, error: type = SequenceError):
+    """An iterator over values; else ``error`` naming them."""
     try:
         return iter(values)
     except TypeError:
-        raise SequenceError(f"{what} {values!r} is not a collection") from None
+        raise error(f"{what} {values!r} is not a collection") from None
 
 
 def _term(term) -> tuple[str, float, Hamiltonian]:
@@ -177,7 +178,9 @@ class PulseSequence:
 
     def __new__(cls, items, required_groups=()) -> "PulseSequence":
         items = tuple(_iterable(items, "sequence items"))
-        required_groups = tuple([_group(g, SequenceError) for g in required_groups])
+        required_groups = tuple(
+            [_group(g, SequenceError) for g in _iterable(required_groups, "required groups")]
+        )
         # Keyed on the items' ids: the live node holds its items, so their
         # ids stay theirs, and a key that held them would keep a dropped
         # DAG's children alive until a later collection freed their parent.
@@ -250,26 +253,36 @@ class PulseSequence:
 
     @cached_property
     def _program(self) -> tuple:
-        """The compile walk's fixed structure: (nodes, keys, children, groups).
+        """The compile walk's fixed structure: (nodes, keys, children, groups, levels).
 
         ``nodes`` and ``children`` are ``_dag``'s; a node's ``keys`` index its
         labels in ``_sorted_labels`` (a pulse's in term order, a block's
         sorted); ``groups`` pairs each tuple of Hamiltonians with its pulses,
-        each as (node index, term angles), in post-order.  Derived on the
+        each as (node index, term angles), in post-order.  ``levels`` pairs
+        each child count k with the indices of the blocks of one height and
+        k children, in order of increasing height (a pulse has height 0, a
+        block one more than its highest child), so every block of a level
+        can be multiplied once the levels below it are.  Derived on the
         first compile and kept while the node lives; the synthesis plans stay
         in ``_synthesis``'s cache, looked up per compile.
         """
         nodes, children = self._dag
         place = {l: j for j, l in enumerate(self._sorted_labels)}
-        keys, groups = [], {}
+        keys, groups, heights, levels = [], {}, [], {}
         for i, node in enumerate(nodes):
-            if isinstance(node, Pulse):
+            kids = children[i]
+            if kids:
+                labels = node._sorted_labels
+                height = 1 + max(map(heights.__getitem__, kids))
+                levels.setdefault((height, len(kids)), []).append(i)
+            else:
                 labels, angles, hams = zip(*node.terms)
                 groups.setdefault(hams, []).append((i, angles))
-            else:
-                labels = node._sorted_labels
+                height = 0
+            heights.append(height)
             keys.append(tuple([place[l] for l in labels]))
-        return nodes, keys, children, tuple(groups.items())
+        levels = tuple((k, tuple(blocks)) for (_, k), blocks in sorted(levels.items()))
+        return nodes, keys, children, tuple(groups.items()), levels
 
     @cached_property
     def _proved(self) -> set:
@@ -315,7 +328,9 @@ class ErrorAssignment:
 
     def __post_init__(self) -> None:
         resolved = {l: _finite(v, "error", l, CompileError) for l, v in dict(self.values).items()}
-        groups = tuple([_group(g, CompileError) for g in self.groups])
+        groups = tuple(
+            [_group(g, CompileError) for g in _iterable(self.groups, "groups", CompileError)]
+        )
         for group in groups:
             assigned = {resolved[l] for l in group if l in resolved}
             if len(assigned) > 1:
@@ -381,6 +396,19 @@ def _product(mats: list, d: int) -> np.ndarray:
     return out
 
 
+def _stacked_product(m: np.ndarray, d: int) -> np.ndarray:
+    """``_product`` of each row of a (B, k, d, d) stack of children: (B, d, d).
+
+    One matmul per child position, in ``_product``'s order and from its
+    identity; a stacked matmul is the 2-D matmul of each slice bit for bit,
+    so each row's bits are its ``_product``'s.
+    """
+    out = _identity(d, complex)
+    for j in range(m.shape[1]):
+        out = m[:, j] @ out
+    return out
+
+
 def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarray:
     """Unchecked product of a sequence at K >= 1 assignments, each validated
     first: (d, d) when every label's errors agree at all K points, else a
@@ -395,11 +423,19 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
     multiplied here are put.  Each synthesis plan, looked up once per call
     in ``_synthesis``'s 256-entry lru, then synthesizes the distinct scale
     rows theta(1+eps) of all its needed pulses and points in one call,
-    which checks them unitary, and the needed blocks are multiplied in
-    post-order.  A node
-    whose labels' errors agree at every point (0.0 and -0.0 agree, as they
-    give equal scales) is synthesized or multiplied at one point and
-    broadcast against the others.  If a plan's synthesis fails, the walk
+    which checks them unitary.  A node whose labels' errors agree at every
+    point (0.0 and -0.0 agree, as they give equal scales) is synthesized or
+    multiplied at one point and broadcast against the others.  The needed
+    blocks are multiplied level by level (``_program``'s levels, lowest
+    first).  A varying block is multiplied alone over the K points.  The
+    constant blocks of a level are multiplied together: their children are
+    gathered into one (B, k, d, d) stack per chunk, which with the two
+    running (B, d, d) products holds at most _CHUNK_ENTRIES entries, and
+    multiplied with one matmul per child position (``_stacked_product``).
+    A level with fewer than three such blocks, or whose chunk would hold
+    fewer than three (at d = 16 blocks of nine or more children, from
+    d = 32 on every block), multiplies them one at a time.  Either way a
+    block's bits are ``_product``'s.  If a plan's synthesis fails, the walk
     alone decides what is raised: it synthesizes and checks each needed
     pulse alone in post-order, so the first pulse that cannot be
     synthesized raises its own error at its first such point.
@@ -418,7 +454,7 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
         except CompileError as exc:
             exc.point = k
             raise
-    nodes, keys, children, groups = seq._program
+    nodes, keys, children, groups, levels = seq._program
     columns = [tuple([errors.values[l] for errors in points]) for l in seq._sorted_labels]
     varying = [col.count(col[0]) < len(col) for col in columns]
     mats: list = [None] * len(nodes)
@@ -465,9 +501,27 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
             check_unitary(np.stack([plan.unitary(row) for row in rows]))
         raise
     d = 2**seq.n_qubits
-    for i, kids in enumerate(children):
-        if kids and needed[i]:
-            mats[i] = _product([mats[c] for c in kids], d)
+    vary = any(varying)
+    for k, blocks in levels:
+        constant = []
+        for i in blocks:
+            if needed[i]:
+                if vary and any(map(varying.__getitem__, keys[i])):
+                    mats[i] = _product([mats[c] for c in children[i]], d)
+                else:
+                    constant.append(i)
+        # blocks per chunk: their k children and the two running products fit the budget
+        step = unitary._CHUNK_ENTRIES // ((k + 2) * d * d)
+        # a stack of two saves about what its gather and the stacked calls cost
+        if len(constant) < 3 or step < 3:
+            for i in constant:
+                mats[i] = _product([mats[c] for c in children[i]], d)
+            continue
+        for lo in range(0, len(constant), step):
+            part = constant[lo : lo + step]
+            m = np.concatenate([mats[c] for i in part for c in children[i]])
+            for i, mat in zip(part, _stacked_product(m.reshape(len(part), k, d, d), d)):
+                mats[i] = mat
     for key, i in fresh:
         cache.put(key, mats[i])
     return mats[-1]

@@ -1,6 +1,8 @@
 """Tests for the exact Pauli-string algebra."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -231,6 +233,22 @@ class TestHamiltonian:
     def test_real_numbers_accepted(self, coeff):
         assert Hamiltonian.single(coeff, "X").coefficients == {"X": float(coeff)}
         assert (coeff * Hamiltonian.single(0.5, "X")).coefficients == {"X": float(coeff) * 0.5}
+
+    def test_hash_is_the_fields_hash(self):
+        a = Hamiltonian.single(0.5, "ZZ") + Hamiltonian.single(-0.25, "XY")
+        b = Hamiltonian.single(-0.25, "XY") + Hamiltonian.single(0.5, "ZZ")
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash((a.n_qubits, a.terms))
+        assert hash(a) == hash(a)  # the cached value
+        assert hash(Hamiltonian.zero(2)) == hash((2, ()))
+
+    def test_pickle_and_copy_keep_equality_and_hash(self):
+        h = Hamiltonian.single(0.5, "XI") + Hamiltonian.single(0.5, "IX")
+        hash(h)
+        for other in (pickle.loads(pickle.dumps(h)), copy.copy(h), copy.deepcopy(h)):
+            assert other == h and hash(other) == hash(h)
+        # a pickle carries the fields, not a hash another process would not share
+        assert b"_hash" not in pickle.dumps(h)
 
     def test_commutator_is_hermitian(self):
         h1 = Hamiltonian.single(0.5, "ZZ") + Hamiltonian.single(0.25, "XY")

@@ -143,6 +143,11 @@ class TestPulseTypes:
         with pytest.raises(SequenceError, match=r"^sequence items 5 is not a collection$"):
             PulseSequence(5)
 
+    @pytest.mark.parametrize("bad", [5, None, 0.5], ids=repr)
+    def test_non_collection_groups_rejected(self, bad):
+        with pytest.raises(SequenceError, match=rf"^required groups {bad!r} is not a collection$"):
+            PulseSequence([Pulse.single("a", 1.0, HX)], required_groups=bad)
+
     def test_empty_sequence_rejected(self):
         with pytest.raises(SequenceError):
             PulseSequence(())
@@ -240,6 +245,11 @@ class TestErrorAssignment:
     def test_bad_groups_rejected(self, group):
         with pytest.raises(CompileError, match=r"^group .* is not a collection of label strings$"):
             ErrorAssignment({"a": 0.1}, groups=(group,))
+
+    @pytest.mark.parametrize("bad", [5, None, 0.5], ids=repr)
+    def test_non_collection_groups_rejected(self, bad):
+        with pytest.raises(CompileError, match=rf"^groups {bad!r} is not a collection$"):
+            ErrorAssignment({"a": 0.1}, groups=bad)
 
 
 class TestBb1W:
@@ -1058,15 +1068,21 @@ class TestStack:
             ErrorAssignment({"ZZ": e, "X1": 1e-2, "Y1": 1e-2})
             for e in np.logspace(-4, -1, 9).tolist()
         ]
-        real, products = sequences._product, []
+        products = []  # (children, whether at one point) of each block multiplied
+        real, stacked = sequences._product, sequences._stacked_product
         monkeypatch.setattr(
             sequences,
             "_product",
-            lambda mats, d: products.append((len(mats), out := real(mats, d))) or out,
+            lambda mats, d: products.append((len(mats), (out := real(mats, d)).ndim == 2)) or out,
+        )
+        monkeypatch.setattr(
+            sequences,
+            "_stacked_product",
+            lambda m, d: products.extend([(m.shape[1], True)] * len(m)) or stacked(m, d),
         )
         stack, _ = compile_stack(seq, points)
         assert sum(n for n, _ in products) == 26
-        assert sum(n for n, out in products if out.shape == (4, 4)) == 16
+        assert sum(n for n, alone in products if alone) == 16
         assert [m.tobytes() for m in stack] == [
             compile_sequence(seq, p).matrix.tobytes() for p in points
         ]
@@ -1188,6 +1204,116 @@ class TestWalk:
             assert compile_sequence(seq, p, shared).matrix.tobytes() == want
         stack, _ = compile_stack(seq, points)
         assert [m.tobytes() for m in stack] == expected
+
+
+def record_stacked(monkeypatch):
+    """Wrap ``sequences._stacked_product``; the list it returns gets each call's (B, k)."""
+    calls, real = [], sequences._stacked_product
+    monkeypatch.setattr(
+        sequences, "_stacked_product", lambda m, d: calls.append(m.shape[:2]) or real(m, d)
+    )
+    return calls
+
+
+class TestLevels:
+    """Each level's constant blocks are multiplied together, at the bits of one at a time."""
+
+    def test_chain_levels(self):
+        levels = wj_chain(3, 0.6183)._program[4]
+        # (child count, blocks) by height: the bb1_w blocks, then one skeleton per nesting
+        assert [(k, len(blocks)) for k, blocks in levels] == [
+            (4, 32), (10, 16), (10, 8), (10, 4), (10, 1)
+        ]
+        assert levels[-1][1] == (199,)  # the root is alone at the top
+
+    def test_one_point_chain_multiplied_per_level(self, monkeypatch):
+        seq = wj_chain(3, 0.6183)
+        errors = ErrorAssignment.uniform(seq.labels, 1e-3)
+        alone = []
+        real = sequences._product
+        monkeypatch.setattr(
+            sequences, "_product", lambda mats, d: alone.append(len(mats)) or real(mats, d)
+        )
+        calls = record_stacked(monkeypatch)
+        compile_sequence(seq, errors)
+        # one stacked product per level and chunk: a chunk's k children and
+        # two running products of 64 entries each stay within 2**13 entries,
+        # so 21 blocks of 4 children fit one and 10 blocks of 10
+        assert calls == [(21, 4), (11, 4), (10, 10), (6, 10), (8, 10), (4, 10)]
+        assert all(b * (k + 2) * 64 <= unitary._CHUNK_ENTRIES for b, k in calls)
+        assert alone == [10]  # the root
+        assert sum(b for b, _ in calls) + len(alone) == 61
+
+    def test_stack_starts_from_the_identity(self, monkeypatch):
+        # a ZZ pulse past half a turn has -0.0 entries, which the identity
+        # start of the product turns to +0.0, as it does one block at a time
+        blocks = [PulseSequence([Pulse.single("a", t, HZZ)]) for t in (-7.0, -6.5, -6.0)]
+        seq = PulseSequence([*blocks, Pulse.single("b", 0.5, HX1)])
+        errors = ErrorAssignment({"a": 0.0, "b": 0.0})
+        zz = evolve([(-7.0, 0.0, HZZ)]).matrix.real
+        assert np.signbit(zz[zz == 0.0]).all()
+        calls = record_stacked(monkeypatch)
+        cache = CompileCache()
+        compile_sequence(seq, errors, cache)
+        assert calls == [(3, 1)]
+        for (block, _), mat in cache._store.items():
+            assert mat.tobytes() == reference_matrix(block, errors.values).tobytes()
+
+    @pytest.mark.parametrize(
+        "budget, chunks",
+        [
+            # 6 blocks of 4 children or 3 of 10 per chunk: every level spans several
+            (
+                3 * 12 * 64,
+                [(6, 4)] * 5 + [(2, 4)] + [(3, 10)] * 5 + [(1, 10)]
+                + [(3, 10), (3, 10), (2, 10)] + [(3, 10), (1, 10)],
+            ),
+            # two blocks of 4 children per chunk: fewer than three fit, so none is stacked
+            (3 * 6 * 64 - 1, []),
+        ],
+        ids=["several-chunks", "two-block-chunks"],
+    )
+    def test_small_chunks_keep_bytes(self, monkeypatch, budget, chunks):
+        seq = wj_chain(3, 0.6183)
+        # X1/Y1 fixed while the rest vary: in the stack the bb1_w level is
+        # constant and the levels above it vary
+        points = [
+            ErrorAssignment({**dict.fromkeys(seq.labels, e), "X1": 2e-3, "Y1": 2e-3})
+            for e in (1e-3, -0.0, 4e-2, 1e-3)
+        ]
+
+        def compiled():
+            out = [compile_sequence(seq, p).matrix.tobytes() for p in points]
+            cache = CompileCache()
+            out += [compile_sequence(seq, p, cache).matrix.tobytes() for p in points]
+            return out + [m.tobytes() for m in compile_stack(seq, points)[0]]
+
+        monkeypatch.setattr(unitary, "_CHUNK_ENTRIES", 0)  # no chunk holds a block
+        one_at_a_time = compiled()
+        monkeypatch.setattr(unitary, "_CHUNK_ENTRIES", budget)
+        calls = record_stacked(monkeypatch)
+        compile_sequence(seq, points[0])
+        assert calls == chunks
+        assert compiled() == one_at_a_time
+        assert all(b * (k + 2) * 64 <= budget for b, k in calls)
+
+
+# numpy must do a stacked or broadcast matmul as the 2-D matmul of each slice,
+# bit for bit: the compile walk multiplies blocks in stacks and one at a time
+@pytest.mark.parametrize("d", range(2, 33))
+def test_stacked_matmul_is_per_slice_matmul(d):
+    rng = np.random.default_rng(d)
+    shape = (64, 3, d, d)
+    a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    for batch in range(1, 65):
+        x, y = a[:batch, 0], b[:batch, 0]  # contiguous (B, d, d)
+        view = a[:batch, 1]  # a child position of a gathered stack: strided batch
+        fixed = b[0, 2]  # one (d, d) matrix broadcast against the batch
+        for left, right in ((x, y), (view, y), (x, fixed), (fixed, y), (view, fixed)):
+            got = left @ right
+            for s in range(batch):
+                one = (left if left.ndim == 2 else left[s]) @ (right if right.ndim == 2 else right[s])
+                assert got[s].tobytes() == one.tobytes(), (d, batch, s)
 
 
 class TestCorrectionBlock:

@@ -389,23 +389,13 @@ class CompileCache:
 
 
 def _product(mats: list, d: int) -> np.ndarray:
-    """mats[-1] @ ... @ mats[0]: later items on the left, from the identity."""
+    """mats[-1] @ ... @ mats[0]: later items on the left, from the identity.
+
+    Each item is a (d, d) matrix or a stack of them, multiplied slice by slice.
+    """
     out = _identity(d, complex)
     for m in mats:
         out = m @ out
-    return out
-
-
-def _stacked_product(m: np.ndarray, d: int) -> np.ndarray:
-    """``_product`` of each row of a (B, k, d, d) stack of children: (B, d, d).
-
-    One matmul per child position, in ``_product``'s order and from its
-    identity; a stacked matmul is the 2-D matmul of each slice bit for bit,
-    so each row's bits are its ``_product``'s.
-    """
-    out = _identity(d, complex)
-    for j in range(m.shape[1]):
-        out = m[:, j] @ out
     return out
 
 
@@ -428,14 +418,13 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
     multiplied at one point and broadcast against the others.  The needed
     blocks are multiplied level by level (``_program``'s levels, lowest
     first).  A varying block is multiplied alone over the K points.  The
-    constant blocks of a level are multiplied together: their children are
-    gathered into one (B, k, d, d) stack per chunk, which with the two
-    running (B, d, d) products holds at most _CHUNK_ENTRIES entries, and
-    multiplied with one matmul per child position (``_stacked_product``).
-    A level with fewer than three such blocks, or whose chunk would hold
-    fewer than three (at d = 16 blocks of nine or more children, from
-    d = 32 on every block), multiplies them one at a time.  Either way a
-    block's bits are ``_product``'s.  If a plan's synthesis fails, the walk
+    constant blocks of a level are multiplied in chunks: a chunk's children
+    are gathered into one (B, k, d, d) stack, which with the two running
+    (B, d, d) products holds at most _CHUNK_ENTRIES entries, and ``_product``
+    multiplies the B blocks at once, one child position at a time; a chunk
+    of fewer than three blocks is multiplied one block at a time.  A stacked
+    matmul is the 2-D matmul of each slice bit for bit, so either way a
+    block's bits are its own ``_product``'s.  If a plan's synthesis fails, the walk
     alone decides what is raised: it synthesizes and checks each needed
     pulse alone in post-order, so the first pulse that cannot be
     synthesized raises its own error at its first such point.
@@ -511,16 +500,16 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
                 else:
                     constant.append(i)
         # blocks per chunk: their k children and the two running products fit the budget
-        step = unitary._CHUNK_ENTRIES // ((k + 2) * d * d)
-        # a stack of two saves about what its gather and the stacked calls cost
-        if len(constant) < 3 or step < 3:
-            for i in constant:
-                mats[i] = _product([mats[c] for c in children[i]], d)
-            continue
+        step = max(unitary._CHUNK_ENTRIES // ((k + 2) * d * d), 1)
         for lo in range(0, len(constant), step):
             part = constant[lo : lo + step]
+            if len(part) < 3:  # a stack of two saves less than its gather costs
+                for i in part:
+                    mats[i] = _product([mats[c] for c in children[i]], d)
+                continue
             m = np.concatenate([mats[c] for i in part for c in children[i]])
-            for i, mat in zip(part, _stacked_product(m.reshape(len(part), k, d, d), d)):
+            m = m.reshape(len(part), k, d, d)
+            for i, mat in zip(part, _product([m[:, j] for j in range(k)], d)):
                 mats[i] = mat
     for key, i in fresh:
         cache.put(key, mats[i])

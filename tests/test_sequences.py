@@ -1068,21 +1068,11 @@ class TestStack:
             ErrorAssignment({"ZZ": e, "X1": 1e-2, "Y1": 1e-2})
             for e in np.logspace(-4, -1, 9).tolist()
         ]
-        products = []  # (children, whether at one point) of each block multiplied
-        real, stacked = sequences._product, sequences._stacked_product
-        monkeypatch.setattr(
-            sequences,
-            "_product",
-            lambda mats, d: products.append((len(mats), (out := real(mats, d)).ndim == 2)) or out,
-        )
-        monkeypatch.setattr(
-            sequences,
-            "_stacked_product",
-            lambda m, d: products.extend([(m.shape[1], True)] * len(m)) or stacked(m, d),
-        )
+        products = record_products(monkeypatch)
         stack, _ = compile_stack(seq, points)
-        assert sum(n for n, _ in products) == 26
-        assert sum(n for n, alone in products if alone) == 16
+        # the four constant blocks in one stack of four, their 16 child
+        # products at one point, then the root's 10 at the nine points
+        assert products == [(4, 4), (9, 10)]
         assert [m.tobytes() for m in stack] == [
             compile_sequence(seq, p).matrix.tobytes() for p in points
         ]
@@ -1206,12 +1196,18 @@ class TestWalk:
         assert [m.tobytes() for m in stack] == expected
 
 
-def record_stacked(monkeypatch):
-    """Wrap ``sequences._stacked_product``; the list it returns gets each call's (B, k)."""
-    calls, real = [], sequences._stacked_product
-    monkeypatch.setattr(
-        sequences, "_stacked_product", lambda m, d: calls.append(m.shape[:2]) or real(m, d)
-    )
+def record_products(monkeypatch):
+    """Wrap ``sequences._product``; the list it returns gets each call's
+    (rows, children): rows is 1 for (d, d) items, else the length of their
+    stack, which at one point is the number of blocks multiplied together."""
+    calls, real = [], sequences._product
+
+    def product(mats, d):
+        out = real(mats, d)
+        calls.append((len(out) if out.ndim == 3 else 1, len(mats)))
+        return out
+
+    monkeypatch.setattr(sequences, "_product", product)
     return calls
 
 
@@ -1229,20 +1225,15 @@ class TestLevels:
     def test_one_point_chain_multiplied_per_level(self, monkeypatch):
         seq = wj_chain(3, 0.6183)
         errors = ErrorAssignment.uniform(seq.labels, 1e-3)
-        alone = []
-        real = sequences._product
-        monkeypatch.setattr(
-            sequences, "_product", lambda mats, d: alone.append(len(mats)) or real(mats, d)
-        )
-        calls = record_stacked(monkeypatch)
+        calls = record_products(monkeypatch)
         compile_sequence(seq, errors)
         # one stacked product per level and chunk: a chunk's k children and
         # two running products of 64 entries each stay within 2**13 entries,
-        # so 21 blocks of 4 children fit one and 10 blocks of 10
-        assert calls == [(21, 4), (11, 4), (10, 10), (6, 10), (8, 10), (4, 10)]
+        # so 21 blocks of 4 children fit one and 10 blocks of 10; the root
+        # is alone
+        assert calls == [(21, 4), (11, 4), (10, 10), (6, 10), (8, 10), (4, 10), (1, 10)]
         assert all(b * (k + 2) * 64 <= unitary._CHUNK_ENTRIES for b, k in calls)
-        assert alone == [10]  # the root
-        assert sum(b for b, _ in calls) + len(alone) == 61
+        assert sum(b for b, _ in calls) == 61
 
     def test_stack_starts_from_the_identity(self, monkeypatch):
         # a ZZ pulse past half a turn has -0.0 entries, which the identity
@@ -1252,24 +1243,25 @@ class TestLevels:
         errors = ErrorAssignment({"a": 0.0, "b": 0.0})
         zz = evolve([(-7.0, 0.0, HZZ)]).matrix.real
         assert np.signbit(zz[zz == 0.0]).all()
-        calls = record_stacked(monkeypatch)
+        calls = record_products(monkeypatch)
         cache = CompileCache()
         compile_sequence(seq, errors, cache)
-        assert calls == [(3, 1)]
+        assert calls == [(3, 1), (1, 4)]
         for (block, _), mat in cache._store.items():
             assert mat.tobytes() == reference_matrix(block, errors.values).tobytes()
 
     @pytest.mark.parametrize(
         "budget, chunks",
         [
-            # 6 blocks of 4 children or 3 of 10 per chunk: every level spans several
+            # 6 blocks of 4 children or 3 of 10 per chunk: every level spans
+            # several, and a last chunk of one or two is multiplied alone
             (
                 3 * 12 * 64,
-                [(6, 4)] * 5 + [(2, 4)] + [(3, 10)] * 5 + [(1, 10)]
-                + [(3, 10), (3, 10), (2, 10)] + [(3, 10), (1, 10)],
+                [(6, 4)] * 5 + [(1, 4)] * 2 + [(3, 10)] * 5 + [(1, 10)]
+                + [(3, 10)] * 2 + [(1, 10)] * 2 + [(3, 10), (1, 10), (1, 10)],
             ),
             # two blocks of 4 children per chunk: fewer than three fit, so none is stacked
-            (3 * 6 * 64 - 1, []),
+            (3 * 6 * 64 - 1, [(1, 4)] * 32 + [(1, 10)] * 29),
         ],
         ids=["several-chunks", "two-block-chunks"],
     )
@@ -1291,11 +1283,11 @@ class TestLevels:
         monkeypatch.setattr(unitary, "_CHUNK_ENTRIES", 0)  # no chunk holds a block
         one_at_a_time = compiled()
         monkeypatch.setattr(unitary, "_CHUNK_ENTRIES", budget)
-        calls = record_stacked(monkeypatch)
+        calls = record_products(monkeypatch)
         compile_sequence(seq, points[0])
         assert calls == chunks
+        assert all(b * (k + 2) * 64 <= budget for b, k in calls if b > 1)
         assert compiled() == one_at_a_time
-        assert all(b * (k + 2) * 64 <= budget for b, k in calls)
 
 
 # numpy must do a stacked or broadcast matmul as the 2-D matmul of each slice,

@@ -424,9 +424,9 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
     multiplies the B blocks at once, one child position at a time; a chunk
     of fewer than three blocks is multiplied one block at a time.  A stacked
     matmul is the 2-D matmul of each slice bit for bit, so either way a
-    block's bits are its own ``_product``'s.  If a plan's synthesis fails, the walk
-    alone decides what is raised: it synthesizes and checks each needed
-    pulse alone in post-order, so the first pulse that cannot be
+    block's bits are its own ``_product``'s.  If a plan's synthesis fails,
+    the walk alone decides what is raised: it synthesizes and checks each
+    needed pulse alone in post-order, so the first pulse that cannot be
     synthesized raises its own error at its first such point.
     """
     for k, errors in enumerate(points):

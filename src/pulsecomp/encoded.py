@@ -24,15 +24,19 @@ from .sequences import (
     _require_finite_theta,
     compile_sequence,
 )
-from .unitary import Subspace, matrix_of, matrix_to_hamiltonian
+from .unitary import Subspace, matrix_of
 
 
 @dataclass(frozen=True)
 class Encoding:
+    """A three-spin encoded qubit: the scheme name and its code subspace.
+
+    Logical rotations are pulse sequences, not fields: ``p3_sequence`` and
+    ``p3_bb1`` on the XY code, ``heisenberg_logical`` on the exchange code.
+    """
+
     scheme: Literal["xy3", "heisenberg3"]
     code: Subspace
-    logical_z: Hamiltonian
-    logical_x: Hamiltonian
 
 
 def _coupling(i: int, j: int, n: int, coeff: float, letters: str) -> Hamiltonian:
@@ -174,7 +178,9 @@ def xy3_encoding() -> Encoding:
 
     The code basis consists of the +-1 eigenvectors of the conjugated
     coupling that generates the five-pulse z rotation; the third sector
-    state (eigenvalue 0) and the m_z = +-3/2 states are spectators.
+    state (eigenvalue 0) and the m_z = +-3/2 states are spectators.  The
+    -1 eigenvector comes first, so ``p3_sequence(theta)`` (and ``p3_bb1``
+    at zero error) acts on the basis as diag(e^{-i theta/2}, e^{+i theta/2}).
     """
     w = compile_sequence(
         PulseSequence(
@@ -195,15 +201,7 @@ def xy3_encoding() -> Encoding:
         raise PauliError(f"unexpected logical-Z spectrum {ew}")
     # Eigenvalue -1 first: the generated z rotation then acts as
     # diag(e^{-i theta/2}, e^{+i theta/2}) on the code basis.
-    code = _fix_phases(block @ ev[:, [2, 0]])
-    zbar = code[:, [0]] @ code[:, [0]].conj().T - code[:, [1]] @ code[:, [1]].conj().T
-    xbar = code[:, [0]] @ code[:, [1]].conj().T + code[:, [1]] @ code[:, [0]].conj().T
-    return Encoding(
-        scheme="xy3",
-        code=Subspace(code),
-        logical_z=matrix_to_hamiltonian(zbar, 3),
-        logical_x=matrix_to_hamiltonian(xbar, 3),
-    )
+    return Encoding(scheme="xy3", code=Subspace(_fix_phases(block @ ev[:, [2, 0]])))
 
 
 # Logical Z and X generators of the exchange code, unrestricted (as applied
@@ -215,15 +213,10 @@ _EXCHANGE_X = (1.0 / math.sqrt(3.0)) * (exchange(1, 2) + 2.0 * exchange(2, 3))
 def heisenberg3_encoding() -> Encoding:
     """The exchange code: the (S = 1/2, m_z = +1/2) doublet.
 
-    E(1,2) restricts to logical Z; (E(1,2) + 2 E(2,3)) / sqrt(3) restricts
-    to logical X.
+    On it E(1,2) restricts to logical Z and (E(1,2) + 2 E(2,3)) / sqrt(3)
+    to logical X: the generators ``heisenberg_logical`` pulses.
     """
-    return Encoding(
-        scheme="heisenberg3",
-        code=sector_decomposition("heisenberg")[(0.5, 0.5)],
-        logical_z=_EXCHANGE_Z,
-        logical_x=_EXCHANGE_X,
-    )
+    return Encoding(scheme="heisenberg3", code=sector_decomposition("heisenberg")[(0.5, 0.5)])
 
 
 def get_encoding(name: str) -> Encoding:

@@ -75,11 +75,13 @@ def _finite(value, noun: str, label: str, error: type) -> float:
 
 
 def _iterable(values, what: str, error: type = SequenceError):
-    """An iterator over values; else ``error`` naming them."""
-    try:
-        return iter(values)
-    except TypeError:
-        raise error(f"{what} {values!r} is not a collection") from None
+    """An iterator over values, which may not be a string; else ``error`` naming them."""
+    if not isinstance(values, str):
+        try:
+            return iter(values)
+        except TypeError:
+            pass
+    raise error(f"{what} {values!r} is not a collection")
 
 
 def _term(term) -> tuple[str, float, Hamiltonian]:
@@ -166,8 +168,9 @@ class PulseSequence:
     ``items`` may mix pulses and sub-sequences (corrected blocks); the
     flattened pulse list is exposed as ``pulses``.  ``required_groups``
     lists label sets whose errors must resolve to one value at compile
-    time, each kept as a frozenset of label strings (a string group is
-    rejected, not split into characters).  Sequences are interned on the
+    time, each kept as a frozenset of label strings (a string, as a group
+    or as the collection of groups, is rejected, not split into
+    characters).  Sequences are interned on the
     ids of their (already interned) items and on their groups, so a
     repeated block is one shared node of a DAG and a ``CompileCache`` key
     costs O(1).
@@ -317,7 +320,8 @@ class ErrorAssignment:
 
     Labels in one group share a single value; supplying conflicting values
     for grouped labels is rejected.  Values are kept as floats and each
-    group as a frozenset of label strings (a string group is rejected).
+    group as a frozenset of label strings (a string, as a group or as
+    ``groups``, is rejected).
     ``seed`` and ``signs`` record how a random-sign assignment was drawn.
     """
 

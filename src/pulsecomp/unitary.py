@@ -153,27 +153,6 @@ def matrix_of(h: Hamiltonian) -> np.ndarray:
     return _pauli_sum((dim, dim), ((c, _word_matrix(s.letters)) for c, s in h.terms))
 
 
-def matrix_to_hamiltonian(m: np.ndarray, n_qubits: int) -> Hamiltonian:
-    """Exact Pauli decomposition of a Hermitian matrix (small n only).
-
-    Coefficients of magnitude at most 1e-12 are dropped.
-    """
-    from itertools import product
-
-    tol = 1e-12
-    dim = 2**n_qubits
-    terms = []
-    for letters in product("IXYZ", repeat=n_qubits):
-        word = "".join(letters)
-        p = matrix_of(Hamiltonian.single(1.0, word))
-        c = np.trace(p @ m) / dim
-        if abs(c.imag) > tol * max(1.0, abs(c.real)):
-            raise PauliError(f"matrix not Hermitian: {word} coefficient {c}")
-        if abs(c.real) > tol:
-            terms.append((c.real, PauliString(word)))
-    return Hamiltonian.from_terms(n_qubits, terms)
-
-
 class _Synthesis:
     """The Pauli structure of one pulse, derived once from its Hamiltonians.
 

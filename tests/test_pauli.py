@@ -24,7 +24,7 @@ from pulsecomp import (
     unit_su2_partner,
 )
 from pulsecomp import pauli
-from pulsecomp.encoded import heisenberg_coupling, xy3_encoding, xy_coupling
+from pulsecomp.encoded import exchange, heisenberg_coupling, xy_coupling
 from pulsecomp.unitary import matrix_of
 
 _SIGMA = {
@@ -339,15 +339,18 @@ class TestParseHamiltonian:
         assert parse_hamiltonian(str(h)).coefficients == h.coefficients
         assert str(h) == "0.5*XI - 0.25*ZZ"
         third = 1.0 / math.sqrt(3.0)
-        xy3 = xy3_encoding()
+        # many-word sums: coefficients one ulp below 1/4, and coefficients
+        # left inexact by scaling and summing couplings
+        quarter = float(np.nextafter(0.25, 0.0))
+        words = [(quarter, "IZI"), (quarter, "IZZ"), (-quarter, "ZII"), (-quarter, "ZIZ")]
         for h in (
             parse_hamiltonian("-0.5*ZZ"),
             parse_hamiltonian("1e-20*ZZ"),
             parse_hamiltonian("+XX - 2.5E+3*YY"),
             Hamiltonian.single(third, "XX") + Hamiltonian.single(-third, "ZZ"),
             Hamiltonian.single(np.float64(0.5), "X"),
-            xy3.logical_z,
-            xy3.logical_x,
+            Hamiltonian.from_terms(3, [(c, PauliString(w)) for c, w in words]),
+            third * (exchange(1, 2) + 2.0 * exchange(2, 3)) + 0.1 * heisenberg_coupling(1, 3),
         ):
             assert parse_hamiltonian(str(h)).coefficients == h.coefficients
         assert parse_hamiltonian("-0.5*ZZ").coefficients == {"ZZ": -0.5}

@@ -139,9 +139,18 @@ class TestPulseTypes:
         with pytest.raises(SequenceError, match=r"^pulse terms 5 is not a collection$"):
             Pulse(5)
 
+    def test_string_terms_rejected(self):
+        # named whole, not as the term 'a'
+        with pytest.raises(SequenceError, match=r"^pulse terms 'ab' is not a collection$"):
+            Pulse("ab")
+
     def test_non_collection_items_rejected(self):
         with pytest.raises(SequenceError, match=r"^sequence items 5 is not a collection$"):
             PulseSequence(5)
+
+    def test_string_items_rejected(self):
+        with pytest.raises(SequenceError, match=r"^sequence items 'ab' is not a collection$"):
+            PulseSequence("ab")
 
     @pytest.mark.parametrize("bad", [5, None, 0.5], ids=repr)
     def test_non_collection_groups_rejected(self, bad):
@@ -246,8 +255,9 @@ class TestErrorAssignment:
         with pytest.raises(CompileError, match=r"^group .* is not a collection of label strings$"):
             ErrorAssignment({"a": 0.1}, groups=(group,))
 
-    @pytest.mark.parametrize("bad", [5, None, 0.5], ids=repr)
+    @pytest.mark.parametrize("bad", [5, None, 0.5, "X1ZZ"], ids=repr)
     def test_non_collection_groups_rejected(self, bad):
+        # a string is named whole, not as its first character's group
         with pytest.raises(CompileError, match=rf"^groups {bad!r} is not a collection$"):
             ErrorAssignment({"a": 0.1}, groups=bad)
 
@@ -434,7 +444,12 @@ class TestInterning:
 
     @pytest.mark.parametrize("groups", [["X1ZZ"], "ab", [("a", 1)], [[["a"]]], [5]])
     def test_bad_groups_rejected(self, groups):
-        with pytest.raises(SequenceError, match=r"^group .* is not a collection of label strings$"):
+        # a string is named whole, as the collection; otherwise the bad group
+        if isinstance(groups, str):
+            match = rf"^required groups {groups!r} is not a collection$"
+        else:
+            match = r"^group .* is not a collection of label strings$"
+        with pytest.raises(SequenceError, match=match):
             PulseSequence((Pulse.single("a", 0.3, HX),), required_groups=groups)
 
     def test_copy_and_pickle_keep_identity(self):

@@ -30,7 +30,7 @@ from pulsecomp import unitary
 from pulsecomp.encoded import get_encoding, heisenberg_logical, p3_bb1, p3_sequence
 from pulsecomp.pauli import PauliError, PauliString, _product_terms, square_identity_coefficient
 from pulsecomp.pauli import square_identity_coefficients
-from pulsecomp.unitary import check_unitary, matrix_to_hamiltonian
+from pulsecomp.unitary import check_unitary
 
 
 def algebra_evolve(terms):
@@ -218,11 +218,6 @@ class TestMatrixOf:
         again = matrix_of(Hamiltonian.single(0.5, "XZ"))
         assert again[0, 0] == 0.0
         assert np.array_equal(again, 0.5 * np.kron([[0, 1], [1, 0]], [[1, 0], [0, -1]]))
-
-    def test_decomposition_roundtrip(self):
-        h = Hamiltonian.single(0.3, "XZ") + Hamiltonian.single(-0.7, "YY")
-        back = matrix_to_hamiltonian(matrix_of(h), 2)
-        assert back.coefficients == pytest.approx(h.coefficients)
 
 
 class TestEvolve:

@@ -199,8 +199,7 @@ def xy3_encoding() -> Encoding:
     ew, ev = ew[order], ev[:, order]
     if abs(ew[0] - 1.0) > 1e-9 or abs(ew[-1] + 1.0) > 1e-9:
         raise PauliError(f"unexpected logical-Z spectrum {ew}")
-    # Eigenvalue -1 first: the generated z rotation then acts as
-    # diag(e^{-i theta/2}, e^{+i theta/2}) on the code basis.
+    # ev is sorted by descending eigenvalue: column 2 holds -1, column 0 holds +1.
     return Encoding(scheme="xy3", code=Subspace(_fix_phases(block @ ev[:, [2, 0]])))
 
 

@@ -15,7 +15,7 @@ import numbers
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import mul
+from itertools import accumulate
 from typing import Callable, Mapping, Optional, Union
 from weakref import WeakValueDictionary
 
@@ -256,18 +256,25 @@ class PulseSequence:
 
     @cached_property
     def _program(self) -> tuple:
-        """The compile walk's fixed structure: (nodes, keys, children, groups, levels).
+        """The compile walk's fixed structure: (nodes, keys, children, schedule, levels).
 
-        ``nodes`` and ``children`` are ``_dag``'s; a node's ``keys`` index its
-        labels in ``_sorted_labels`` (a pulse's in term order, a block's
-        sorted); ``groups`` pairs each tuple of Hamiltonians with its pulses,
-        each as (node index, term angles), in post-order.  ``levels`` pairs
-        each child count k with the indices of the blocks of one height and
-        k children, in order of increasing height (a pulse has height 0, a
-        block one more than its highest child), so every block of a level
-        can be multiplied once the levels below it are.  Derived on the
-        first compile and kept while the node lives; the synthesis plans stay
-        in ``_synthesis``'s cache, looked up per compile.
+        ``nodes`` and ``children`` are ``_dag``'s; a node's ``keys`` index
+        its labels in ``_sorted_labels`` (a pulse's in term order, a
+        block's sorted).  ``schedule`` is (plans, stops, at, angles, terms):
+        the pulses grouped by their tuple of Hamiltonians (a synthesis
+        plan), plans in order of their first pulse and pulses in post-order
+        within a plan, as three arrays whose rows ``stops[p - 1]:stops[p]``
+        are plan p's pulses: ``at`` their node indices, ``angles`` their
+        term angles and ``terms`` their terms' label indices, both (P, W)
+        for the widest plan's W terms, a narrower pulse padded with angle 0
+        and label index len(labels).  ``plans`` holds each plan's
+        Hamiltonians.  ``levels`` pairs each child count k with the indices
+        of the blocks of one height and k children, in order of increasing
+        height (a pulse has height 0, a block one more than its highest
+        child), so every block of a level can be multiplied once the levels
+        below it are.  Derived on the first compile and kept while the node
+        lives; the synthesis plans stay in ``_synthesis``'s cache, looked up
+        per compile.
         """
         nodes, children = self._dag
         place = {l: j for j, l in enumerate(self._sorted_labels)}
@@ -285,7 +292,24 @@ class PulseSequence:
             heights.append(height)
             keys.append(tuple([place[l] for l in labels]))
         levels = tuple((k, tuple(blocks)) for (_, k), blocks in sorted(levels.items()))
-        return nodes, keys, children, tuple(groups.items()), levels
+        width = max(map(len, groups))
+        at, flat_angles, flat_terms = [], [], []  # each pulse padded to the width
+        for hams, pulses in groups.items():
+            pad = width - len(hams)
+            for i, angles in pulses:
+                at.append(i)
+                flat_angles += angles
+                flat_angles += (0.0,) * pad
+                flat_terms += keys[i]
+                flat_terms += (len(place),) * pad
+        schedule = (
+            tuple(groups),
+            np.array(list(accumulate(map(len, groups.values())))),
+            np.array(at),
+            np.array(flat_angles).reshape(-1, width),
+            np.array(flat_terms).reshape(-1, width),
+        )
+        return nodes, keys, children, schedule, levels
 
     @cached_property
     def _proved(self) -> set:
@@ -403,38 +427,14 @@ def _product(mats: list, d: int) -> np.ndarray:
     return out
 
 
-def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarray:
-    """Unchecked product of a sequence at K >= 1 assignments, each validated
-    first: (d, d) when every label's errors agree at all K points, else a
-    (K, d, d) stack.
-
-    Runs the sequence's ``_program`` (derived once per interned sequence
-    and kept while it lives) without recursion.  With a ``cache``, the
-    nodes are marked in reverse post-order: the root is needed, and a
-    needed block the cache lacks makes its items needed, so the cache is
-    asked about the root and the sub-blocks of misses, never below a hit;
-    a needed pulse is synthesized without asking, and only the blocks
-    multiplied here are put.  Each synthesis plan, looked up once per call
-    in ``_synthesis``'s 256-entry lru, then synthesizes the distinct scale
-    rows theta(1+eps) of all its needed pulses and points in one call,
-    which checks them unitary.  A node whose labels' errors agree at every
-    point (0.0 and -0.0 agree, as they give equal scales) is synthesized or
-    multiplied at one point and broadcast against the others.  The needed
-    blocks are multiplied level by level (``_program``'s levels, lowest
-    first).  A varying block is multiplied alone over the K points.  The
-    constant blocks of a level are multiplied in chunks: a chunk's children
-    are gathered into one (B, k, d, d) stack, which with the two running
-    (B, d, d) products holds at most _CHUNK_ENTRIES entries, and ``_product``
-    multiplies the B blocks at once, one child position at a time; a chunk
-    of fewer than three blocks is multiplied one block at a time.  A stacked
-    matmul is the 2-D matmul of each slice bit for bit, so either way a
-    block's bits are its own ``_product``'s.  If a plan's synthesis fails,
-    the walk alone decides what is raised: it synthesizes and checks each
-    needed pulse alone in post-order, so the first pulse that cannot be
-    synthesized raises its own error at its first such point.
-    """
+def _require_assigned(seq: PulseSequence, points) -> None:
+    """Raise a CompileError, its ``point`` set, at the first of the points
+    that is not an ErrorAssignment, leaves a label of seq unassigned or
+    splits one of its required groups."""
     for k, errors in enumerate(points):
         try:
+            if not isinstance(errors, ErrorAssignment):
+                raise CompileError(f"point {k}, {errors!r}, is not an ErrorAssignment")
             missing = seq.labels - errors.values.keys()
             if missing:
                 raise CompileError(f"unassigned labels: {', '.join(sorted(missing))}")
@@ -447,54 +447,125 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
         except CompileError as exc:
             exc.point = k
             raise
-    nodes, keys, children, groups, levels = seq._program
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple:
+    """The distinct rows of each of V pulses among its (V, K, W) rows at K points.
+
+    Returns (distinct, owner, index): the distinct rows as one (D, W) array,
+    pulse by pulse, each pulse's in sorted order; the pulse of each, as its
+    index among the V; and the (V, K) positions in ``distinct`` of every
+    pulse's row at every point.  Rows equal as floats are one row (0.0 and
+    -0.0 are equal), so equal rows get equal bits.
+    """
+    v, k, w = rows.shape
+    flat = rows.reshape(-1, w)
+    owner = np.repeat(np.arange(v), k)
+    order = np.lexsort((*flat.T[::-1], owner))  # by pulse, then by row
+    flat, owner = flat[order], owner[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (owner[1:] != owner[:-1]) | (flat[1:] != flat[:-1]).any(axis=1)
+    index = np.empty(len(order), dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return flat[new], owner[new], index.reshape(v, k)
+
+
+def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarray:
+    """Unchecked product of a sequence at K >= 1 assignments, each validated
+    first: (d, d) when every label's errors agree at all K points, else a
+    (K, d, d) stack.
+
+    Runs the sequence's ``_program`` (derived once per interned sequence
+    and kept while it lives) without recursion.  With a ``cache``, the
+    blocks are marked from the top level down: the root is needed, and a
+    needed block the cache lacks makes its items needed, so the cache is
+    asked about the root and the sub-blocks of misses, never below a hit;
+    a needed pulse is synthesized without asking, and only the blocks
+    multiplied here are put.  The pulses are scheduled from the program's
+    arrays, with no per-pulse Python: the scale rows theta(1+eps) of all
+    pulses are one numpy product of the angles and the factors 1+eps
+    indexed by the terms' labels, filtered by the needed mask.  A pulse
+    whose labels' errors agree at every point (0.0 and -0.0 agree, as they
+    give equal scales) takes one row, at the first point; a varying pulse
+    takes its distinct rows across the points, each once.  Each synthesis
+    plan, looked up once per call in ``_synthesis``'s 256-entry lru, then
+    synthesizes its rows, those of its pulses in order, in one call, which
+    checks them unitary.  The needed blocks are multiplied level by level
+    (``_program``'s levels, lowest first), a block whose labels' errors
+    agree at every point at that point alone and broadcast against the
+    others.  A varying block is multiplied alone over the K points.  The
+    constant blocks of a level are multiplied in chunks: a chunk's children
+    are gathered into one (B, k, d, d) stack, which with the two running
+    (B, d, d) products holds at most _CHUNK_ENTRIES entries, and
+    ``_product`` multiplies the B blocks at once, one child position at a
+    time; a chunk of fewer than three blocks is multiplied one block at a
+    time.  A stacked matmul is the 2-D matmul of each slice bit for bit, so
+    either way a block's bits are its own ``_product``'s.  If a plan's
+    synthesis fails, the walk alone decides what is raised: it synthesizes
+    and checks each needed pulse alone in post-order, at every point, so
+    the first pulse that cannot be synthesized raises its own error at its
+    first such point.
+    """
+    _require_assigned(seq, points)
+    nodes, keys, children, (plans, stops, at, angles, terms), levels = seq._program
     columns = [tuple([errors.values[l] for errors in points]) for l in seq._sorted_labels]
     varying = [col.count(col[0]) < len(col) for col in columns]
-    mats: list = [None] * len(nodes)
-    needed = [cache is None] * len(nodes)
+    vary = any(varying)
+    mats: dict = {}  # node index -> its matrix, or its (K, d, d) stack if its errors vary
+    needed = bytearray(b"\x01" * len(nodes) if cache is None else len(nodes))
     fresh = []  # (cache key, node index) of the needed blocks the cache lacks
     if cache is not None:
-        needed[-1] = True
-        for i in range(len(nodes) - 1, -1, -1):
-            if needed[i] and children[i]:  # a block; a needed pulse is synthesized
-                key = (nodes[i], tuple(map(columns.__getitem__, keys[i])))
-                mats[i] = cache.get(key)
-                if mats[i] is None:
-                    fresh.append((key, i))
-                    for c in children[i]:
-                        needed[c] = True
-                else:
-                    needed[i] = False
-    factors = [tuple([1.0 + e for e in col]) for col in columns]  # 1 + eps per label and point
-    first = [f[0] for f in factors]
-    work = []  # (plan, distinct row -> its place in the plan's stack, [(pulse index, rows)])
-    for hams, pulses in groups:
-        index: dict = {}
-        mine = []
-        for i, thetas in pulses:
-            if needed[i]:
-                ks = keys[i]
-                if any(map(varying.__getitem__, ks)):
-                    rows = [tuple(map(mul, thetas, f)) for f in zip(*map(factors.__getitem__, ks))]
-                else:
-                    rows = [tuple(map(mul, thetas, map(first.__getitem__, ks)))]
-                for row in rows:
-                    index.setdefault(row, len(index))
-                mine.append((i, rows))
-        if mine:
-            work.append((_synthesis(hams), index, mine))
+        needed[-1] = 1
+        for _, blocks in reversed(levels):  # each block before its items
+            for i in blocks:
+                if needed[i]:
+                    key = (nodes[i], tuple(map(columns.__getitem__, keys[i])))
+                    mats[i] = cache.get(key)
+                    if mats[i] is None:
+                        fresh.append((key, i))
+                        for c in children[i]:
+                            needed[c] = 1
+                    else:
+                        needed[i] = 0
+    d, n = 2**seq.n_qubits, len(points)
+    # 1 + eps per label and point, then a factor 1 for the padded terms
+    factors = 1.0 + np.array([e for col in columns for e in col] + [0.0] * n).reshape(-1, n)
+    one = np.flatnonzero(np.frombuffer(needed, dtype=bool)[at])  # the needed pulses
+    many_at, many_ends = [], [0] * len(plans)  # the needed pulses whose labels' errors vary
+    extra_ends = many_ends
+    # as Python floats, theta (1 + eps) overflows to inf silently
+    with np.errstate(over="ignore"):
+        if vary:  # a varying pulse takes its distinct rows at the points, the others one
+            moving = np.array([*varying, False])[terms[one]].any(axis=1)
+            one, many = one[~moving], one[moving]
+            scales = angles[many, None] * factors[terms[many]].swapaxes(1, 2)
+            extra, owner, spread = _distinct_rows(scales)
+            many_at = at[many].tolist()
+            many_ends = many.searchsorted(stops).tolist()
+            extra_ends = many[owner].searchsorted(stops).tolist()
+        rows = angles[one] * factors[:, 0][terms[one]]
+    one_at, ends = at[one].tolist(), one.searchsorted(stops).tolist()
+    lo = mlo = xlo = 0
     try:
-        for plan, index, mine in work:
-            u = plan.unitaries(list(index))
-            for i, rows in mine:
-                mats[i] = u[index[rows[0]]] if len(rows) == 1 else u[[index[r] for r in rows]]
+        for hams, hi, mhi, xhi in zip(plans, ends, many_ends, extra_ends):
+            part = rows[lo:hi, : len(hams)]
+            if xhi > xlo:
+                part = np.concatenate([part, extra[xlo:xhi, : len(hams)]])
+            if len(part):
+                u = _synthesis(hams).unitaries(part)
+                mats.update(zip(one_at[lo:hi], u))
+                if mhi > mlo:  # each varying pulse's (K, d, d) stack
+                    mats.update(zip(many_at[mlo:mhi], u[spread[mlo:mhi] + (hi - lo - xlo)]))
+            lo, mlo, xlo = hi, mhi, xhi
     except ValueError:
         # raise what synthesizing and checking each pulse alone raises first
-        for _, plan, rows in sorted((i, plan, rows) for plan, _, mine in work for i, rows in mine):
-            check_unitary(np.stack([plan.unitary(row) for row in rows]))
+        pending = np.flatnonzero(np.frombuffer(needed, dtype=bool)[at])
+        for j in pending[np.argsort(at[pending])].tolist():
+            hams = plans[int(np.searchsorted(stops, j, side="right"))]
+            with np.errstate(over="ignore"):
+                scales = (angles[j, : len(hams)] * factors[terms[j, : len(hams)]].T).tolist()
+            check_unitary(np.stack([_synthesis(hams).unitary(row) for row in scales]))
         raise
-    d = 2**seq.n_qubits
-    vary = any(varying)
     for k, blocks in levels:
         constant = []
         for i in blocks:
@@ -517,7 +588,7 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
                 mats[i] = mat
     for key, i in fresh:
         cache.put(key, mats[i])
-    return mats[-1]
+    return mats[len(nodes) - 1]
 
 
 def compile_stack(seq: PulseSequence, points) -> tuple[np.ndarray, float]:
@@ -526,13 +597,16 @@ def compile_stack(seq: PulseSequence, points) -> tuple[np.ndarray, float]:
     Returns the (K, d, d) stack, matrix k bit for bit ``compile_sequence``
     at ``points[k]``, and the worst unitarity defect among them; each is
     checked to 1e-10.  Each distinct node is compiled once for all K
-    points, each synthesis plan synthesizes the distinct scale rows of all
-    its pulses in one call, and a node whose errors agree at every point
-    is compiled at one point.  Every assignment is checked for unassigned
-    labels and split groups before any is compiled; the CompileError's
-    ``point`` is the index of the first at fault.
+    points: the walk forms the scale rows of all pulses and points from
+    the program's arrays, each plan synthesizes its pulses' rows in one
+    call (a varying pulse's distinct rows, each once), and a node whose
+    errors agree at every point is compiled at one point.  ``points`` must
+    be a collection, and every assignment an ``ErrorAssignment`` with no
+    unassigned label or split group, all checked before anything is
+    compiled; the CompileError's ``point`` is the index of the first at
+    fault.
     """
-    points = tuple(points)
+    points = tuple(_iterable(points, "points", CompileError))
     d = 2**seq.n_qubits
     if not points:
         return np.empty((0, d, d), dtype=complex), 0.0
@@ -549,11 +623,72 @@ def compile_sequence(
     """Compile a sequence to a unitary; later pulses multiply on the left.
 
     The one-point case of ``compile_stack``: each distinct node is compiled
-    once per call, and the pulses that share a synthesis plan are
-    synthesized together.  Pass a ``cache`` to share compiled blocks across
-    calls; pulses are synthesized afresh each call.
+    once per call, and each synthesis plan synthesizes the rows of its
+    needed pulses in one call.  Pass a ``cache`` (a ``CompileCache``) to
+    share compiled blocks across calls; pulses are synthesized afresh each
+    call.  A ``substitute`` self-check compile whose root's block items all
+    hit its cache multiplies the root from them (``_root_product``).  A
+    cache or errors of the wrong type raise a CompileError before anything
+    is compiled.
     """
+    if cache is not None and not isinstance(cache, CompileCache):
+        raise CompileError(f"cache {cache!r} is not a CompileCache")
+    if cache is not None and cache is _CHECK_CACHE.get() and "_program" not in seq.__dict__:
+        return Unitary(_root_product(seq, errors, cache))
     return Unitary(_walk(seq, (errors,), cache))
+
+
+class _Answered(CompileCache):
+    """A cache that answers the keys already asked of another from those
+    answers, once each, and passes every other get and every put on."""
+
+    def __init__(self, cache: CompileCache, answers: dict) -> None:
+        self._cache, self._answers = cache, answers
+
+    def get(self, key):
+        return self._answers.pop(key) if key in self._answers else self._cache.get(key)
+
+    def put(self, key, value) -> None:
+        self._cache.put(key, value)
+
+
+def _root_product(seq: PulseSequence, errors: ErrorAssignment, cache: CompileCache) -> np.ndarray:
+    """The cached one-point walk of a sequence, without its program if it can be.
+
+    The cache is asked about the root and, on a miss, about each distinct
+    block item once, as the walk asks.  When every one of those items
+    hits, the root is multiplied from its items by ``_product``, each pulse
+    item synthesized by ``evolve``, and put, without deriving ``_program``:
+    the root is alone at the walk's top level, which multiplies it the same
+    way, to the same bits.  Otherwise the walk runs, answered from what was
+    asked, so the cache sees the walk's traffic either way.
+    """
+    _require_assigned(seq, (errors,))
+    values = errors.values
+
+    def key(node: PulseSequence) -> tuple:
+        return node, tuple([(values[l],) for l in node._sorted_labels])
+
+    root = key(seq)
+    mat = cache.get(root)
+    if mat is not None:
+        return mat
+    blocks = {it: key(it) for it in seq.items if isinstance(it, PulseSequence)}
+    answers = {k: cache.get(k) for k in blocks.values()}
+    if any(m is None for m in answers.values()):
+        answers[root] = None
+        return _walk(seq, (errors,), _Answered(cache, answers))
+    pulses = {
+        it: evolve([(theta, values[l], h) for l, theta, h in it.terms]).matrix
+        for it in dict.fromkeys(seq.items)
+        if isinstance(it, Pulse)
+    }
+    mat = _product(
+        [pulses[it] if isinstance(it, Pulse) else answers[blocks[it]] for it in seq.items],
+        2**seq.n_qubits,
+    )
+    cache.put(root, mat)
+    return mat
 
 
 def phi_of(theta: float) -> float:

@@ -244,15 +244,17 @@ class _Synthesis:
             return _identity(d) - 1j * amat
         return math.cos(r) * _identity(d) - 1j * (math.sin(r) / r) * amat
 
-    def unitaries(self, rows: list) -> np.ndarray:
+    def unitaries(self, rows) -> np.ndarray:
         """``unitary`` at each row of per-term scales: an (R, d, d) stack.
 
-        Below _ARRAY_ROWS rows each row is synthesized alone by ``evolve``,
-        the one-point API, which also checks it.  From there on the rows
-        are (R,) columns in the same IEEE operations: ``coefficients``, the
-        sums of A^2 and ``square_identity_coefficients`` (a plan with no
-        words has c = 0), with cos and sin per row, since numpy's may differ
-        from the math module's in the last bit.  The matrices are then
+        ``rows`` is an (R, T) array of floats (the compile walk's), or R
+        rows of T numbers.  Below _ARRAY_ROWS rows each row is synthesized
+        alone by ``evolve``, the one-point API, as Python floats, which also
+        checks it.  From there on the rows are (R,) columns in the same IEEE
+        operations: ``coefficients``, the sums of A^2 and
+        ``square_identity_coefficients`` (a plan with no words has c = 0),
+        with cos and sin per row, since numpy's may differ from the math
+        module's in the last bit.  The matrices are then
         formed in chunks of at most _CHUNK_ENTRIES matrix entries (whole
         rows, at least one), which fill one preallocated stack in order:
         per chunk, the Pauli sum with (rows, 1, 1) columns, the closed form,
@@ -263,15 +265,19 @@ class _Synthesis:
         row that ``unitary`` rejects makes this raise some ValueError; the
         compile walk then replays its pulses alone for the error to raise.
         """
+        rows = np.asarray(rows, dtype=float)
         if len(rows) < _ARRAY_ROWS:
             # scale * (1.0 + 0.0) is the scale, bit for bit
             return np.array(
-                [evolve([(s, 0.0, h) for s, h in zip(row, self.hams)]).matrix for row in rows]
+                [
+                    evolve([(s, 0.0, h) for s, h in zip(row, self.hams)]).matrix
+                    for row in rows.tolist()
+                ]
             )
         d = self.dim
         # as Python floats, these overflow to inf and nan silently
         with np.errstate(over="ignore", invalid="ignore"):
-            a = self.coefficients(np.array(rows).T)
+            a = self.coefficients(rows.T)
             c = square_identity_coefficients(self.square_sums(a), len(rows))
             closed = c >= 0.0
             # r = 0 where the eigendecomposition below replaces the closed form
@@ -322,10 +328,11 @@ def evolve(terms: list[tuple[float, float, Hamiltonian]]) -> Unitary:
     of the Hamiltonians is derived once per distinct tuple (a cached plan),
     so a call is float arithmetic in the order of the Hamiltonian algebra.
 
-    The compile walk is the caller in the library: it synthesizes all
-    pulses and points of a plan at once with ``_Synthesis.unitaries``, to
-    the same bits, which calls ``evolve`` for each row of a plan with
-    fewer than _ARRAY_ROWS rows.
+    The compile walk is the caller in the library: it synthesizes the
+    rows of all needed pulses of a plan at once with
+    ``_Synthesis.unitaries``, to the same bits, which calls ``evolve`` for
+    each row of a plan with fewer than _ARRAY_ROWS rows; a ``substitute``
+    self-check whose block items are all cached calls it per pulse item.
     """
     if not terms:
         raise UnitaryError("evolve requires at least one term")

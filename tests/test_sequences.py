@@ -738,6 +738,54 @@ class TestProofMemo:
             assert substitute(seq, "a", lambda x: block).required_groups == (shared,)
 
 
+class TestCheckCompile:
+    """A self-check whose block items all hit its cache multiplies the root alone."""
+
+    def test_root_of_cached_items_needs_no_program(self, monkeypatch):
+        caches, asked, compiles = [], [], []
+
+        class Recording(CompileCache):
+            def __init__(self):
+                super().__init__()
+                caches.append(self)
+
+            def get(self, key):
+                mat = super().get(key)
+                asked.append((key[0], mat is not None))
+                return mat
+
+        real = sequences.compile_sequence
+
+        def compile_recorded(seq, errors, cache=None):
+            start = len(asked)
+            out = real(seq, errors, cache)
+            compiles.append((seq, asked[start:], "_program" in seq.__dict__))
+            return out
+
+        monkeypatch.setattr(sequences, "CompileCache", Recording)
+        monkeypatch.setattr(sequences, "compile_sequence", compile_recorded)
+        # a chain-like nesting on labels no other test uses, so every block is new
+        inner = lambda x: bb1_w(x, HX1, HY1, "p", "q")
+        outer = lambda x: substitute(bb1_j(x, HZZ, HX1, "r", "p"), "p", inner)
+        substitute(bb1_j(0.4187, Hamiltonian.single(0.5, "IX"), HZZ, "s", "r"), "r", outer)
+        (cache,) = caches
+        alone = 0
+        for block, traffic, derived in compiles:
+            items = [it for it in dict.fromkeys(block.items) if isinstance(it, PulseSequence)]
+            nodes = [node for node, _ in traffic]
+            # the root misses; then each distinct block item is asked once,
+            # and below the items that miss, each block once
+            assert traffic[0] == (block, False) and len(set(nodes)) == len(nodes)
+            assert set(nodes[1 : 1 + len(items)]) == set(items)
+            if all(hit for _, hit in traffic[1:]):  # no program, and the bits of the walk
+                alone += 1
+                zero = dict.fromkeys(block.labels, 0.0)
+                mat = cache.get((block, tuple((0.0,) for _ in block.labels)))
+                assert mat.tobytes() == reference_matrix(block, zero, {}).tobytes()
+            assert derived != all(hit for _, hit in traffic[1:])
+        assert (len(compiles), alone) == (6, 4)
+
+
 class TestWjChain:
     def test_level_zero_is_single_qubit_correction(self):
         assert wj_chain(1, 0.9).dump() == bb1_w(0.9, HX, HY, "X1", "Y1").dump()
@@ -939,6 +987,51 @@ class TestCompile:
         u1 = compile_sequence(seq, ErrorAssignment.uniform(["a", "b"], 0.01), cache)
         u2 = compile_sequence(seq, ErrorAssignment.uniform(["a", "b"], 0.02), cache)
         assert np.abs(u1.matrix - u2.matrix).max() > 0
+
+
+class TestCompileInputs:
+    """A compile input of the wrong type raises a CompileError before any synthesis."""
+
+    SEQ = bb1_w(0.5, HX, HY, "a", "b")
+    GOOD = ErrorAssignment.uniform(["a", "b"], 1e-3)
+
+    @pytest.fixture
+    def synthesized(self, monkeypatch):
+        """The rows synthesized, one at a time or as a plan's stack."""
+        calls = []
+        for name in ("unitary", "unitaries"):
+            real = getattr(unitary._Synthesis, name)
+            monkeypatch.setattr(
+                unitary._Synthesis,
+                name,
+                lambda plan, rows, real=real: calls.append(rows) or real(plan, rows),
+            )
+        return calls
+
+    def test_mapping_as_errors_rejected(self, synthesized):
+        with pytest.raises(
+            CompileError, match=r"^point 0, \{'a': 0\.1\}, is not an ErrorAssignment$"
+        ) as exc:
+            compile_sequence(self.SEQ, {"a": 0.1})
+        assert exc.value.point == 0 and synthesized == []
+
+    def test_mapping_as_point_rejected(self, synthesized):
+        with pytest.raises(
+            CompileError, match=r"^point 1, \{'a': 0\.1\}, is not an ErrorAssignment$"
+        ) as exc:
+            compile_stack(self.SEQ, [self.GOOD, {"a": 0.1}, self.GOOD])
+        assert exc.value.point == 1 and synthesized == []
+
+    def test_assignment_as_points_rejected(self, synthesized):
+        message = r"^points ErrorAssignment\(.*\) is not a collection$"
+        with pytest.raises(CompileError, match=message):
+            compile_stack(self.SEQ, self.GOOD)
+        assert synthesized == []
+
+    def test_non_cache_rejected(self, synthesized):
+        with pytest.raises(CompileError, match=r"^cache \{\} is not a CompileCache$"):
+            compile_sequence(self.SEQ, self.GOOD, cache={})
+        assert synthesized == []
 
 
 @st.composite
@@ -1155,14 +1248,21 @@ class TestStack:
             compile_sequence(seq, bad)
 
 
-def reference_matrix(item, values):
+def reference_matrix(item, values, memo=None):
     """The compile product by plain recursion: ``evolve`` per pulse, later
-    items on the left of a product that starts from the identity."""
+    items on the left of a product that starts from the identity.  A
+    ``memo`` dict keeps each distinct node's matrix at these values, so a
+    deep DAG costs its distinct nodes."""
+    if memo is not None and item in memo:
+        return memo[item]
     if isinstance(item, Pulse):
-        return evolve([(theta, values[l], h) for l, theta, h in item.terms]).matrix
-    mat = np.eye(2**item.n_qubits, dtype=complex)
-    for sub in item.items:
-        mat = reference_matrix(sub, values) @ mat
+        mat = evolve([(theta, values[l], h) for l, theta, h in item.terms]).matrix
+    else:
+        mat = np.eye(2**item.n_qubits, dtype=complex)
+        for sub in item.items:
+            mat = reference_matrix(sub, values, memo) @ mat
+    if memo is not None:
+        memo[item] = mat
     return mat
 
 
@@ -1209,6 +1309,120 @@ class TestWalk:
             assert compile_sequence(seq, p, shared).matrix.tobytes() == want
         stack, _ = compile_stack(seq, points)
         assert [m.tobytes() for m in stack] == expected
+
+
+# the sequences the schedule tests compile, built once and kept alive, at an
+# angle no other test builds (the liveness tests need theirs to be dropped)
+SCHEDULED = {
+    "bb1_w": bb1_w(0.5772, HX, HY, "a", "b"),
+    "bb1_j": bb1_j(0.5772, HZZ, HX1, "a", "b"),
+    "bb1_wj": bb1_wj(0.5772, HZZ, HX1, HY1, "a", "b", "c"),
+    "wj_chain(2)": wj_chain(2, 0.5772),
+    "wj_chain(3)": wj_chain(3, 0.5772),
+}
+
+
+def grouped(seq, values):
+    """An ErrorAssignment of values whose required groups share their first label's error."""
+    values = dict(values)
+    for group in seq.required_groups:
+        values.update(dict.fromkeys(group, values[min(group)]))
+    return ErrorAssignment(values)
+
+
+@st.composite
+def scheduled_compiles(draw):
+    """One of the SCHEDULED sequences, 1-5 points drawn from 1-3 assignments
+    (repeats, 0.0 and -0.0 among them), and an earlier assignment that
+    differs from the first point in one label's error."""
+    seq = SCHEDULED[draw(st.sampled_from(sorted(SCHEDULED)))]
+    labels = sorted(seq.labels)
+    eps = st.sampled_from([0.0, -0.0, 1e-3, -2e-2]) | st.floats(-0.2, 0.2)
+    distinct = [
+        grouped(seq, {l: draw(eps) for l in labels}) for _ in range(draw(st.integers(1, 3)))
+    ]
+    points = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=5))
+    earlier = grouped(seq, {**points[0].values, draw(st.sampled_from(labels)): draw(eps)})
+    return seq, points, earlier
+
+
+def post_order(seq):
+    """The distinct nodes of seq, each after its items, first visits first."""
+    order = {}
+
+    def visit(item):
+        if item not in order:
+            for sub in getattr(item, "items", ()):
+                visit(sub)
+            order[item] = len(order)
+
+    visit(seq)
+    return list(order)
+
+
+def needed_pulses(seq, values, cache):
+    """The pulses a cached compile at values synthesizes, in post-order: the
+    root is needed, and a needed block the cache lacks makes its items needed."""
+    needed, pending = set(), [seq]
+    while pending:
+        node = pending.pop()
+        if node not in needed:
+            needed.add(node)
+            key = (node, tuple((values[l],) for l in sorted(node.labels)))
+            if isinstance(node, PulseSequence) and cache.get(key) is None:
+                pending.extend(node.items)
+    return [p for p in post_order(seq) if isinstance(p, Pulse) and p in needed]
+
+
+def record_unitaries(monkeypatch):
+    """Wrap ``_Synthesis.unitaries``; the list it returns gets each call's (plan, rows)."""
+    calls, real = [], unitary._Synthesis.unitaries
+    monkeypatch.setattr(
+        unitary._Synthesis,
+        "unitaries",
+        lambda plan, rows: calls.append((plan, np.array(rows))) or real(plan, rows),
+    )
+    return calls
+
+
+class TestSchedule:
+    """The walk synthesizes from the program's arrays, byte for byte the plain recursion."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scheduled_compiles())
+    def test_schedule_equals_reference_recursion(self, case):
+        seq, points, earlier = case
+        expected = [reference_matrix(seq, p.values, {}).tobytes() for p in points]
+        for p, want in zip(points, expected):
+            warmed = CompileCache()
+            compile_sequence(seq, earlier, warmed)  # only part of the pulses stay needed
+            for cache in (None, CompileCache(), warmed):
+                assert compile_sequence(seq, p, cache).matrix.tobytes() == want
+        stack, _ = compile_stack(seq, points)
+        assert [m.tobytes() for m in stack] == expected
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warmed"])
+    def test_one_call_per_plan_with_its_needed_pulses(self, monkeypatch, warm):
+        seq = SCHEDULED["wj_chain(3)"]
+        labels = sorted(seq.labels)
+        values = {l: 1e-3 * (k + 1) for k, l in enumerate(labels)}
+        cache = CompileCache()
+        if warm:  # every block without ZZ23 hits
+            compile_sequence(seq, ErrorAssignment({**values, "ZZ23": 0.5}), cache)
+        pulses = needed_pulses(seq, values, cache)
+        expected = {}  # plan -> its needed pulses' rows, in post-order
+        for p in pulses:
+            expected.setdefault(tuple(h for _, _, h in p.terms), []).append(
+                [theta * (1.0 + values[l]) for l, theta, _ in p.terms]
+            )
+        calls = record_unitaries(monkeypatch)
+        got = compile_sequence(seq, ErrorAssignment(values), cache)
+        assert len(calls) == len(expected) == (2 if warm else 6)
+        assert {plan.hams: rows.tobytes() for plan, rows in calls} == {
+            hams: np.array(rows).tobytes() for hams, rows in expected.items()
+        }
+        assert sum(len(rows) for rows in expected.values()) == (11 if warm else 139)
+        assert got.matrix.tobytes() == reference_matrix(seq, values, {}).tobytes()
 
 
 def record_products(monkeypatch):

@@ -530,12 +530,14 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
     d, n = 2**seq.n_qubits, len(points)
     # 1 + eps per label and point, then a factor 1 for the padded terms
     factors = 1.0 + np.array([e for col in columns for e in col] + [0.0] * n).reshape(-1, n)
-    one = np.flatnonzero(np.frombuffer(needed, dtype=bool)[at])  # the needed pulses
+    # the needed pulses' indices in the schedule, None for all (when no block hit)
+    one = np.flatnonzero(np.frombuffer(needed, dtype=bool)[at]) if 0 in needed else None
     many_at, many_ends = [], [0] * len(plans)  # the needed pulses whose labels' errors vary
     extra_ends = many_ends
     # as Python floats, theta (1 + eps) overflows to inf silently
     with np.errstate(over="ignore"):
         if vary:  # a varying pulse takes its distinct rows at the points, the others one
+            one = np.arange(len(at)) if one is None else one
             moving = np.array([*varying, False])[terms[one]].any(axis=1)
             one, many = one[~moving], one[moving]
             scales = angles[many, None] * factors[terms[many]].swapaxes(1, 2)
@@ -543,8 +545,11 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
             many_at = at[many].tolist()
             many_ends = many.searchsorted(stops).tolist()
             extra_ends = many[owner].searchsorted(stops).tolist()
-        rows = angles[one] * factors[:, 0][terms[one]]
-    one_at, ends = at[one].tolist(), one.searchsorted(stops).tolist()
+        if one is None:
+            rows, one_at, ends = angles * factors[:, 0][terms], at.tolist(), stops.tolist()
+        else:
+            rows = angles[one] * factors[:, 0][terms[one]]
+            one_at, ends = at[one].tolist(), one.searchsorted(stops).tolist()
     lo = mlo = xlo = 0
     try:
         for hams, hi, mhi, xhi in zip(plans, ends, many_ends, extra_ends):

@@ -455,8 +455,8 @@ def _distinct_rows(rows: np.ndarray) -> tuple:
     Returns (distinct, owner, index): the distinct rows as one (D, W) array,
     pulse by pulse, each pulse's in sorted order; the pulse of each, as its
     index among the V; and the (V, K) positions in ``distinct`` of every
-    pulse's row at every point.  Rows equal as floats are one row (0.0 and
-    -0.0 are equal), so equal rows get equal bits.
+    pulse's row at every point.  Rows equal as floats are one row, 0.0 and
+    -0.0 alike: a zero scale of either sign synthesizes to the same bits.
     """
     v, k, w = rows.shape
     flat = rows.reshape(-1, w)

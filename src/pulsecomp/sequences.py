@@ -631,69 +631,58 @@ def compile_sequence(
     once per call, and each synthesis plan synthesizes the rows of its
     needed pulses in one call.  Pass a ``cache`` (a ``CompileCache``) to
     share compiled blocks across calls; pulses are synthesized afresh each
-    call.  A ``substitute`` self-check compile whose root's block items all
-    hit its cache multiplies the root from them (``_root_product``).  A
-    cache or errors of the wrong type raise a CompileError before anything
-    is compiled.
+    call.  A ``substitute`` self-check compile, which shares the running
+    substitution's cache, multiplies the blocks that cache lacks from their
+    items, to the same bits, without deriving a program
+    (``_check_product``).  A cache or errors of the wrong type raise a
+    CompileError before anything is compiled.
     """
     if cache is not None and not isinstance(cache, CompileCache):
         raise CompileError(f"cache {cache!r} is not a CompileCache")
-    if cache is not None and cache is _CHECK_CACHE.get() and "_program" not in seq.__dict__:
-        return Unitary(_root_product(seq, errors, cache))
+    if cache is not None and cache is _CHECK_CACHE.get():
+        return Unitary(_check_product(seq, errors, cache))
     return Unitary(_walk(seq, (errors,), cache))
 
 
-class _Answered(CompileCache):
-    """A cache that answers the keys already asked of another from those
-    answers, once each, and passes every other get and every put on."""
+def _check_product(seq: PulseSequence, errors: ErrorAssignment, cache: CompileCache) -> np.ndarray:
+    """A ``substitute`` self-check's compile: the walk's one-point product,
+    by recursion over the blocks the cache lacks, with no program derived.
 
-    def __init__(self, cache: CompileCache, answers: dict) -> None:
-        self._cache, self._answers = cache, answers
-
-    def get(self, key):
-        return self._answers.pop(key) if key in self._answers else self._cache.get(key)
-
-    def put(self, key, value) -> None:
-        self._cache.put(key, value)
-
-
-def _root_product(seq: PulseSequence, errors: ErrorAssignment, cache: CompileCache) -> np.ndarray:
-    """The cached one-point walk of a sequence, without its program if it can be.
-
-    The cache is asked about the root and, on a miss, about each distinct
-    block item once, as the walk asks.  When every one of those items
-    hits, the root is multiplied from its items by ``_product``, each pulse
-    item synthesized by ``evolve``, and put, without deriving ``_program``:
-    the root is alone at the walk's top level, which multiplies it the same
-    way, to the same bits.  Otherwise the walk runs, answered from what was
-    asked, so the cache sees the walk's traffic either way.
+    The cache is asked about the root; a block it lacks asks about each of
+    its distinct block items once, is multiplied from its items by
+    ``_product`` (each pulse item synthesized once by ``evolve``, each
+    missed block item by the same rule) and is put.  So the cache sees the
+    walk's traffic: the root, then the items of each block it lacks, once
+    each, never below a hit.  Each block's bits are the walk's, which
+    multiplies it by ``_product`` too, alone or in a level stack (a stacked
+    matmul is the 2-D matmul of each slice bit for bit).  A pulse that
+    cannot be synthesized raises its own error, first in post-order as in
+    the walk's replay: a pulse under a hit block was synthesized before.
     """
     _require_assigned(seq, (errors,))
     values = errors.values
+    mats: dict = {}  # node -> its matrix; None for a block the cache lacks, until multiplied
 
     def key(node: PulseSequence) -> tuple:
         return node, tuple([(values[l],) for l in node._sorted_labels])
 
-    root = key(seq)
-    mat = cache.get(root)
-    if mat is not None:
+    def product(block: PulseSequence) -> np.ndarray:
+        items = dict.fromkeys(block.items)
+        for it in items:
+            if isinstance(it, PulseSequence) and it not in mats:
+                mats[it] = cache.get(key(it))
+        for it in items:
+            if isinstance(it, Pulse):
+                if it not in mats:
+                    mats[it] = evolve([(theta, values[l], h) for l, theta, h in it.terms]).matrix
+            elif mats[it] is None:
+                mats[it] = product(it)
+        mat = _product([mats[it] for it in block.items], 2**block.n_qubits)
+        cache.put(key(block), mat)
         return mat
-    blocks = {it: key(it) for it in seq.items if isinstance(it, PulseSequence)}
-    answers = {k: cache.get(k) for k in blocks.values()}
-    if any(m is None for m in answers.values()):
-        answers[root] = None
-        return _walk(seq, (errors,), _Answered(cache, answers))
-    pulses = {
-        it: evolve([(theta, values[l], h) for l, theta, h in it.terms]).matrix
-        for it in dict.fromkeys(seq.items)
-        if isinstance(it, Pulse)
-    }
-    mat = _product(
-        [pulses[it] if isinstance(it, Pulse) else answers[blocks[it]] for it in seq.items],
-        2**seq.n_qubits,
-    )
-    cache.put(root, mat)
-    return mat
+
+    mat = cache.get(key(seq))
+    return product(seq) if mat is None else mat
 
 
 def phi_of(theta: float) -> float:

@@ -332,7 +332,7 @@ def evolve(terms: list[tuple[float, float, Hamiltonian]]) -> Unitary:
     rows of all needed pulses of a plan at once with
     ``_Synthesis.unitaries``, to the same bits, which calls ``evolve`` for
     each row of a plan with fewer than _ARRAY_ROWS rows; a ``substitute``
-    self-check whose block items are all cached calls it per pulse item.
+    self-check's compile calls it once per needed pulse.
     """
     if not terms:
         raise UnitaryError("evolve requires at least one term")

@@ -739,9 +739,9 @@ class TestProofMemo:
 
 
 class TestCheckCompile:
-    """A self-check whose block items all hit its cache multiplies the root alone."""
+    """A self-check's compile multiplies the blocks its cache lacks from their items."""
 
-    def test_root_of_cached_items_needs_no_program(self, monkeypatch):
+    def test_check_compiles_ask_as_the_walk_and_derive_no_program(self, monkeypatch):
         caches, asked, compiles = [], [], []
 
         class Recording(CompileCache):
@@ -769,21 +769,22 @@ class TestCheckCompile:
         outer = lambda x: substitute(bb1_j(x, HZZ, HX1, "r", "p"), "p", inner)
         substitute(bb1_j(0.4187, Hamiltonian.single(0.5, "IX"), HZZ, "s", "r"), "r", outer)
         (cache,) = caches
-        alone = 0
+        below_root = 0
         for block, traffic, derived in compiles:
-            items = [it for it in dict.fromkeys(block.items) if isinstance(it, PulseSequence)]
             nodes = [node for node, _ in traffic]
-            # the root misses; then each distinct block item is asked once,
-            # and below the items that miss, each block once
-            assert traffic[0] == (block, False) and len(set(nodes)) == len(nodes)
-            assert set(nodes[1 : 1 + len(items)]) == set(items)
-            if all(hit for _, hit in traffic[1:]):  # no program, and the bits of the walk
-                alone += 1
-                zero = dict.fromkeys(block.labels, 0.0)
-                mat = cache.get((block, tuple((0.0,) for _ in block.labels)))
-                assert mat.tobytes() == reference_matrix(block, zero, {}).tobytes()
-            assert derived != all(hit for _, hit in traffic[1:])
-        assert (len(compiles), alone) == (6, 4)
+            missed = [node for node, hit in traffic if not hit]
+            # the walk's traffic: the root, then the block items of each block
+            # the cache lacks, each once, and nothing below a hit
+            assert not derived and nodes[0] is block and missed[0] is block
+            assert len(set(nodes)) == len(nodes)
+            items = {it for m in missed for it in m.items if isinstance(it, PulseSequence)}
+            assert set(nodes) == {block} | items
+            below_root += len(missed) > 1
+            zero = dict.fromkeys(block.labels, 0.0)
+            for node in missed:  # each multiplied block, put at the recursion's bits
+                mat = cache._store[(node, tuple((0.0,) for _ in node.labels))]
+                assert mat.tobytes() == reference_matrix(node, zero, {}).tobytes()
+        assert (len(compiles), below_root) == (6, 2)
 
 
 class TestWjChain:

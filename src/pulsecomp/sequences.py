@@ -391,19 +391,16 @@ class ErrorAssignment:
 
 
 class CompileCache:
-    """Memo for compiled blocks across compiles, keyed by (block, errors).
+    """Memo for compiled sequences across compiles, keyed by (sequence, errors).
 
-    The errors are those of the block's labels, in a fixed order, each as
-    the tuple of its value at the points compiled together (one value for
-    ``compile_sequence``).  Blocks are interned, so a key hashes the
-    block's identity, not its tree.  A compile asks about its root, and
-    about the sub-blocks of each distinct block it lacks, once each;
-    nothing below a hit is asked, and it puts every block it multiplied.
-    Pulses are neither asked about nor put: a needed pulse is always
-    synthesized, which costs one row of its plan, about what its entry
-    would cost to store and look up.  Only errors that recur can hit:
-    repeated assignments, or blocks whose labels keep their errors while
-    others change.
+    The errors are those of the sequence's labels, in sorted order, each
+    as the one-tuple of its value.  Sequences are interned, so a key hashes
+    the sequence's identity, not its tree.  A ``compile_sequence`` with a
+    cache asks it about the sequence at its errors once; on a miss it
+    computes the sequence and puts it.  Nothing below the root is asked
+    or put, so only repeated assignments hit.  A ``substitute``
+    self-check applies the same rule to each block item of a block it
+    computes (``_check_product``).
     """
 
     def __init__(self) -> None:
@@ -470,86 +467,61 @@ def _distinct_rows(rows: np.ndarray) -> tuple:
     return flat[new], owner[new], index.reshape(v, k)
 
 
-def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarray:
-    """Unchecked product of a sequence at K >= 1 assignments, each validated
-    first: (d, d) when every label's errors agree at all K points, else a
-    (K, d, d) stack.
+def _walk(seq: PulseSequence, points) -> np.ndarray:
+    """Unchecked product of a sequence at K >= 1 assignments, which the caller
+    has validated: (d, d) when every label's errors agree at all K points,
+    else a (K, d, d) stack.
 
     Runs the sequence's ``_program`` (derived once per interned sequence
-    and kept while it lives) without recursion.  With a ``cache``, the
-    blocks are marked from the top level down: the root is needed, and a
-    needed block the cache lacks makes its items needed, so the cache is
-    asked about the root and the sub-blocks of misses, never below a hit;
-    a needed pulse is synthesized without asking, and only the blocks
-    multiplied here are put.  The pulses are scheduled from the program's
-    arrays, with no per-pulse Python: the scale rows theta(1+eps) of all
-    pulses are one numpy product of the angles and the factors 1+eps
-    indexed by the terms' labels, filtered by the needed mask.  A pulse
-    whose labels' errors agree at every point (0.0 and -0.0 agree, as they
-    give equal scales) takes one row, at the first point; a varying pulse
-    takes its distinct rows across the points, each once.  Each synthesis
-    plan, looked up once per call in ``_synthesis``'s 256-entry lru, then
-    synthesizes its rows, those of its pulses in order, in one call, which
-    checks them unitary.  The needed blocks are multiplied level by level
-    (``_program``'s levels, lowest first), a block whose labels' errors
-    agree at every point at that point alone and broadcast against the
-    others.  A varying block is multiplied alone over the K points.  The
-    constant blocks of a level are multiplied in chunks: a chunk's children
-    are gathered into one (B, k, d, d) stack, which with the two running
-    (B, d, d) products holds at most _CHUNK_ENTRIES entries, and
-    ``_product`` multiplies the B blocks at once, one child position at a
-    time; a chunk of fewer than three blocks is multiplied one block at a
-    time.  A stacked matmul is the 2-D matmul of each slice bit for bit, so
-    either way a block's bits are its own ``_product``'s.  If a plan's
-    synthesis fails, the walk alone decides what is raised: it synthesizes
-    and checks each needed pulse alone in post-order, at every point, so
-    the first pulse that cannot be synthesized raises its own error at its
-    first such point.
+    and kept while it lives) without recursion, and sees no cache: every
+    node is computed.  The pulses are scheduled from the program's arrays,
+    with no per-pulse Python: the scale rows theta(1+eps) of all pulses
+    are one numpy product of the angles and the factors 1+eps indexed by
+    the terms' labels.  A pulse whose labels' errors agree at every point
+    (0.0 and -0.0 agree, as they give equal scales) takes one row, at the
+    first point; a varying pulse takes its distinct rows across the
+    points, each once.  Each synthesis plan, looked up once per call in
+    ``_synthesis``'s 256-entry lru, then synthesizes its rows, those of its
+    pulses in order, in one call, which checks them unitary.  The blocks
+    are multiplied level by level (``_program``'s levels, lowest first), a
+    block whose labels' errors agree at every point at that point alone
+    and broadcast against the others.  A varying block is multiplied alone
+    over the K points.  The constant blocks of a level are multiplied in
+    chunks: a chunk's children are gathered into one (B, k, d, d) stack,
+    which with the two running (B, d, d) products holds at most
+    _CHUNK_ENTRIES entries, and ``_product`` multiplies the B blocks at
+    once, one child position at a time; a chunk of fewer than three blocks
+    is multiplied one block at a time.  A stacked matmul is the 2-D matmul
+    of each slice bit for bit, so either way a block's bits are its own
+    ``_product``'s.  If a plan's synthesis fails, the walk alone decides
+    what is raised: it synthesizes and checks each pulse alone in
+    post-order, at every point, so the first pulse that cannot be
+    synthesized raises its own error at its first such point.
     """
-    _require_assigned(seq, points)
     nodes, keys, children, (plans, stops, at, angles, terms), levels = seq._program
     columns = [tuple([errors.values[l] for errors in points]) for l in seq._sorted_labels]
     varying = [col.count(col[0]) < len(col) for col in columns]
     vary = any(varying)
     mats: dict = {}  # node index -> its matrix, or its (K, d, d) stack if its errors vary
-    needed = bytearray(b"\x01" * len(nodes) if cache is None else len(nodes))
-    fresh = []  # (cache key, node index) of the needed blocks the cache lacks
-    if cache is not None:
-        needed[-1] = 1
-        for _, blocks in reversed(levels):  # each block before its items
-            for i in blocks:
-                if needed[i]:
-                    key = (nodes[i], tuple(map(columns.__getitem__, keys[i])))
-                    mats[i] = cache.get(key)
-                    if mats[i] is None:
-                        fresh.append((key, i))
-                        for c in children[i]:
-                            needed[c] = 1
-                    else:
-                        needed[i] = 0
     d, n = 2**seq.n_qubits, len(points)
     # 1 + eps per label and point, then a factor 1 for the padded terms
     factors = 1.0 + np.array([e for col in columns for e in col] + [0.0] * n).reshape(-1, n)
-    # the needed pulses' indices in the schedule, None for all (when no block hit)
-    one = np.flatnonzero(np.frombuffer(needed, dtype=bool)[at]) if 0 in needed else None
-    many_at, many_ends = [], [0] * len(plans)  # the needed pulses whose labels' errors vary
+    many_at, many_ends = [], [0] * len(plans)  # the pulses whose labels' errors vary
     extra_ends = many_ends
     # as Python floats, theta (1 + eps) overflows to inf silently
     with np.errstate(over="ignore"):
         if vary:  # a varying pulse takes its distinct rows at the points, the others one
-            one = np.arange(len(at)) if one is None else one
-            moving = np.array([*varying, False])[terms[one]].any(axis=1)
-            one, many = one[~moving], one[moving]
+            moving = np.array([*varying, False])[terms].any(axis=1)
+            one, many = np.flatnonzero(~moving), np.flatnonzero(moving)
             scales = angles[many, None] * factors[terms[many]].swapaxes(1, 2)
             extra, owner, spread = _distinct_rows(scales)
             many_at = at[many].tolist()
             many_ends = many.searchsorted(stops).tolist()
             extra_ends = many[owner].searchsorted(stops).tolist()
-        if one is None:
-            rows, one_at, ends = angles * factors[:, 0][terms], at.tolist(), stops.tolist()
-        else:
             rows = angles[one] * factors[:, 0][terms[one]]
             one_at, ends = at[one].tolist(), one.searchsorted(stops).tolist()
+        else:
+            rows, one_at, ends = angles * factors[:, 0][terms], at.tolist(), stops.tolist()
     lo = mlo = xlo = 0
     try:
         for hams, hi, mhi, xhi in zip(plans, ends, many_ends, extra_ends):
@@ -564,8 +536,7 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
             lo, mlo, xlo = hi, mhi, xhi
     except ValueError:
         # raise what synthesizing and checking each pulse alone raises first
-        pending = np.flatnonzero(np.frombuffer(needed, dtype=bool)[at])
-        for j in pending[np.argsort(at[pending])].tolist():
+        for j in np.argsort(at).tolist():
             hams = plans[int(np.searchsorted(stops, j, side="right"))]
             with np.errstate(over="ignore"):
                 scales = (angles[j, : len(hams)] * factors[terms[j, : len(hams)]].T).tolist()
@@ -574,11 +545,10 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
     for k, blocks in levels:
         constant = []
         for i in blocks:
-            if needed[i]:
-                if vary and any(map(varying.__getitem__, keys[i])):
-                    mats[i] = _product([mats[c] for c in children[i]], d)
-                else:
-                    constant.append(i)
+            if vary and any(map(varying.__getitem__, keys[i])):
+                mats[i] = _product([mats[c] for c in children[i]], d)
+            else:
+                constant.append(i)
         # blocks per chunk: their k children and the two running products fit the budget
         step = max(unitary._CHUNK_ENTRIES // ((k + 2) * d * d), 1)
         for lo in range(0, len(constant), step):
@@ -591,9 +561,13 @@ def _walk(seq: PulseSequence, points, cache: Optional[CompileCache]) -> np.ndarr
             m = m.reshape(len(part), k, d, d)
             for i, mat in zip(part, _product([m[:, j] for j in range(k)], d)):
                 mats[i] = mat
-    for key, i in fresh:
-        cache.put(key, mats[i])
     return mats[len(nodes) - 1]
+
+
+def _require_sequence(seq) -> None:
+    """Raise a CompileError naming seq unless it is a PulseSequence."""
+    if not isinstance(seq, PulseSequence):
+        raise CompileError(f"{seq!r} is not a PulseSequence")
 
 
 def compile_stack(seq: PulseSequence, points) -> tuple[np.ndarray, float]:
@@ -605,19 +579,31 @@ def compile_stack(seq: PulseSequence, points) -> tuple[np.ndarray, float]:
     points: the walk forms the scale rows of all pulses and points from
     the program's arrays, each plan synthesizes its pulses' rows in one
     call (a varying pulse's distinct rows, each once), and a node whose
-    errors agree at every point is compiled at one point.  ``points`` must
-    be a collection, and every assignment an ``ErrorAssignment`` with no
-    unassigned label or split group, all checked before anything is
-    compiled; the CompileError's ``point`` is the index of the first at
-    fault.
+    errors agree at every point is compiled at one point.  ``seq`` must be
+    a ``PulseSequence``, ``points`` a collection, and every assignment an
+    ``ErrorAssignment`` with no unassigned label or split group, all
+    checked before anything is compiled; the CompileError's ``point`` is
+    the index of the first at fault.
     """
+    _require_sequence(seq)
     points = tuple(_iterable(points, "points", CompileError))
     d = 2**seq.n_qubits
     if not points:
         return np.empty((0, d, d), dtype=complex), 0.0
-    mat = _walk(seq, points, None)
+    _require_assigned(seq, points)
+    mat = _walk(seq, points)
     defect = check_unitary(mat)
     return (mat if mat.ndim == 3 else np.repeat(mat[None], len(points), axis=0)), defect
+
+
+def _cached(cache: CompileCache, block: PulseSequence, values, compute) -> np.ndarray:
+    """block's matrix at values from the cache; on a miss, compute(block), put."""
+    key = (block, tuple([(values[l],) for l in block._sorted_labels]))
+    mat = cache.get(key)
+    if mat is None:
+        mat = compute(block)
+        cache.put(key, mat)
+    return mat
 
 
 def compile_sequence(
@@ -629,60 +615,57 @@ def compile_sequence(
 
     The one-point case of ``compile_stack``: each distinct node is compiled
     once per call, and each synthesis plan synthesizes the rows of its
-    needed pulses in one call.  Pass a ``cache`` (a ``CompileCache``) to
-    share compiled blocks across calls; pulses are synthesized afresh each
-    call.  A ``substitute`` self-check compile, which shares the running
-    substitution's cache, multiplies the blocks that cache lacks from their
-    items, to the same bits, without deriving a program
-    (``_check_product``).  A cache or errors of the wrong type raise a
-    CompileError before anything is compiled.
+    pulses in one call.  Pass a ``cache`` (a ``CompileCache``) to keep
+    whole compiles across calls: the sequence at these errors is looked
+    up, and on a miss it is compiled without the cache and put.  A
+    ``substitute`` self-check compile, which shares the running
+    substitution's cache, computes a miss by ``_check_product`` instead,
+    to the same bits, without deriving a program.  A sequence, cache or
+    errors of the wrong type raise a CompileError before anything is
+    compiled.
     """
+    _require_sequence(seq)
     if cache is not None and not isinstance(cache, CompileCache):
         raise CompileError(f"cache {cache!r} is not a CompileCache")
-    if cache is not None and cache is _CHECK_CACHE.get():
-        return Unitary(_check_product(seq, errors, cache))
-    return Unitary(_walk(seq, (errors,), cache))
+    points = (errors,)
+    _require_assigned(seq, points)
+    if cache is None:
+        return Unitary(_walk(seq, points))
+    if cache is _CHECK_CACHE.get():
+        compute = lambda block: _check_product(block, errors.values, cache)
+    else:
+        compute = lambda block: _walk(block, points)
+    return Unitary(_cached(cache, seq, errors.values, compute))
 
 
-def _check_product(seq: PulseSequence, errors: ErrorAssignment, cache: CompileCache) -> np.ndarray:
+def _check_product(seq: PulseSequence, values, cache: CompileCache) -> np.ndarray:
     """A ``substitute`` self-check's compile: the walk's one-point product,
-    by recursion over the blocks the cache lacks, with no program derived.
+    by recursion, with no program derived.
 
-    The cache is asked about the root; a block it lacks asks about each of
-    its distinct block items once, is multiplied from its items by
-    ``_product`` (each pulse item synthesized once by ``evolve``, each
-    missed block item by the same rule) and is put.  So the cache sees the
-    walk's traffic: the root, then the items of each block it lacks, once
-    each, never below a hit.  Each block's bits are the walk's, which
-    multiplies it by ``_product`` too, alone or in a level stack (a stacked
-    matmul is the 2-D matmul of each slice bit for bit).  A pulse that
-    cannot be synthesized raises its own error, first in post-order as in
-    the walk's replay: a pulse under a hit block was synthesized before.
+    The block is multiplied from its items by ``_product``: each distinct
+    pulse item synthesized once by ``evolve``, each distinct block item
+    looked up in the cache and, on a miss, multiplied by the same rule
+    and put.  So the cache sees the recursion's traffic: the items of
+    each block it lacks, once each, never below a hit (the caller asks
+    about the root and puts it).  Each block's bits are the walk's, which
+    multiplies it by ``_product`` too, alone or in a level stack (a
+    stacked matmul is the 2-D matmul of each slice bit for bit).  A pulse
+    that cannot be synthesized raises its own error, first in post-order
+    as in the walk's replay: a pulse under a hit block was synthesized
+    before.
     """
-    _require_assigned(seq, (errors,))
-    values = errors.values
-    mats: dict = {}  # node -> its matrix; None for a block the cache lacks, until multiplied
-
-    def key(node: PulseSequence) -> tuple:
-        return node, tuple([(values[l],) for l in node._sorted_labels])
+    mats: dict = {}  # node -> its matrix
 
     def product(block: PulseSequence) -> np.ndarray:
-        items = dict.fromkeys(block.items)
-        for it in items:
-            if isinstance(it, PulseSequence) and it not in mats:
-                mats[it] = cache.get(key(it))
-        for it in items:
-            if isinstance(it, Pulse):
-                if it not in mats:
+        for it in block.items:
+            if it not in mats:
+                if isinstance(it, Pulse):
                     mats[it] = evolve([(theta, values[l], h) for l, theta, h in it.terms]).matrix
-            elif mats[it] is None:
-                mats[it] = product(it)
-        mat = _product([mats[it] for it in block.items], 2**block.n_qubits)
-        cache.put(key(block), mat)
-        return mat
+                else:
+                    mats[it] = _cached(cache, it, values, product)
+        return _product([mats[it] for it in block.items], 2**block.n_qubits)
 
-    mat = cache.get(key(seq))
-    return product(seq) if mat is None else mat
+    return product(seq)
 
 
 def phi_of(theta: float) -> float:
@@ -830,6 +813,11 @@ def substitute(
                 key = (mag, h)
                 if key not in checked:
                     block = builder(mag)
+                    if not isinstance(block, PulseSequence) or block.n_qubits != h.n_qubits:
+                        raise SequenceError(
+                            f"builder for {label!r} at angle {mag:g} returned {block!r}, "
+                            f"not a {h.n_qubits}-qubit PulseSequence"
+                        )
                     if key not in block._proved:
                         ideal = compile_sequence(block, ErrorAssignment.zero(block.labels), cache)
                         mismatch = distance(evolve([(mag, 0.0, h)]), ideal, align_phase=True)

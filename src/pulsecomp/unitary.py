@@ -329,10 +329,10 @@ def evolve(terms: list[tuple[float, float, Hamiltonian]]) -> Unitary:
     so a call is float arithmetic in the order of the Hamiltonian algebra.
 
     The compile walk is the caller in the library: it synthesizes the
-    rows of all needed pulses of a plan at once with
-    ``_Synthesis.unitaries``, to the same bits, which calls ``evolve`` for
-    each row of a plan with fewer than _ARRAY_ROWS rows; a ``substitute``
-    self-check's compile calls it once per needed pulse.
+    rows of all pulses of a plan at once with ``_Synthesis.unitaries``, to
+    the same bits, which calls ``evolve`` for each row of a plan with
+    fewer than _ARRAY_ROWS rows; a ``substitute`` self-check's compile
+    calls it once per distinct pulse of the blocks its cache lacks.
     """
     if not terms:
         raise UnitaryError("evolve requires at least one term")

@@ -604,6 +604,20 @@ class TestSubstitute:
                 Pulse.single("a", 1.0, HX), "a", lambda x: PulseSequence((Pulse.single("a", x, HX),))
             )
 
+    @pytest.mark.parametrize(
+        "returned",
+        [Pulse.single("b", 0.8, HX1), None, PulseSequence((Pulse.single("b", 0.8, HX),))],
+        ids=["pulse", "none", "one-qubit-block"],
+    )
+    def test_builder_result_checked(self, returned, monkeypatch):
+        compiles = []
+        monkeypatch.setattr(sequences, "compile_sequence", lambda *a: compiles.append(a))
+        seq = PulseSequence((Pulse.single("a", 0.3, HZZ), Pulse.single("b", -0.8, HX1)))
+        expected = f"builder for 'b' at angle 0.8 returned {returned!r}, not a 2-qubit PulseSequence"
+        with pytest.raises(SequenceError, match=f"^{re.escape(expected)}$"):
+            substitute(seq, "b", lambda x: returned)
+        assert compiles == [] and sequences._CHECK_CACHE.get() is None
+
     def test_simultaneous_pulse_rejected(self):
         seq = PulseSequence((Pulse((("a", 1.0, HX), ("b", 1.0, HY))),))
         with pytest.raises(SequenceError):
@@ -773,8 +787,8 @@ class TestCheckCompile:
         for block, traffic, derived in compiles:
             nodes = [node for node, _ in traffic]
             missed = [node for node, hit in traffic if not hit]
-            # the walk's traffic: the root, then the block items of each block
-            # the cache lacks, each once, and nothing below a hit
+            # the recursion's traffic: the root, then the block items of each
+            # block the cache lacks, each once, and nothing below a hit
             assert not derived and nodes[0] is block and missed[0] is block
             assert len(set(nodes)) == len(nodes)
             items = {it for m in missed for it in m.items if isinstance(it, PulseSequence)}
@@ -928,11 +942,10 @@ class TestCompile:
             cache.gets = cache.puts = 0
             compile_sequence(seq, ErrorAssignment({"ZZ": zz, "X1": 1e-2, "Y1": 1e-2}), cache)
             traffic.append((cache.gets, cache.puts))
-        # only blocks are asked about and put (5 of the 20 nodes); cold:
-        # every block misses; warm: the root hits and nothing below it is
-        # asked; a new ZZ error: the root, the one block carrying ZZ, misses,
-        # and the four X1/Y1-only blocks it holds hit
-        assert traffic == [(5, 5), (1, 0), (5, 1)]
+        # only the root is asked about and put, never one of the other 19
+        # nodes: cold, it misses and is put; repeated, it hits; at a new ZZ
+        # error, it misses and is put again
+        assert traffic == [(1, 1), (1, 0), (1, 1)]
 
     def test_cache_holds_blocks_only(self):
         class Recording(CompileCache):
@@ -1027,6 +1040,17 @@ class TestCompileInputs:
         message = r"^points ErrorAssignment\(.*\) is not a collection$"
         with pytest.raises(CompileError, match=message):
             compile_stack(self.SEQ, self.GOOD)
+        assert synthesized == []
+
+    @pytest.mark.parametrize(
+        "seq", [Pulse.single("a", 0.3, HX), "x"], ids=["pulse", "string"]
+    )
+    def test_non_sequence_rejected(self, synthesized, seq):
+        message = f"^{re.escape(repr(seq))} is not a PulseSequence$"
+        with pytest.raises(CompileError, match=message):
+            compile_sequence(seq, self.GOOD)
+        with pytest.raises(CompileError, match=message):
+            compile_stack(seq, [self.GOOD])
         assert synthesized == []
 
     def test_non_cache_rejected(self, synthesized):
@@ -1361,20 +1385,6 @@ def post_order(seq):
     return list(order)
 
 
-def needed_pulses(seq, values, cache):
-    """The pulses a cached compile at values synthesizes, in post-order: the
-    root is needed, and a needed block the cache lacks makes its items needed."""
-    needed, pending = set(), [seq]
-    while pending:
-        node = pending.pop()
-        if node not in needed:
-            needed.add(node)
-            key = (node, tuple((values[l],) for l in sorted(node.labels)))
-            if isinstance(node, PulseSequence) and cache.get(key) is None:
-                pending.extend(node.items)
-    return [p for p in post_order(seq) if isinstance(p, Pulse) and p in needed]
-
-
 def record_unitaries(monkeypatch):
     """Wrap ``_Synthesis.unitaries``; the list it returns gets each call's (plan, rows)."""
     calls, real = [], unitary._Synthesis.unitaries
@@ -1408,22 +1418,46 @@ class TestSchedule:
         labels = sorted(seq.labels)
         values = {l: 1e-3 * (k + 1) for k, l in enumerate(labels)}
         cache = CompileCache()
-        if warm:  # every block without ZZ23 hits
+        if warm:  # the cache holds the root at other errors, which a miss never reads
             compile_sequence(seq, ErrorAssignment({**values, "ZZ23": 0.5}), cache)
-        pulses = needed_pulses(seq, values, cache)
-        expected = {}  # plan -> its needed pulses' rows, in post-order
-        for p in pulses:
-            expected.setdefault(tuple(h for _, _, h in p.terms), []).append(
-                [theta * (1.0 + values[l]) for l, theta, _ in p.terms]
-            )
+        expected = {}  # plan -> its pulses' rows, in post-order: a miss needs them all
+        for p in post_order(seq):
+            if isinstance(p, Pulse):
+                expected.setdefault(tuple(h for _, _, h in p.terms), []).append(
+                    [theta * (1.0 + values[l]) for l, theta, _ in p.terms]
+                )
         calls = record_unitaries(monkeypatch)
         got = compile_sequence(seq, ErrorAssignment(values), cache)
-        assert len(calls) == len(expected) == (2 if warm else 6)
+        assert len(calls) == len(expected) == 6
         assert {plan.hams: rows.tobytes() for plan, rows in calls} == {
             hams: np.array(rows).tobytes() for hams, rows in expected.items()
         }
-        assert sum(len(rows) for rows in expected.values()) == (11 if warm else 139)
+        assert sum(len(rows) for rows in expected.values()) == 139
         assert got.matrix.tobytes() == reference_matrix(seq, values, {}).tobytes()
+
+    def test_root_hit_synthesizes_nothing(self, monkeypatch):
+        seq = SCHEDULED["wj_chain(3)"]
+        errors = ErrorAssignment({l: 1e-3 * (k + 1) for k, l in enumerate(sorted(seq.labels))})
+        cache = CompileCache()
+        first = compile_sequence(seq, errors, cache)
+        calls = record_unitaries(monkeypatch)
+        assert compile_sequence(seq, errors, cache).matrix.tobytes() == first.matrix.tobytes()
+        assert calls == []
+
+    def test_point_loop_keeps_one_entry_per_assignment(self):
+        seq = SCHEDULED["wj_chain(2)"]
+        labels = sorted(seq.labels)
+        points = [
+            grouped(seq, {l: e * (k + 1) for k, l in enumerate(labels)})
+            for e in (1e-3, 2e-3, -0.0, 1e-3, 0.0, 2e-3, 4e-2)
+        ]
+        cache = CompileCache()
+        for p in points:
+            compile_sequence(seq, p, cache)
+        # one entry per distinct assignment: the repeats hit, and 0.0 and
+        # -0.0 are one key, as they give equal scales
+        assert set(cache._store) == {(seq, tuple((p.values[l],) for l in labels)) for p in points}
+        assert len(cache._store) == 4
 
 
 def record_products(monkeypatch):

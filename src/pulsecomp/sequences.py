@@ -779,10 +779,12 @@ def substitute(
     The builder maps a target angle to a replacement sequence; pulses with
     negative angles receive the reversed, angle-negated block.  Each
     distinct (angle, Hamiltonian) pulse's replacement is verified once
-    against its ideal action at zero error (up to global phase), and an
-    interned block that passed against an (angle, Hamiltonian) is not
-    checked against it again while it lives; a failed check is not
-    recorded.  The checks of one top-level call, including those of
+    against its ideal action at zero error: its distance up to global
+    phase must be at most _CHECK_TOL, which the Frobenius norm decides
+    wherever it settles it (``unitary._spectral_norm_side``).  An interned
+    block that passed against an (angle, Hamiltonian) is not checked
+    against it again while it lives; a failed check is not recorded.
+    The checks of one top-level call, including those of
     substitutions its builder makes, share one compile cache, so a block's
     check reuses the zero-error matrices of its already-checked sub-blocks.
     """
@@ -820,11 +822,12 @@ def substitute(
                         )
                     if key not in block._proved:
                         ideal = compile_sequence(block, ErrorAssignment.zero(block.labels), cache)
-                        mismatch = distance(evolve([(mag, 0.0, h)]), ideal, align_phase=True)
-                        if mismatch > _CHECK_TOL:
+                        pulse = evolve([(mag, 0.0, h)])
+                        diff = unitary._difference(pulse, ideal, align_phase=True)
+                        if unitary._spectral_norm_side(diff, _CHECK_TOL) > _CHECK_TOL:
                             raise SequenceError(
-                                f"replacement for {label!r} at angle {mag:g} deviates from "
-                                f"the ideal pulse by {mismatch:.3e}"
+                                f"replacement for {label!r} at angle {mag:g} deviates from the "
+                                f"ideal pulse by {distance(pulse, ideal, align_phase=True):.3e}"
                             )
                         block._proved.add(key)
                     checked[key] = block

@@ -10,6 +10,7 @@ machine epsilon in fidelity remain meaningful.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,6 +45,13 @@ def _defect(m: np.ndarray) -> np.ndarray:
 
 class UnitaryError(ValueError):
     """Dimension mismatch or non-unitary input."""
+
+
+def _require(kind: type, **args) -> None:
+    """Raise a UnitaryError naming each argument that is not a ``kind``."""
+    for name, value in args.items():
+        if not isinstance(value, kind):
+            raise UnitaryError(f"{name} is a {type(value).__name__}, not a {kind.__name__}")
 
 
 def check_unitary(m: np.ndarray) -> float:
@@ -364,8 +372,9 @@ def fidelities(u: Unitary, stack: np.ndarray) -> list[FidelityReport]:
 
     A stack of another shape than (K, u.dim, u.dim), or not unitary to
     1e-10 (``check_unitary``), raises a UnitaryError naming its shape or
-    first defect.
+    first defect.  A u that is not a Unitary raises a UnitaryError naming it.
     """
+    _require(Unitary, u=u)
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or stack.shape[1:] != (u.dim, u.dim):
         raise UnitaryError(f"stack shape {stack.shape} is not (K, {u.dim}, {u.dim})")
@@ -376,6 +385,7 @@ def fidelities(u: Unitary, stack: np.ndarray) -> list[FidelityReport]:
 
 def fidelity(u: Unitary, v: Unitary) -> FidelityReport:
     """Worst-case state fidelity between two unitaries (``fidelities`` at one point)."""
+    _require(Unitary, u=u, v=v)
     return fidelities(u, v.matrix[None])[0]
 
 
@@ -385,6 +395,12 @@ def distance(u: Unitary, v: Unitary, align_phase: bool = False) -> float:
     The alignment convention rotates V by the phase of tr(U^dag V), which
     is the closed-form minimizer direction (and maps V = -U onto U).
     """
+    return float(np.linalg.norm(_difference(u, v, align_phase), ord=2))
+
+
+def _difference(u: Unitary, v: Unitary, align_phase: bool) -> np.ndarray:
+    """U - V, V rotated by the phase of tr(U^dag V) if align_phase: ``distance``'s matrix."""
+    _require(Unitary, u=u, v=v)
     if u.dim != v.dim:
         raise UnitaryError(f"dimension mismatch: {u.dim} vs {v.dim}")
     vm = v.matrix
@@ -392,7 +408,28 @@ def distance(u: Unitary, v: Unitary, align_phase: bool = False) -> float:
         t = np.trace(u.matrix.conj().T @ vm)
         if abs(t) > 0.0:
             vm = vm * np.exp(-1j * np.angle(t))
-    return float(np.linalg.norm(u.matrix - vm, ord=2))
+    return u.matrix - vm
+
+
+def _spectral_norm_side(x: np.ndarray, bound: float) -> float:
+    """np.linalg.norm(x, 2), or 0.0 or inf where the Frobenius norm settles
+    on which side of bound > 0 that lies: any comparison with bound decides
+    as the 2-norm's would.
+
+    ||x||_F >= ||x||_2 >= ||x||_F / sqrt(r), r = min(x.shape).  The
+    computed Frobenius norm, a sum of x.size squares, is within
+    (x.size + 2) u of its value relative (u = 2^-53), and the SVD's largest
+    singular value within a few u times a modest function of r; the 2^-20
+    margin covers both for any x of under 2^32 entries.  Squares that
+    underflow lose at most sqrt(x.size) 2^-511 absolute, far below the
+    bounds used (1e-10 and up).  A non-finite norm takes the SVD.
+    """
+    f = math.sqrt(np.vdot(x, x).real)
+    if f * (1.0 + 2.0**-20) < bound:
+        return 0.0
+    if bound < f * (1.0 - 2.0**-20) / math.sqrt(min(x.shape)) < math.inf:
+        return math.inf
+    return np.linalg.norm(x, ord=2)
 
 
 def _stable_deficit(w: np.ndarray) -> np.ndarray:
@@ -424,6 +461,28 @@ def _deficits(delta: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return _stable_deficit(_boundary_points(delta, phases))
 
 
+def _ellipse(delta: np.ndarray):
+    """``_screened_grid``'s closed form for a 2x2 delta: deficit(z, sqrt) is
+    (1 - |1 + w|, rho) at an array of phases z with np.sqrt, or at one
+    phase in Python scalars with ``_guess_sqrt``."""
+    (p, q), (r, t) = delta.tolist()
+    d0, dx, dy, dz = 0.5 * (p + t), 0.5 * (q + r), 0.5j * (q - r), 0.5 * (p - t)
+
+    def deficit(z, sqrt):
+        hx, hy, hz = (z * dx).real, (z * dy).real, (z * dz).real
+        rho = sqrt(hx * hx + hy * hy + hz * hz)
+        w = d0 - (dx * hx + dy * hy + dz * hz) / rho
+        wr, wi = w.real, w.imag
+        x = 2.0 * wr + (wr * wr + wi * wi)
+        return -x / (1.0 + sqrt(1.0 + x)), rho
+    return deficit
+
+
+def _guess_sqrt(v: float) -> float:
+    """math.sqrt, but NaN where it would raise or give 0, so a guess never raises."""
+    return math.sqrt(v) if v > 0.0 else math.nan
+
+
 def _screened_grid(delta: np.ndarray) -> np.ndarray:
     """The near regime's grid values: exact wherever the argmax can be, and
     below the exact maximum everywhere else.
@@ -433,8 +492,9 @@ def _screened_grid(delta: np.ndarray) -> np.ndarray:
     Re(z d0) I + h.sigma with h = Re(z d), so its smaller eigenvalue has the
     eigenvector of Bloch vector -h / rho, rho = |h| (half the eigenvalue gap
     g = 2 rho), and the boundary point of Li's elliptical range (Proc. AMS
-    124, 1996) is w = d0 - d.h / rho.  All 720 angles take a few array
-    operations.  Each screened deficit s_i is within
+    124, 1996) is w = d0 - d.h / rho: ``_ellipse``, a few array operations
+    for all 720 angles.  Each screened deficit s_i is within
+    screened deficit s_i is within
 
         err_i = 2^-40 N (1 + N / g_i),   N = sum |delta_jk| >= ||delta||_2,
 
@@ -470,16 +530,8 @@ def _screened_grid(delta: np.ndarray) -> np.ndarray:
     n = float(np.abs(delta).sum())
     candidates = np.arange(_GRID_POINTS)
     if delta.shape == (2, 2) and n >= 2.0**-400:
-        (p, q), (r, t) = delta.tolist()
-        d0, dx, dy, dz = 0.5 * (p + t), 0.5 * (q + r), 0.5j * (q - r), 0.5 * (p - t)
-        z = _GRID_PHASES
         with np.errstate(divide="ignore", invalid="ignore"):
-            hx, hy, hz = (z * dx).real, (z * dy).real, (z * dz).real
-            rho = np.sqrt(hx * hx + hy * hy + hz * hz)
-            w = d0 - (dx * hx + dy * hy + dz * hz) / rho
-            wr, wi = w.real, w.imag
-            x = 2.0 * wr + (wr * wr + wi * wi)
-            s = -x / (1.0 + np.sqrt(1.0 + x))
+            s, rho = _ellipse(delta)(_GRID_PHASES, np.sqrt)
             err = 2.0**-40 * n * (1.0 + n / (2.0 * rho))
         if np.isfinite(s).all() and np.isfinite(err).all():
             candidates = np.flatnonzero(s + err >= (s - err).max())
@@ -527,25 +579,41 @@ def _golden_tree(a, b, x1, x2, left: bool) -> list[tuple]:
     return nodes
 
 
-def _scan_max(grid: np.ndarray, f) -> float:
+def _scan_max(grid: np.ndarray, f, guess=None) -> float:
     """Maximum of a 2 pi-periodic function: a uniform scan, then golden-section refinement.
 
     grid holds the function's values at the _GRID_ANGLES.  Only its argmax
     is read, so it may be exact only where the argmax can be and below the
     exact maximum elsewhere (``_screened_grid``).  f(angles) evaluates a
     1-D stack of at least two angles, each value the same whatever else the
-    stack holds (the value of the stack [x, x] at x).  The refinement
-    evaluates the starting pair as one stack, then runs in rounds: each
-    evaluates, in one stack, the 2^_LOOKAHEAD - 1 angles its next
-    _LOOKAHEAD steps can visit, then replays the steps' comparisons on
-    them.  So the points chosen and the maximum returned are those of
+    stack holds (the value of the stack [x, x] at x).  guess(x), a float
+    approximation of f, guesses every comparison down to _REFINE_TOL; the
+    starting pair and that path's angles (none without a guess) are one
+    stack, on which the exact comparisons are replayed up to the first
+    that differs from its guess.  The rest runs in rounds: each evaluates,
+    in one stack, the 2^_LOOKAHEAD - 1 angles its next _LOOKAHEAD steps
+    can visit, then replays the steps' comparisons on them.  So, whatever
+    the guess, the points chosen and the maximum returned are those of
     refining one angle at a time.
     """
     k = int(grid.argmax())
     step = _GRID_ANGLES[1] - _GRID_ANGLES[0]
     a, b = _GRID_ANGLES[k] - step, _GRID_ANGLES[k] + step
     x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    f1, f2 = f(np.array([x1, x2]))
+    path = []  # (guessed f1 < f2, state after the step) per guessed step
+    if guess is not None:
+        g1, g2, node = guess(x1), guess(x2), (a, b, x1, x2)
+        while node[1] - node[0] > _REFINE_TOL:
+            left = g1 < g2
+            node = _golden_step(*node[:4], left)
+            g1, g2 = (g2, guess(node[4])) if left else (guess(node[4]), g1)
+            path.append((left, node))
+    f1, f2, *values = f(np.array([x1, x2] + [node[4] for _, node in path]))
+    for (left, node), value in zip(path, values):
+        if (f1 < f2) != left:
+            break
+        a, b, x1, x2, _ = node
+        f1, f2 = (f2, value) if left else (value, f1)
     while b - a > _REFINE_TOL:
         nodes = _golden_tree(a, b, x1, x2, f1 < f2)
         values = f(np.array([node[4] for node in nodes]))
@@ -650,12 +718,20 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     far regime forms both from one smallest-eigenvalue expression (one
     stacked eigendecomposition for the grid), the near regime from
     ``_deficits``.  Its grid is ``_screened_grid``'s: for a two-dimensional
-    subspace a closed form gives every angle's value to within a proven
-    rounding bound, and only the angles that can hold the maximum are
-    evaluated.  The variance search screens its 64 states the same way
+    subspace a closed form (``_ellipse``) gives every angle's value to
+    within a proven rounding bound, and only the angles that can hold the
+    maximum are evaluated.  The same closed form at one angle is the
+    refinement's guess: its comparisons predict the whole golden-section
+    path, whose angles are evaluated exactly in one stack.  The variance
+    search screens its 64 states the same way as the grid
     (``_worst_variance_infidelity``).  Every returned value comes from the
-    exact evaluation, bit for bit.
+    exact evaluation, bit for bit.  Both regime tests compare a 2-norm
+    with a threshold, through the Frobenius norm wherever that settles them
+    (``_spectral_norm_side``).  An argument of the wrong type raises a
+    UnitaryError naming it.
     """
+    _require(Unitary, u=u, v=v)
+    _require(Subspace, s=s)
     if u.dim != v.dim:
         raise UnitaryError(f"dimension mismatch: {u.dim} vs {v.dim}")
     if s.ambient_dim != u.dim:
@@ -669,14 +745,16 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     if leak < 1e-10:
         return _arc_report(c[None])[0]
     e = _phase_deviation(m)
-    if np.linalg.norm(e, ord=2) < 1e-4:
+    if _spectral_norm_side(e, 1e-4) < 1e-4:
         infid = min(1.0, _worst_variance_infidelity(e, b))
         return FidelityReport(1.0 - infid, infid, "numerical-range")
     delta = _phase_deviation(c)
-    if np.linalg.norm(delta, ord=2) < 0.1:
+    if _spectral_norm_side(delta, 0.1) < 0.1:
         # |1+w| > 0 throughout, so the minimizer sits on the boundary of
         # the numerical range of delta.
-        infid = _scan_max(_screened_grid(delta), lambda g: _deficits(delta, np.exp(1j * g)))
+        closed = _ellipse(delta) if delta.shape == (2, 2) else None
+        guess = closed and (lambda x: closed(cmath.exp(1j * x), _guess_sqrt)[0])
+        infid = _scan_max(_screened_grid(delta), lambda g: _deficits(delta, np.exp(1j * g)), guess)
         infid = min(1.0, max(0.0, infid))
         return FidelityReport(1.0 - infid, infid, "numerical-range")
     # Far regime: distance from the origin to the numerical range of c (0 if inside).

@@ -674,6 +674,29 @@ class TestSubstitute:
         assert substitute(seq, "a", grouped).required_groups == (own, shared)
 
 
+class TestCheckDecision:
+    """substitute's self-check decides, and reports, as ``distance`` does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_offset=st.floats(-12.0, -7.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        h=st.sampled_from([HX, HZZ, HX1 + HZZ]),
+    )
+    def test_tolerance_decided_as_distance(self, log_offset, sign, h):
+        # a block off its pulse's angle by about the check's tolerance
+        theta = 0.7319
+        block = PulseSequence((Pulse.single("b", theta + sign * 10.0**log_offset, h),))
+        seq = PulseSequence((Pulse.single("b", theta, h),))
+        ideal = compile_sequence(block, ErrorAssignment.zero(block.labels))
+        mismatch = distance(evolve([(theta, 0.0, h)]), ideal, align_phase=True)
+        if mismatch > sequences._CHECK_TOL:
+            with pytest.raises(SequenceError, match=re.escape(f"pulse by {mismatch:.3e}")):
+                substitute(seq, "b", lambda x: block)
+        else:
+            assert substitute(seq, "b", lambda x: block) == PulseSequence((block,))
+
+
 class TestProofMemo:
     """substitute proves an interned block once per (angle, H) while it lives."""
 

@@ -483,6 +483,80 @@ class TestDistance:
         assert slope == pytest.approx(1.0, abs=0.01)
 
 
+_U, _S = Unitary(np.eye(4)), Subspace(np.eye(4)[:, :2])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: fidelity(_U.matrix, _U), "u", id="fidelity-u"),
+        pytest.param(lambda: fidelity(_U, _U.matrix), "v", id="fidelity-v"),
+        pytest.param(lambda: fidelities(_U.matrix, _U.matrix[None]), "u", id="fidelities"),
+        pytest.param(lambda: distance(_U.matrix, _U), "u", id="distance-u"),
+        pytest.param(lambda: distance(_U, None), "v", id="distance-v"),
+        pytest.param(lambda: subspace_fidelity(_U.matrix, _U, _S), "u", id="subspace-u"),
+        pytest.param(lambda: subspace_fidelity(_U, [[1.0]], _S), "v", id="subspace-v"),
+        pytest.param(lambda: subspace_fidelity(_U, _U, _S.basis), "s", id="subspace-s"),
+    ],
+)
+def test_metric_argument_types_named(call, name):
+    kind = "Subspace" if name == "s" else "Unitary"
+    with pytest.raises(UnitaryError, match=rf"^{name} is a \w+, not a {kind}$"):
+        call()
+
+
+class TestSpectralNormSide:
+    """The Frobenius-first decision takes the 2-norm's side of every bound."""
+
+    @staticmethod
+    def assert_same_side(x: np.ndarray, bound: float) -> None:
+        side = unitary._spectral_norm_side(x, bound)
+        norm = np.linalg.norm(x, ord=2)
+        assert (side < bound, side > bound) == (norm < bound, norm > bound)
+        if side not in (0.0, math.inf):
+            assert side.tobytes() == norm.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 8),
+        rank=st.sampled_from(["full", "one", "scalar"]),
+        log_ratio=st.floats(-1.0, 1.0),
+        bound=st.sampled_from([1e-10, 1e-4, 0.1]),
+    )
+    def test_random_matrices(self, seed, d, rank, log_ratio, bound):
+        # rank one has ||x||_2 = ||x||_F and a unitary multiple of I has
+        # ||x||_2 = ||x||_F / sqrt(d): the two ends the Frobenius norm can settle
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        if rank == "one":
+            x = np.outer(x[:, 0], x[0].conj())
+        elif rank == "scalar":
+            x = x[0, 0] * np.eye(d)
+        x *= bound * 10.0**log_ratio / np.linalg.norm(x, ord=2)
+        self.assert_same_side(x, bound)
+        self.assert_same_side(x, float(np.linalg.norm(x, ord=2)))
+
+    def test_settles_without_svd_away_from_the_bound(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "norm", None)
+        x = np.eye(4) * 1e-3
+        assert unitary._spectral_norm_side(x, 0.1) == 0.0
+        assert unitary._spectral_norm_side(x, 1e-4) == math.inf
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e200])
+    def test_non_finite_takes_the_svd(self, value):
+        # the same error, or the same value, as the SVD
+        def result(norm):
+            try:
+                return np.float64(norm()).tobytes()
+            except Exception as exc:
+                return type(exc)
+
+        x = np.full((2, 2), value, dtype=complex)
+        side = result(lambda: unitary._spectral_norm_side(x, 0.1))
+        assert side == result(lambda: np.linalg.norm(x, ord=2))
+
+
 class TestSubspaceFidelity:
     def test_full_space_matches_fidelity(self):
         rng = np.random.default_rng(17)
@@ -581,11 +655,15 @@ class TestSubspaceFidelity:
 
 
 def _record_scans(monkeypatch) -> list:
-    """Make unitary._scan_max record each (grid, f) pair it is given."""
+    """Make unitary._scan_max record each (grid, f, guess) it is given, and
+    pass all three through."""
     real, scans = unitary._scan_max, []
-    monkeypatch.setattr(
-        unitary, "_scan_max", lambda grid, f: scans.append((grid, f)) or real(grid, f)
-    )
+
+    def record(grid, f, guess=None):
+        scans.append((grid, f, guess))
+        return real(grid, f, guess)
+
+    monkeypatch.setattr(unitary, "_scan_max", record)
     return scans
 
 
@@ -663,7 +741,7 @@ class TestSupportScan:
         """The grid's argmax and the refinement evaluator's values on the
         stacked grid are the one-angle evaluation's, the latter bit for bit."""
         gammas = np.linspace(0.0, 2 * math.pi, unitary._GRID_POINTS, endpoint=False)
-        for grid, f in scans:
+        for grid, f, _ in scans:
             stacked = f(gammas)
             scalar = np.array([one_angle(g) for g in gammas])
             assert grid.shape == stacked.shape == scalar.shape
@@ -728,15 +806,17 @@ class TestSupportScan:
         # the near regime: boundary points from eigh, no far-regime eigvalsh
         assert set(calls) == {"eigh"}
         assert len(scans) == 1
-        lookahead_calls = len(calls)
-        # One stacked grid scan, one stack of the two starting points, then
-        # one stack per round of _LOOKAHEAD golden-section steps (the last
-        # round may stop early), against one call per step one angle at a time.
+        guessed_calls = len(calls)
+        # One stacked eigh for the screened grid's candidates, then one for
+        # the starting pair and every angle of the path the closed form
+        # guessed, which here guessed all 40 steps' comparisons right;
+        # without the guess, 16: one more per round of _LOOKAHEAD steps.
         one_angle, visited = _one_angle(ideal, actual, code)[1], []
-        _one_angle_scan_max(scans[0][0], lambda g: visited.append(g) or one_angle(g))
+        expected = _one_angle_scan_max(scans[0][0], lambda g: visited.append(g) or one_angle(g))
         steps = len(visited) - 2
         assert steps == 40
-        assert lookahead_calls == 2 + math.ceil(steps / unitary._LOOKAHEAD) == 16
+        assert guessed_calls == 2
+        assert rep.infidelity.hex() == min(1.0, max(0.0, expected)).hex()
         self.assert_scans_agree(scans, one_angle)
 
 
@@ -750,9 +830,9 @@ def _scan_cases():
     )
 
 
-def _drawn_scan(case):
-    """The (grid, f) pair subspace_fidelity scans for a _scan_cases draw, a
-    random leaky pair on C^8 in the drawn regime, and the one-angle
+def _drawn_guessed_scan(case):
+    """The (grid, f, guess) subspace_fidelity scans for a _scan_cases draw,
+    a random leaky pair on C^8 in the drawn regime, and the one-angle
     evaluation of that pair (``_one_angle``)."""
     seed, u, d, regime = case
     lo, hi = _REGIME_SCALES[regime]
@@ -764,6 +844,51 @@ def _drawn_scan(case):
     drawn, one_angle = _one_angle(*pair)
     assume(drawn == regime)
     return (*scans[0], one_angle)
+
+
+def _drawn_scan(case):
+    """``_drawn_guessed_scan`` without the guess: (grid, f, one_angle)."""
+    grid, f, _, one_angle = _drawn_guessed_scan(case)
+    return grid, f, one_angle
+
+
+def _synthetic_curve(peak):
+    """A constant curve (peak None) or -(g - gamma_peak)^2, whose products
+    and differences round alike per element and per stack."""
+    gammas = np.linspace(0.0, 2 * math.pi, unitary._GRID_POINTS, endpoint=False)
+
+    def f(g):
+        if peak is None:
+            return 0.0 * g
+        return -(g - gammas[peak]) * (g - gammas[peak])
+
+    return f
+
+
+# Guesses handed to _scan_max: the closed form subspace_fidelity passes (the
+# curve itself for a synthetic curve), and adversarial ones.
+_GUESS_KINDS = ["closed-form", "random", "constant", "negated", "nan"]
+
+
+def _guess(kind: str, closed, one_angle, seed: int):
+    """The guess of one kind for a curve whose one-angle values are one_angle."""
+    rng = np.random.default_rng(seed)
+    return {
+        "closed-form": closed,
+        "random": lambda x: float(rng.uniform(-1.0, 1.0)),
+        "constant": lambda x: 0.0,
+        "negated": lambda x: -float(one_angle(x)),
+        "nan": lambda x: math.nan,
+    }[kind]
+
+
+def _guessed_scan_max(grid, f, guess) -> float:
+    """unitary._scan_max(grid, f, guess), checking that every stack handed
+    to f holds at least two angles."""
+    sizes = []
+    got = unitary._scan_max(grid, lambda g: sizes.append(g.size) or f(g), guess)
+    assert sizes and min(sizes) >= 2
+    return got
 
 
 class TestLookahead:
@@ -800,6 +925,24 @@ class TestLookahead:
         expected = _one_angle_scan_max(grid, one_angle)
         assert unitary._scan_max(grid, f).hex() == expected.hex()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.one_of(
+            _scan_cases(),
+            # two-dimensional near-regime draws, which subspace_fidelity
+            # hands the closed-form guess
+            st.tuples(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.just(2), st.just("near")),
+        ),
+        kind=st.sampled_from(_GUESS_KINDS),
+        guess_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_guessed_path_matches_one_angle(self, case, kind, guess_seed):
+        grid, f, closed, one_angle = _drawn_guessed_scan(case)
+        assert (closed is not None) == (case[2] == 2 and case[3] == "near")
+        guess = _guess(kind, closed, one_angle, guess_seed)
+        expected = _one_angle_scan_max(grid, one_angle)
+        assert _guessed_scan_max(grid, f, guess).hex() == expected.hex()
+
     def test_grid_constants_read_only(self):
         gammas = np.linspace(0.0, 2 * math.pi, unitary._GRID_POINTS, endpoint=False)
         assert unitary._GRID_ANGLES.tobytes() == gammas.tobytes()
@@ -819,16 +962,13 @@ class TestLookahead:
     )
     def test_synthetic_curves(self, peak):
         gammas = np.linspace(0.0, 2 * math.pi, unitary._GRID_POINTS, endpoint=False)
-
-        # products and differences round alike per element and per stack
-        def f(g):
-            if peak is None:
-                return 0.0 * g
-            return -(g - gammas[peak]) * (g - gammas[peak])
-
+        f = _synthetic_curve(peak)
         grid = f(gammas)
         assert int(grid.argmax()) == (0 if peak is None else peak)
         assert unitary._scan_max(grid, f).hex() == _one_angle_scan_max(grid, f).hex()
+        for kind in _GUESS_KINDS:
+            guess = _guess(kind, lambda x: float(f(np.array(x))), f, 7)
+            assert _guessed_scan_max(grid, f, guess).hex() == _one_angle_scan_max(grid, f).hex()
 
 
 def _full_grid(delta: np.ndarray) -> np.ndarray:
@@ -964,6 +1104,12 @@ class TestScreens:
             screened = unitary._screened_grid(delta)
         assert screened.tobytes() == _full_grid(delta).tobytes()
         assert _screened_scan(delta).hex() == _reference_scan(delta).hex()
+        # the closed-form guess is NaN (rho = 0), not an error, and changes nothing
+        closed = unitary._ellipse(delta)
+        guess = lambda x: closed(complex(math.cos(x), math.sin(x)), unitary._guess_sqrt)[0]
+        assert math.isnan(guess(0.3))
+        guessed = unitary._scan_max(unitary._screened_grid(delta), _near_refinement(delta), guess)
+        assert guessed.hex() == _reference_scan(delta).hex()
         assert not recwarn.list
 
     @settings(max_examples=30, deadline=None)

@@ -494,7 +494,6 @@ def _screened_grid(delta: np.ndarray) -> np.ndarray:
     g = 2 rho), and the boundary point of Li's elliptical range (Proc. AMS
     124, 1996) is w = d0 - d.h / rho: ``_ellipse``, a few array operations
     for all 720 angles.  Each screened deficit s_i is within
-    screened deficit s_i is within
 
         err_i = 2^-40 N (1 + N / g_i),   N = sum |delta_jk| >= ||delta||_2,
 
@@ -589,12 +588,11 @@ def _scan_max(grid: np.ndarray, f, guess=None) -> float:
     stack holds (the value of the stack [x, x] at x).  guess(x), a float
     approximation of f, guesses every comparison down to _REFINE_TOL; the
     starting pair and that path's angles (none without a guess) are one
-    stack, on which the exact comparisons are replayed up to the first
-    that differs from its guess.  The rest runs in rounds: each evaluates,
-    in one stack, the 2^_LOOKAHEAD - 1 angles its next _LOOKAHEAD steps
-    can visit, then replays the steps' comparisons on them.  So, whatever
-    the guess, the points chosen and the maximum returned are those of
-    refining one angle at a time.
+    stack, and the exact comparisons are replayed on it up to the first
+    that differs from its guess.  Then each round evaluates, in one stack,
+    the 2^_LOOKAHEAD - 1 angles its next _LOOKAHEAD steps can visit, and
+    replays them.  So, whatever the guess, the points chosen and the
+    maximum returned are those of refining one angle at a time.
     """
     k = int(grid.argmax())
     step = _GRID_ANGLES[1] - _GRID_ANGLES[0]
@@ -720,10 +718,9 @@ def subspace_fidelity(u: Unitary, v: Unitary, s: Subspace) -> FidelityReport:
     ``_deficits``.  Its grid is ``_screened_grid``'s: for a two-dimensional
     subspace a closed form (``_ellipse``) gives every angle's value to
     within a proven rounding bound, and only the angles that can hold the
-    maximum are evaluated.  The same closed form at one angle is the
-    refinement's guess: its comparisons predict the whole golden-section
-    path, whose angles are evaluated exactly in one stack.  The variance
-    search screens its 64 states the same way as the grid
+    maximum are evaluated, and at one angle it guesses the refinement's
+    whole path, evaluated exactly in one stack.  The variance search
+    screens its 64 states the same way as the grid
     (``_worst_variance_infidelity``).  Every returned value comes from the
     exact evaluation, bit for bit.  Both regime tests compare a 2-norm
     with a threshold, through the Frobenius norm wherever that settles them

@@ -15,7 +15,6 @@ import numbers
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from typing import Callable, Mapping, Optional, Union
 from weakref import WeakValueDictionary
 
@@ -260,21 +259,21 @@ class PulseSequence:
 
         ``nodes`` and ``children`` are ``_dag``'s; a node's ``keys`` index
         its labels in ``_sorted_labels`` (a pulse's in term order, a
-        block's sorted).  ``schedule`` is (plans, stops, at, angles, terms):
-        the pulses grouped by their tuple of Hamiltonians (a synthesis
-        plan), plans in order of their first pulse and pulses in post-order
-        within a plan, as three arrays whose rows ``stops[p - 1]:stops[p]``
-        are plan p's pulses: ``at`` their node indices, ``angles`` their
-        term angles and ``terms`` their terms' label indices, both (P, W)
-        for the widest plan's W terms, a narrower pulse padded with angle 0
-        and label index len(labels).  ``plans`` holds each plan's
-        Hamiltonians.  ``levels`` pairs each child count k with the indices
-        of the blocks of one height and k children, in order of increasing
-        height (a pulse has height 0, a block one more than its highest
-        child), so every block of a level can be multiplied once the levels
-        below it are.  Derived on the first compile and kept while the node
-        lives; the synthesis plans stay in ``_synthesis``'s cache, looked up
-        per compile.
+        block's sorted).  ``schedule`` is (plans, angles, terms): the
+        pulses grouped by their tuple of Hamiltonians (a synthesis plan),
+        plans in order of their first pulse and pulses in post-order within
+        a plan, over two flat term arrays, the pulses' terms one after
+        another: ``angles`` their angles and ``terms`` their label
+        indices.  Each plan is (hams, at, span): its T
+        Hamiltonians, its pulses' node indices and the (pulses, T)
+        positions of their terms in the flat arrays, one run of them.
+        ``levels`` pairs each child count k with the indices of the blocks
+        of one height and k children, in order of increasing height (a
+        pulse has height 0, a block one more than its highest child), so
+        every block of a level can be multiplied once the levels below it
+        are.  Derived on the first compile and kept while the node lives;
+        the synthesis plans stay in ``_synthesis``'s cache, looked up per
+        compile.
         """
         nodes, children = self._dag
         place = {l: j for j, l in enumerate(self._sorted_labels)}
@@ -292,23 +291,14 @@ class PulseSequence:
             heights.append(height)
             keys.append(tuple([place[l] for l in labels]))
         levels = tuple((k, tuple(blocks)) for (_, k), blocks in sorted(levels.items()))
-        width = max(map(len, groups))
-        at, flat_angles, flat_terms = [], [], []  # each pulse padded to the width
+        plans, flat_angles, flat_terms = [], [], []
         for hams, pulses in groups.items():
-            pad = width - len(hams)
+            span = np.arange(len(flat_angles), len(flat_angles) + len(pulses) * len(hams))
+            plans.append((hams, tuple([i for i, _ in pulses]), span.reshape(-1, len(hams))))
             for i, angles in pulses:
-                at.append(i)
                 flat_angles += angles
-                flat_angles += (0.0,) * pad
                 flat_terms += keys[i]
-                flat_terms += (len(place),) * pad
-        schedule = (
-            tuple(groups),
-            np.array(list(accumulate(map(len, groups.values())))),
-            np.array(at),
-            np.array(flat_angles).reshape(-1, width),
-            np.array(flat_terms).reshape(-1, width),
-        )
+        schedule = (tuple(plans), np.array(flat_angles), np.array(flat_terms))
         return nodes, keys, children, schedule, levels
 
     @cached_property
@@ -342,6 +332,7 @@ class PulseSequence:
 class ErrorAssignment:
     """Map from control label (a string) to systematic error, with shared groups.
 
+    ``values`` is a mapping of labels to errors, or (label, error) pairs.
     Labels in one group share a single value; supplying conflicting values
     for grouped labels is rejected.  Values are kept as floats and each
     group as a frozenset of label strings (a string, as a group or as
@@ -355,7 +346,13 @@ class ErrorAssignment:
     signs: str = ""
 
     def __post_init__(self) -> None:
-        resolved = {l: _finite(v, "error", l, CompileError) for l, v in dict(self.values).items()}
+        try:
+            if isinstance(self.values, str):  # dict("") is empty, dict("ab") a bare ValueError
+                raise TypeError
+            values = dict(self.values)
+        except (TypeError, ValueError):  # neither a mapping nor pairs
+            raise CompileError(f"errors {self.values!r} are not a mapping of labels") from None
+        resolved = {l: _finite(v, "error", l, CompileError) for l, v in values.items()}
         groups = tuple(
             [_group(g, CompileError) for g in _iterable(self.groups, "groups", CompileError)]
         )
@@ -384,10 +381,10 @@ class ErrorAssignment:
 
     @classmethod
     def uniform(cls, labels, eps: float) -> "ErrorAssignment":
-        """eps for every label; a lone string is rejected, not split into characters."""
+        """eps for every label of a collection; a lone string is rejected, not split."""
         if isinstance(labels, str):
             raise CompileError(f"labels must be a collection of labels, not the string {labels!r}")
-        return cls({l: eps for l in labels})
+        return cls({l: eps for l in _iterable(labels, "labels", CompileError)})
 
 
 class CompileCache:
@@ -447,24 +444,20 @@ def _require_assigned(seq: PulseSequence, points) -> None:
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple:
-    """The distinct rows of each of V pulses among its (V, K, W) rows at K points.
+    """The distinct rows of an (R, T) array: (distinct, index), the distinct
+    rows in sorted order as one (D, T) array and the (R,) positions of the
+    rows in it.
 
-    Returns (distinct, owner, index): the distinct rows as one (D, W) array,
-    pulse by pulse, each pulse's in sorted order; the pulse of each, as its
-    index among the V; and the (V, K) positions in ``distinct`` of every
-    pulse's row at every point.  Rows equal as floats are one row, 0.0 and
-    -0.0 alike: a zero scale of either sign synthesizes to the same bits.
+    Rows equal as floats are one row, 0.0 and -0.0 alike: a zero scale of
+    either sign synthesizes to the same bits.
     """
-    v, k, w = rows.shape
-    flat = rows.reshape(-1, w)
-    owner = np.repeat(np.arange(v), k)
-    order = np.lexsort((*flat.T[::-1], owner))  # by pulse, then by row
-    flat, owner = flat[order], owner[order]
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
     new = np.ones(len(order), dtype=bool)
-    new[1:] = (owner[1:] != owner[:-1]) | (flat[1:] != flat[:-1]).any(axis=1)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     index = np.empty(len(order), dtype=np.intp)
     index[order] = np.cumsum(new) - 1
-    return flat[new], owner[new], index.reshape(v, k)
+    return rows[new], index
 
 
 def _walk(seq: PulseSequence, points) -> np.ndarray:
@@ -474,15 +467,16 @@ def _walk(seq: PulseSequence, points) -> np.ndarray:
 
     Runs the sequence's ``_program`` (derived once per interned sequence
     and kept while it lives) without recursion, and sees no cache: every
-    node is computed.  The pulses are scheduled from the program's arrays,
-    with no per-pulse Python: the scale rows theta(1+eps) of all pulses
-    are one numpy product of the angles and the factors 1+eps indexed by
-    the terms' labels.  A pulse whose labels' errors agree at every point
-    (0.0 and -0.0 agree, as they give equal scales) takes one row, at the
-    first point; a varying pulse takes its distinct rows across the
-    points, each once.  Each synthesis plan, looked up once per call in
-    ``_synthesis``'s 256-entry lru, then synthesizes its rows, those of its
-    pulses in order, in one call, which checks them unitary.  The blocks
+    node is computed.  The scales theta(1+eps) of all terms are one numpy
+    product of the angles and the factors 1+eps indexed by the terms'
+    labels: one column when every label's errors agree at all points, else
+    K.  Each synthesis plan, looked up once per call in ``_synthesis``'s
+    256-entry lru, then takes its pulses' (pulses, K, T) rows from its span
+    and synthesizes them in one call, which checks them unitary: with one
+    column each pulse's row, in post-order; with K the distinct rows among
+    all of them, each once (0.0 and -0.0 agree, as they give equal
+    scales).  A pulse whose labels' errors vary takes its K rows' (K, d, d)
+    matrices, any other the one (d, d) matrix of its row.  The blocks
     are multiplied level by level (``_program``'s levels, lowest first), a
     block whose labels' errors agree at every point at that point alone
     and broadcast against the others.  A varying block is multiplied alone
@@ -498,49 +492,33 @@ def _walk(seq: PulseSequence, points) -> np.ndarray:
     post-order, at every point, so the first pulse that cannot be
     synthesized raises its own error at its first such point.
     """
-    nodes, keys, children, (plans, stops, at, angles, terms), levels = seq._program
+    nodes, keys, children, (plans, angles, terms), levels = seq._program
     columns = [tuple([errors.values[l] for errors in points]) for l in seq._sorted_labels]
     varying = [col.count(col[0]) < len(col) for col in columns]
     vary = any(varying)
     mats: dict = {}  # node index -> its matrix, or its (K, d, d) stack if its errors vary
-    d, n = 2**seq.n_qubits, len(points)
-    # 1 + eps per label and point, then a factor 1 for the padded terms
-    factors = 1.0 + np.array([e for col in columns for e in col] + [0.0] * n).reshape(-1, n)
-    many_at, many_ends = [], [0] * len(plans)  # the pulses whose labels' errors vary
-    extra_ends = many_ends
+    d = 2**seq.n_qubits
+    # 1 + eps per label: (labels,) when every label's errors agree at all points, else (labels, K)
+    factors = 1.0 + np.array(columns if vary else [col[0] for col in columns])
     # as Python floats, theta (1 + eps) overflows to inf silently
     with np.errstate(over="ignore"):
-        if vary:  # a varying pulse takes its distinct rows at the points, the others one
-            moving = np.array([*varying, False])[terms].any(axis=1)
-            one, many = np.flatnonzero(~moving), np.flatnonzero(moving)
-            scales = angles[many, None] * factors[terms[many]].swapaxes(1, 2)
-            extra, owner, spread = _distinct_rows(scales)
-            many_at = at[many].tolist()
-            many_ends = many.searchsorted(stops).tolist()
-            extra_ends = many[owner].searchsorted(stops).tolist()
-            rows = angles[one] * factors[:, 0][terms[one]]
-            one_at, ends = at[one].tolist(), one.searchsorted(stops).tolist()
-        else:
-            rows, one_at, ends = angles * factors[:, 0][terms], at.tolist(), stops.tolist()
-    lo = mlo = xlo = 0
+        scales = (angles * factors[terms].T).T  # (terms,) or (terms, K)
     try:
-        for hams, hi, mhi, xhi in zip(plans, ends, many_ends, extra_ends):
-            part = rows[lo:hi, : len(hams)]
-            if xhi > xlo:
-                part = np.concatenate([part, extra[xlo:xhi, : len(hams)]])
-            if len(part):
-                u = _synthesis(hams).unitaries(part)
-                mats.update(zip(one_at[lo:hi], u))
-                if mhi > mlo:  # each varying pulse's (K, d, d) stack
-                    mats.update(zip(many_at[mlo:mhi], u[spread[mlo:mhi] + (hi - lo - xlo)]))
-            lo, mlo, xlo = hi, mhi, xhi
+        for hams, at, span in plans:
+            plan, rows = _synthesis(hams), scales[span]
+            if not vary:
+                mats.update(zip(at, plan.unitaries(rows)))
+                continue
+            rows, index = _distinct_rows(rows.swapaxes(1, 2).reshape(-1, len(hams)))
+            u = plan.unitaries(rows)
+            for i, row in zip(at, index.reshape(len(at), -1)):
+                mats[i] = u[row] if any(map(varying.__getitem__, keys[i])) else u[row[0]]
     except ValueError:
         # raise what synthesizing and checking each pulse alone raises first
-        for j in np.argsort(at).tolist():
-            hams = plans[int(np.searchsorted(stops, j, side="right"))]
-            with np.errstate(over="ignore"):
-                scales = (angles[j, : len(hams)] * factors[terms[j, : len(hams)]].T).tolist()
-            check_unitary(np.stack([_synthesis(hams).unitary(row) for row in scales]))
+        pulses = sorted((i, h, s) for h, at, span in plans for i, s in zip(at, span.tolist()))
+        for _, hams, span in pulses:
+            rows = scales[span].reshape(len(hams), -1).T.tolist()  # its row at each point
+            check_unitary(np.stack([_synthesis(hams).unitary(row) for row in rows]))
         raise
     for k, blocks in levels:
         constant = []
@@ -576,9 +554,9 @@ def compile_stack(seq: PulseSequence, points) -> tuple[np.ndarray, float]:
     Returns the (K, d, d) stack, matrix k bit for bit ``compile_sequence``
     at ``points[k]``, and the worst unitarity defect among them; each is
     checked to 1e-10.  Each distinct node is compiled once for all K
-    points: the walk forms the scale rows of all pulses and points from
-    the program's arrays, each plan synthesizes its pulses' rows in one
-    call (a varying pulse's distinct rows, each once), and a node whose
+    points: the walk forms the scales of all terms and points from the
+    program's arrays, each plan synthesizes the distinct rows among its
+    pulses' rows at all points in one call, each once, and a node whose
     errors agree at every point is compiled at one point.  ``seq`` must be
     a ``PulseSequence``, ``points`` a collection, and every assignment an
     ``ErrorAssignment`` with no unassigned label or split group, all
@@ -731,6 +709,9 @@ def _closes_unit_su2(h1: Hamiltonian, h2: Hamiltonian) -> bool:
 
 
 def _require_unit_su2(h1: Hamiltonian, h2: Hamiltonian, consequence: str) -> None:
+    for h in (h1, h2):
+        if not isinstance(h, Hamiltonian):
+            raise SequenceError(f"control {h!r} is not a Hamiltonian")
     if not _closes_unit_su2(h1, h2):
         raise SequenceError(
             f"({h1}) and ({h2}) do not close as su(2) with unit structure "

@@ -157,6 +157,8 @@ def _pauli_sum(shape: tuple[int, ...], pairs) -> np.ndarray:
 
 def matrix_of(h: Hamiltonian) -> np.ndarray:
     """Dense Hermitian matrix of a Pauli-sum Hamiltonian."""
+    if not isinstance(h, Hamiltonian):
+        raise UnitaryError(f"{h!r} is not a Hamiltonian")
     dim = 2**h.n_qubits
     return _pauli_sum((dim, dim), ((c, _word_matrix(s.letters)) for c, s in h.terms))
 
@@ -176,6 +178,9 @@ class _Synthesis:
     """
 
     def __init__(self, hams: tuple[Hamiltonian, ...]):
+        for h in hams:
+            if not isinstance(h, Hamiltonian):
+                raise PauliError(f"{h!r} is not a Hamiltonian")
         sizes = {h.n_qubits for h in hams}
         if len(sizes) > 1:
             raise PauliError(f"mixed qubit counts in evolve: {sorted(sizes)}")

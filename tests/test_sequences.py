@@ -131,6 +131,20 @@ class TestPulseTypes:
         with pytest.raises(SequenceError, match=r"^term .* for label 'a' is not a Hamiltonian$"):
             Pulse.single("a", 1.0, bad)
 
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (lambda: evolve([(1.0, 0.0, "X")]), PauliError),
+            (lambda: unitary.matrix_of("X"), unitary.UnitaryError),
+            (lambda: bb1_w(1.0, "X", HY, "a", "b"), SequenceError),
+            (lambda: bb1_j(1.0, HX, "X", "a", "b"), SequenceError),
+        ],
+        ids=["evolve", "matrix_of", "bb1_w", "bb1_j"],
+    )
+    def test_non_hamiltonian_named(self, make, error):
+        with pytest.raises(error, match=r"'X' is not a Hamiltonian$"):
+            make()
+
     def test_short_term_rejected(self):
         with pytest.raises(SequenceError, match=r"^term \('a', 1.0\) is not a \(label, angle, Ham"):
             Pulse([("a", 1.0)])
@@ -206,6 +220,25 @@ class TestErrorAssignment:
     def test_constructors(self):
         assert ErrorAssignment.zero(["a", "b"]).values == {"a": 0.0, "b": 0.0}
         assert ErrorAssignment.uniform(["a"], 0.3).values == {"a": 0.3}
+        assert ErrorAssignment([("a", 0.3)]).values == {"a": 0.3}
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: ErrorAssignment(5), r"^errors 5 are not a mapping of labels$"),
+            (lambda: ErrorAssignment(None), r"^errors None are not a mapping of labels$"),
+            (lambda: ErrorAssignment("ab"), r"^errors 'ab' are not a mapping of labels$"),
+            # an empty string is named too, not taken as no errors
+            (lambda: ErrorAssignment(""), r"^errors '' are not a mapping of labels$"),
+            (lambda: ErrorAssignment([1, 2]), r"^errors \[1, 2\] are not a mapping of labels$"),
+            (lambda: ErrorAssignment.uniform(5, 0.1), r"^labels 5 is not a collection$"),
+            (lambda: ErrorAssignment.zero(None), r"^labels None is not a collection$"),
+        ],
+        ids=["int", "none", "string", "empty-string", "not-pairs", "uniform-int", "zero-none"],
+    )
+    def test_non_mapping_values_and_labels_named(self, make, message):
+        with pytest.raises(CompileError, match=message):
+            make()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected_with_label(self, bad):
@@ -1187,8 +1220,15 @@ class TestStack:
                 [ErrorAssignment({"a": e, "b": 1e-2}) for e in (1e-4, 1e-3, 1e-2)],
                 {1, 3},
             ),
+            # two pulses of one plan whose rows agree at some points and not at others
+            (
+                PulseSequence((Pulse.single("a", 0.5, HX), Pulse.single("b", 0.5, HX))),
+                [ErrorAssignment({"a": 1e-3, "b": b}) for b in (1e-3, 2e-3, 1e-3)]
+                + [ErrorAssignment({"a": 2e-3, "b": 2e-3})],
+                {2},
+            ),
         ],
-        ids=["repeated-points", "fixed-label"],
+        ids=["repeated-points", "fixed-label", "shared-rows"],
     )
     def test_each_distinct_scale_row_synthesized_once(
         self, monkeypatch, seq, points, rows_per_pulse
@@ -1204,7 +1244,8 @@ class TestStack:
         synthesized = [(plan, tuple(row)) for plan, rows in calls for row in rows]
         assert len(set(synthesized)) == len(synthesized)
         # a pulse whose errors agree at every point is synthesized once: each
-        # plan synthesizes exactly its pulses' distinct (plan, row) pairs
+        # plan synthesizes each distinct row among its pulses' rows once,
+        # whichever pulses and points share it
         distinct = {}
         for pulse in set(seq.pulses):
             plan = unitary._synthesis(tuple(h for _, _, h in pulse.terms))

@@ -257,49 +257,62 @@ class PulseSequence:
     def _program(self) -> tuple:
         """The compile walk's fixed structure: (nodes, keys, children, schedule, levels).
 
-        ``nodes`` and ``children`` are ``_dag``'s; a node's ``keys`` index
-        its labels in ``_sorted_labels`` (a pulse's in term order, a
-        block's sorted).  ``schedule`` is (plans, angles, terms): the
-        pulses grouped by their tuple of Hamiltonians (a synthesis plan),
-        plans in order of their first pulse and pulses in post-order within
-        a plan, over two flat term arrays, the pulses' terms one after
-        another: ``angles`` their angles and ``terms`` their label
-        indices.  Each plan is (hams, at, span): its T
-        Hamiltonians, its pulses' node indices and the (pulses, T)
-        positions of their terms in the flat arrays, one run of them.
-        ``levels`` pairs each child count k with the indices of the blocks
-        of one height and k children, in order of increasing height (a
-        pulse has height 0, a block one more than its highest child), so
-        every block of a level can be multiplied once the levels below it
-        are.  Derived on the first compile and kept while the node lives;
-        the synthesis plans stay in ``_synthesis``'s cache, looked up per
-        compile.
+        ``nodes`` are ``_dag``'s, laid out in the slots of the walk's node
+        array: the pulses grouped by their tuple of Hamiltonians (a
+        synthesis plan), plans in order of their pulse count, most first,
+        then the blocks level by level, lowest first; within a plan or a
+        level in post-order, so the root is last.  ``children`` holds
+        each node's items as slots (a pulse has none), and a node's
+        ``keys`` index its labels in ``_sorted_labels`` (a pulse's in term
+        order, a block's sorted).  ``schedule`` is (plans, angles, terms):
+        two flat term arrays, the pulses' terms one after another in slot
+        order, ``angles`` their angles and ``terms`` their label indices,
+        and one (hams, run, span) per plan: its T Hamiltonians, the range
+        of its pulses' slots and the slice of their terms in the flat
+        arrays.  ``levels`` holds (k, run, kids) for the blocks of one
+        height and k children (a pulse has height 0, a block one more than
+        its highest child), in order of increasing height, so every block
+        of a level can be multiplied once the levels below it are: the
+        range of their slots and their children's slots as a (blocks, k)
+        array.  The root, higher than every other node, is the last
+        level's only block.  Derived on the first compile and kept while
+        the node lives; the synthesis plans stay in ``_synthesis``'s
+        cache, looked up per compile.
         """
-        nodes, children = self._dag
-        place = {l: j for j, l in enumerate(self._sorted_labels)}
-        keys, groups, heights, levels = [], {}, [], {}
-        for i, node in enumerate(nodes):
-            kids = children[i]
-            if kids:
-                labels = node._sorted_labels
-                height = 1 + max(map(heights.__getitem__, kids))
-                levels.setdefault((height, len(kids)), []).append(i)
+        dag, items = self._dag
+        plans, heights, levels = {}, [], {}
+        for i, node in enumerate(dag):
+            if items[i]:
+                heights.append(1 + max(map(heights.__getitem__, items[i])))
+                levels.setdefault((heights[i], len(items[i])), []).append(i)
             else:
-                labels, angles, hams = zip(*node.terms)
-                groups.setdefault(hams, []).append((i, angles))
-                height = 0
-            heights.append(height)
+                heights.append(0)
+                plans.setdefault(tuple([h for _, _, h in node.terms]), []).append(i)
+        plans = sorted(plans.items(), key=lambda plan: -len(plan[1]))
+        levels = sorted(levels.items())
+        order = [i for _, run in plans + levels for i in run]
+        slot = dict(zip(order, range(len(order))))  # post-order index -> slot
+        nodes = tuple([dag[i] for i in order])
+        children = [tuple([slot[c] for c in items[i]]) for i in order]
+        place = {l: j for j, l in enumerate(self._sorted_labels)}
+        keys = []
+        for node, kids in zip(nodes, children):
+            labels = node._sorted_labels if kids else [l for l, _, _ in node.terms]
             keys.append(tuple([place[l] for l in labels]))
-        levels = tuple((k, tuple(blocks)) for (_, k), blocks in sorted(levels.items()))
-        plans, flat_angles, flat_terms = [], [], []
-        for hams, pulses in groups.items():
-            span = np.arange(len(flat_angles), len(flat_angles) + len(pulses) * len(hams))
-            plans.append((hams, tuple([i for i, _ in pulses]), span.reshape(-1, len(hams))))
-            for i, angles in pulses:
-                flat_angles += angles
-                flat_terms += keys[i]
-        schedule = (tuple(plans), np.array(flat_angles), np.array(flat_terms))
-        return nodes, keys, children, schedule, levels
+        angles, terms, lo = [], [], 0
+        for p, (hams, pulses) in enumerate(plans):
+            run = range(lo, lo + len(pulses))
+            plans[p] = (hams, run, slice(len(angles), len(angles) + len(run) * len(hams)))
+            for s in run:
+                angles += [theta for _, theta, _ in nodes[s].terms]
+                terms += keys[s]
+            lo = run.stop
+        for j, ((_, k), blocks) in enumerate(levels):
+            run = range(lo, lo + len(blocks))
+            levels[j] = (k, run, np.array(children[run.start : run.stop]))
+            lo = run.stop
+        schedule = (tuple(plans), np.array(angles), np.array(terms))
+        return nodes, keys, children, schedule, tuple(levels)
 
     @cached_property
     def _proved(self) -> set:
@@ -334,7 +347,8 @@ class ErrorAssignment:
 
     ``values`` is a mapping of labels to errors, or (label, error) pairs.
     Labels in one group share a single value; supplying conflicting values
-    for grouped labels is rejected.  Values are kept as floats and each
+    for grouped labels, or pairs that give one label two values, is
+    rejected.  Values are kept as floats and each
     group as a frozenset of label strings (a string, as a group or as
     ``groups``, is rejected).
     ``seed`` and ``signs`` record how a random-sign assignment was drawn.
@@ -346,13 +360,21 @@ class ErrorAssignment:
     signs: str = ""
 
     def __post_init__(self) -> None:
+        values = self.values
         try:
-            if isinstance(self.values, str):  # dict("") is empty, dict("ab") a bare ValueError
+            if isinstance(values, str):  # dict("") is empty, dict("ab") a bare ValueError
                 raise TypeError
-            values = dict(self.values)
+            if not isinstance(values, dict) and not hasattr(values, "keys"):
+                values = list(values)  # (label, error) pairs: dict takes a mapping by its keys
+            resolved = dict(values)
         except (TypeError, ValueError):  # neither a mapping nor pairs
             raise CompileError(f"errors {self.values!r} are not a mapping of labels") from None
-        resolved = {l: _finite(v, "error", l, CompileError) for l, v in values.items()}
+        resolved = {l: _finite(v, "error", l, CompileError) for l, v in resolved.items()}
+        if type(values) is list and len(values) > len(resolved):  # dict kept a label's last pair
+            for label, value in values:
+                if _finite(value, "error", label, CompileError) != resolved[label]:
+                    given = {_finite(v, "error", l, CompileError) for l, v in values if l == label}
+                    raise CompileError(f"label {label!r} has conflicting errors {sorted(given)}")
         groups = tuple(
             [_group(g, CompileError) for g in _iterable(self.groups, "groups", CompileError)]
         )
@@ -467,79 +489,112 @@ def _walk(seq: PulseSequence, points) -> np.ndarray:
 
     Runs the sequence's ``_program`` (derived once per interned sequence
     and kept while it lives) without recursion, and sees no cache: every
-    node is computed.  The scales theta(1+eps) of all terms are one numpy
-    product of the angles and the factors 1+eps indexed by the terms'
-    labels: one column when every label's errors agree at all points, else
-    K.  Each synthesis plan, looked up once per call in ``_synthesis``'s
-    256-entry lru, then takes its pulses' (pulses, K, T) rows from its span
-    and synthesizes them in one call, which checks them unitary: with one
-    column each pulse's row, in post-order; with K the distinct rows among
-    all of them, each once (0.0 and -0.0 agree, as they give equal
-    scales).  A pulse whose labels' errors vary takes its K rows' (K, d, d)
-    matrices, any other the one (d, d) matrix of its row.  The blocks
-    are multiplied level by level (``_program``'s levels, lowest first), a
-    block whose labels' errors agree at every point at that point alone
-    and broadcast against the others.  A varying block is multiplied alone
-    over the K points.  The constant blocks of a level are multiplied in
-    chunks: a chunk's children are gathered into one (B, k, d, d) stack,
-    which with the two running (B, d, d) products holds at most
-    _CHUNK_ENTRIES entries, and ``_product`` multiplies the B blocks at
-    once, one child position at a time; a chunk of fewer than three blocks
-    is multiplied one block at a time.  A stacked matmul is the 2-D matmul
-    of each slice bit for bit, so either way a block's bits are its own
-    ``_product``'s.  If a plan's synthesis fails, the walk alone decides
-    what is raised: it synthesizes and checks each pulse alone in
-    post-order, at every point, so the first pulse that cannot be
-    synthesized raises its own error at its first such point.
+    node is computed.  Each node whose labels' errors agree at every point
+    (every node when K = 1) is computed at that one point, into its slot
+    of one preallocated (N, d, d) node array (none when every node
+    varies); only a varying block's (K, d, d) stack is kept apart, in a
+    dict.  The scales theta(1+eps) of
+    all terms are one numpy product of the angles and the factors 1+eps
+    indexed by the terms' labels: one column when every label's errors
+    agree at all points, else K.  Each synthesis plan, looked up once per
+    call in ``_synthesis``'s 256-entry lru, takes its pulses' rows from
+    its span: with one column each pulse's row, with K the distinct rows
+    among all of them (``_distinct_rows``; 0.0 and -0.0 agree, as they
+    give equal scales).  All plans are then synthesized and checked
+    unitary in one ``_synthesize`` pass, largest first: with one column
+    straight into the plans' runs of the node array; with K into one
+    stack, from which a varying pulse's K matrices are gathered wherever
+    it is used, so the stack is their only copy, and any other pulse takes
+    its one row's matrix into its slot.  The blocks are multiplied level by level
+    (``_program``'s levels, lowest first).  A varying block is multiplied
+    alone over the K points.  The constant blocks of a level are
+    multiplied in chunks: one fancy index gathers a chunk's children from
+    the node array into one (B, k, d, d) stack, which with the two running
+    (B, d, d) products holds at most _CHUNK_ENTRIES entries, and
+    ``_product`` multiplies the B blocks at once, one child position at a
+    time; a chunk of fewer than three blocks is multiplied one block at a
+    time.  A stacked matmul is the 2-D matmul of each slice bit for bit,
+    so either way a block's bits are its own ``_product``'s.  The root's
+    product is returned as its own array, never a view of the node array.
+    If synthesis fails, the walk alone decides what is raised: it
+    synthesizes and checks each pulse alone in post-order, at every
+    point, so the first pulse that cannot be synthesized raises its own
+    error at its first such point.
     """
     nodes, keys, children, (plans, angles, terms), levels = seq._program
     columns = [tuple([errors.values[l] for errors in points]) for l in seq._sorted_labels]
     varying = [col.count(col[0]) < len(col) for col in columns]
     vary = any(varying)
-    mats: dict = {}  # node index -> its matrix, or its (K, d, d) stack if its errors vary
+    varies = [any(map(varying.__getitem__, key)) for key in keys] if vary else []
     d = 2**seq.n_qubits
+    # a constant node's matrix in its slot; no array when every node varies
+    store = np.empty((0 if vary and all(varies) else len(nodes), d, d), dtype=complex)
+    stacks: dict = {}  # slot -> the (K, d, d) stack of a block whose errors vary
+    picks: dict = {}  # slot -> the K positions in the synthesized rows u of a varying pulse
+
+    def matrix(i: int) -> np.ndarray:
+        if i in stacks:
+            return stacks[i]
+        return u[picks[i]] if i in picks else store[i]
+
     # 1 + eps per label: (labels,) when every label's errors agree at all points, else (labels, K)
     factors = 1.0 + np.array(columns if vary else [col[0] for col in columns])
     # as Python floats, theta (1 + eps) overflows to inf silently
     with np.errstate(over="ignore"):
         scales = (angles * factors[terms].T).T  # (terms,) or (terms, K)
     try:
-        for hams, at, span in plans:
-            plan, rows = _synthesis(hams), scales[span]
-            if not vary:
-                mats.update(zip(at, plan.unitaries(rows)))
-                continue
-            rows, index = _distinct_rows(rows.swapaxes(1, 2).reshape(-1, len(hams)))
-            u = plan.unitaries(rows)
-            for i, row in zip(at, index.reshape(len(at), -1)):
-                mats[i] = u[row] if any(map(varying.__getitem__, keys[i])) else u[row[0]]
+        if not vary:  # the plans' runs are the first slots, largest plan first
+            jobs = [(_synthesis(h), scales[span].reshape(len(run), -1)) for h, run, span in plans]
+            unitary._synthesize(jobs, store)
+        else:
+            found = []  # (plan, distinct rows, run, (pulses, K) positions in the rows)
+            for hams, run, span in plans:
+                rows = scales[span].reshape(len(run), len(hams), -1).swapaxes(1, 2)
+                rows, index = _distinct_rows(rows.reshape(-1, len(hams)))
+                found.append((_synthesis(hams), rows, run, index.reshape(len(run), -1)))
+            found.sort(key=lambda job: -len(job[1]))
+            u = np.empty((sum(len(rows) for _, rows, _, _ in found), d, d), dtype=complex)
+            unitary._synthesize([(plan, rows) for plan, rows, _, _ in found], u)
+            lo = 0
+            for _, rows, run, index in found:
+                for i, row in zip(run, index + lo):
+                    if varies[i]:
+                        picks[i] = row  # gathered where used, so u is the only copy
+                    else:
+                        store[i] = u[row[0]]
+                lo += len(rows)
     except ValueError:
-        # raise what synthesizing and checking each pulse alone raises first
-        pulses = sorted((i, h, s) for h, at, span in plans for i, s in zip(at, span.tolist()))
-        for _, hams, span in pulses:
-            rows = scales[span].reshape(len(hams), -1).T.tolist()  # its row at each point
-            check_unitary(np.stack([_synthesis(hams).unitary(row) for row in rows]))
+        # raise what synthesizing and checking each pulse alone raises first, in post-order
+        slots = {node: i for i, node in enumerate(nodes)}
+        for i in map(slots.__getitem__, seq._dag[0]):
+            for hams, run, span in plans:
+                if i in run:  # the pulse's (T, 1) or (T, K) scales
+                    rows = scales[span].reshape(len(run), len(hams), -1)[i - run.start]
+                    plan = _synthesis(hams)
+                    check_unitary(np.stack([plan.unitary(row) for row in rows.T.tolist()]))
         raise
-    for k, blocks in levels:
-        constant = []
-        for i in blocks:
-            if vary and any(map(varying.__getitem__, keys[i])):
-                mats[i] = _product([mats[c] for c in children[i]], d)
-            else:
-                constant.append(i)
+    for k, run, kids in levels[:-1]:
+        constant = range(len(run))  # positions in the level of its blocks whose errors agree
+        if vary:
+            constant = []
+            for j, i in enumerate(run):
+                if varies[i]:
+                    stacks[i] = _product([matrix(c) for c in children[i]], d)
+                else:
+                    constant.append(j)
         # blocks per chunk: their k children and the two running products fit the budget
         step = max(unitary._CHUNK_ENTRIES // ((k + 2) * d * d), 1)
         for lo in range(0, len(constant), step):
             part = constant[lo : lo + step]
             if len(part) < 3:  # a stack of two saves less than its gather costs
-                for i in part:
-                    mats[i] = _product([mats[c] for c in children[i]], d)
+                for j in part:
+                    store[run[j]] = _product([store[c] for c in children[run[j]]], d)
                 continue
-            m = np.concatenate([mats[c] for i in part for c in children[i]])
-            m = m.reshape(len(part), k, d, d)
-            for i, mat in zip(part, _product([m[:, j] for j in range(k)], d)):
-                mats[i] = mat
-    return mats[len(nodes) - 1]
+            if not vary:  # a contiguous run of the level
+                part = slice(part.start, part.stop)
+            m = store[kids[part]]
+            store[run.start : run.stop][part] = _product([m[:, j] for j in range(k)], d)
+    return _product([matrix(c) for c in children[-1]], d)
 
 
 def _require_sequence(seq) -> None:

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -142,14 +144,13 @@ def _word_matrix(letters: str) -> np.ndarray:
     return m
 
 
-def _pauli_sum(shape: tuple[int, ...], pairs) -> np.ndarray:
-    """sum of coeff * word matrix over (coeff, matrix) pairs, from zeros of ``shape``.
+def _pauli_sum(out: np.ndarray, pairs) -> np.ndarray:
+    """out, which holds zeros, plus coeff * word matrix for each (coeff, matrix) pair, in place.
 
     A coeff is a float or a (K, 1, 1) column scaling a (K, d, d) stack.  A
     zero coeff adds only signed zeros to a sum that started at +0, which
     leave every entry's bits unchanged.
     """
-    out = np.zeros(shape, dtype=complex)
     for coeff, m in pairs:
         out += coeff * m
     return out
@@ -160,7 +161,8 @@ def matrix_of(h: Hamiltonian) -> np.ndarray:
     if not isinstance(h, Hamiltonian):
         raise UnitaryError(f"{h!r} is not a Hamiltonian")
     dim = 2**h.n_qubits
-    return _pauli_sum((dim, dim), ((c, _word_matrix(s.letters)) for c, s in h.terms))
+    pairs = ((c, _word_matrix(s.letters)) for c, s in h.terms)
+    return _pauli_sum(np.zeros((dim, dim), complex), pairs)
 
 
 class _Synthesis:
@@ -169,7 +171,7 @@ class _Synthesis:
     For the simultaneous terms of a pulse this holds the merged, sorted
     words, each word's (term index, coefficient) contributions, the word
     matrices, and the products of word pairs that form A^2.  ``unitary``
-    (one row of per-term scales) and ``unitaries`` (several rows, as (R,)
+    (one row of per-term scales) and ``_synthesize`` (several rows, as (R,)
     columns) then need only float arithmetic, done in the order that
     summing the Hamiltonians, ``_product_terms`` and ``matrix_of`` do it,
     and pass the sums of A^2 to ``square_identity_coefficient`` (or its
@@ -248,7 +250,7 @@ class _Synthesis:
         c = square_identity_coefficient(self.square_sums(a))
         if c == math.inf:
             raise PauliError(f"A^2 of words {', '.join(self.words)} overflows")
-        amat = _pauli_sum((d, d), zip(a, self.matrices))
+        amat = _pauli_sum(np.zeros((d, d), complex), zip(a, self.matrices))
         if c is None:
             w, v = np.linalg.eigh(amat)
             return (v * np.exp(-1j * w)) @ v.conj().T
@@ -260,67 +262,107 @@ class _Synthesis:
     def unitaries(self, rows) -> np.ndarray:
         """``unitary`` at each row of per-term scales: an (R, d, d) stack.
 
-        ``rows`` is an (R, T) array of floats (the compile walk's), or R
-        rows of T numbers.  Below _ARRAY_ROWS rows each row is synthesized
-        alone by ``evolve``, the one-point API, as Python floats, which also
-        checks it.  From there on the rows are (R,) columns in the same IEEE
-        operations: ``coefficients``, the sums of A^2 and
-        ``square_identity_coefficients`` (a plan with no words has c = 0),
-        with cos and sin per row, since numpy's may differ from the math
-        module's in the last bit.  The matrices are then
-        formed in chunks of at most _CHUNK_ENTRIES matrix entries (whole
-        rows, at least one), which fill one preallocated stack in order:
-        per chunk, the Pauli sum with (rows, 1, 1) columns, the closed form,
-        one eigendecomposition of the rows that fail the test, and the
-        unitarity check.  So the temporaries stay within a few chunks
-        whatever R is, each row's bits do not depend on its chunk, and the
-        first row that fails the check raises as it would in one stack.  A
-        row that ``unitary`` rejects makes this raise some ValueError; the
-        compile walk then replays its pulses alone for the error to raise.
+        ``rows`` is an (R, T) array of floats, or R rows of T numbers: the
+        plan alone through ``_synthesize``, which checks every row.  A row
+        that ``unitary`` rejects makes this raise some ValueError.
         """
         rows = np.asarray(rows, dtype=float)
-        if len(rows) < _ARRAY_ROWS:
+        return _synthesize([(self, rows)], np.empty((len(rows), self.dim, self.dim), complex))
+
+
+def _synthesize(jobs: list, out: np.ndarray) -> np.ndarray:
+    """``unitary`` at every row of several plans in one pass, into ``out``.
+
+    ``jobs`` is a list of (plan, rows), rows an (R, T) float array, all at
+    one d.  Their matrices fill the first rows of the (>= sum R, d, d)
+    array ``out``, one job after another, and ``out`` is returned.  The
+    compile walk makes one call for all its plans.  The leading jobs of
+    _ARRAY_ROWS rows or more take the array form together, so the caller
+    orders the jobs by row count, largest first; every other job's rows go
+    one at a time through ``evolve``, the one-point API, as Python floats,
+    which also checks them.  The array form runs per plan
+    ``coefficients``, the sums of A^2 and ``square_identity_coefficients``
+    (a plan with no words has c = 0) on (R,) columns, in the IEEE
+    operations of ``unitary``; then, over all its rows at once, cos and
+    sin of each root (the math module's, since numpy's may differ in the
+    last bit).  The matrices are formed in place in chunks of whole rows,
+    at least one, which may span plans: at most _CHUNK_ENTRIES matrix
+    entries, and past 64 rows no more rows than the largest plan has.  Per
+    chunk: each plan's Pauli sum with (rows, 1, 1) columns, one closed
+    form, one eigendecomposition of the rows that fail the test, and one
+    unitarity check.  So the temporaries stay within a few chunks whatever
+    R is, each row's bits depend neither on its chunk nor on the other
+    jobs, and the first row that fails the check raises as it would in one
+    stack.  A row that ``unitary`` rejects makes this raise some
+    ValueError; the compile walk then replays its pulses alone for the
+    error to raise.
+    """
+    big = total = 0  # the leading array-form jobs and their rows
+    while big < len(jobs) and len(jobs[big][1]) >= _ARRAY_ROWS:
+        total += len(jobs[big][1])
+        big += 1
+    at = total
+    for plan, rows in jobs[big:]:
+        for row in rows.tolist():
             # scale * (1.0 + 0.0) is the scale, bit for bit
-            return np.array(
-                [
-                    evolve([(s, 0.0, h) for s, h in zip(row, self.hams)]).matrix
-                    for row in rows.tolist()
-                ]
-            )
-        d = self.dim
-        # as Python floats, these overflow to inf and nan silently
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = self.coefficients(rows.T)
-            c = square_identity_coefficients(self.square_sums(a), len(rows))
-            closed = c >= 0.0
-            # r = 0 where the eigendecomposition below replaces the closed form
-            roots = np.sqrt(np.where(closed, c, 0.0)).tolist()
-            # math.cos(inf), the overflowed square's, raises ValueError
-            cos = np.array([1.0 if r < 1e-150 else math.cos(r) for r in roots])
-            sinc = np.array([1j if r < 1e-150 else 1j * (math.sin(r) / r) for r in roots])
-            u = np.empty((len(rows), d, d), dtype=complex)
-            step = max(1, _CHUNK_ENTRIES // (d * d))
-            for lo in range(0, len(rows), step):
-                part = slice(lo, lo + step)
-                amat = _pauli_sum(
-                    u[part].shape, ((x[part, None, None], m) for x, m in zip(a, self.matrices))
-                )
-                u[part] = cos[part, None, None] * _identity(d) - sinc[part, None, None] * amat
-                rest = np.flatnonzero(~closed[part])
-                if rest.size:
-                    w, v = np.linalg.eigh(amat[rest])
-                    u[lo + rest] = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
-                # a non-finite coefficient leaves NaN here, which fails the check
-                check_unitary(u[part])
-        return u
+            out[at] = evolve([(s, 0.0, h) for s, h in zip(row, plan.hams)]).matrix
+            at += 1
+    if not big:
+        return out
+    d = out.shape[-1]
+    # as Python floats, these overflow to inf and nan silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums, tests, lo = [], [], 0  # per plan: (first row, end, coefficients, word matrices)
+        for plan, rows in jobs[:big]:
+            a = plan.coefficients(rows.T)
+            tests.append(square_identity_coefficients(plan.square_sums(a), len(rows)))
+            sums.append((lo, lo + len(rows), a, plan.matrices))
+            lo += len(rows)
+        c = np.concatenate(tests)
+        closed = c >= 0.0
+        # r = 0 where the eigendecomposition below replaces the closed form
+        roots = np.sqrt(np.where(closed, c, 0.0)).tolist()
+        # math.cos(inf), the overflowed square's, raises ValueError
+        cos = np.array([1.0 if r < 1e-150 else math.cos(r) for r in roots])
+        sinc = np.array([1j if r < 1e-150 else 1j * (math.sin(r) / r) for r in roots])
+        # a chunk of more than 64 rows holds no more than the largest plan's,
+        # so a pass's temporaries stay those of its largest plan synthesized
+        # alone; up to 64 rows, one chunk serves several small plans
+        largest = max(len(rows) for _, rows in jobs[:big])
+        step = max(1, min(_CHUNK_ENTRIES // (d * d), max(largest, 64)))
+        for lo in range(0, total, step):
+            hi = min(lo + step, total)
+            part = slice(lo, hi)
+            amat = out[part]
+            amat[...] = 0.0
+            for first, end, a, matrices in sums:
+                rows = slice(max(lo, first) - first, min(hi, end) - first)
+                if rows.start < rows.stop:
+                    _pauli_sum(
+                        out[first + rows.start : first + rows.stop],
+                        ((x[rows, None, None], m) for x, m in zip(a, matrices)),
+                    )
+            rest = np.flatnonzero(~closed[part])
+            spectral = amat[rest] if rest.size else None  # kept before the closed form overwrites
+            # cos I - sinc A in place, by the ufuncs that the expression would call
+            np.multiply(sinc[part, None, None], amat, out=amat)
+            np.subtract(cos[part, None, None] * _identity(d), amat, out=amat)
+            if rest.size:
+                w, v = np.linalg.eigh(spectral)
+                out[lo + rest] = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+            # a non-finite coefficient leaves NaN here, which fails the check
+            check_unitary(out[part])
+    return out
 
 
-# Fewest rows for which ``_Synthesis.unitaries`` takes its array form; below
-# it, synthesizing the rows one at a time is faster.
-_ARRAY_ROWS = 8
+# Fewest rows for which a plan takes ``_synthesize``'s array form.  Inside a
+# compile walk's pass, which shares the closed form and the check among its
+# plans, the array form wins from two rows for a closed-form plan and from
+# three or four for an eigendecomposed one; one or two rows stay on evolve.
+_ARRAY_ROWS = 3
 
-# Most matrix entries ``_Synthesis.unitaries`` forms at once: 128 rows at
-# d = 8, 512 at d = 4.
+# Most matrix entries ``_synthesize`` forms at once: 128 rows at d = 8, 512
+# at d = 4.
 _CHUNK_ENTRIES = 2**13
 
 
@@ -340,17 +382,48 @@ def evolve(terms: list[tuple[float, float, Hamiltonian]]) -> Unitary:
     overflows, raises a PauliError naming the words.  The Pauli structure
     of the Hamiltonians is derived once per distinct tuple (a cached plan),
     so a call is float arithmetic in the order of the Hamiltonian algebra.
+    Terms that are not a collection of (number, number, Hamiltonian)
+    triples raise a UnitaryError naming the first bad term; a hashable
+    non-Hamiltonian raises the plan's PauliError instead.
 
     The compile walk is the caller in the library: it synthesizes the
-    rows of all pulses of a plan at once with ``_Synthesis.unitaries``, to
-    the same bits, which calls ``evolve`` for each row of a plan with
-    fewer than _ARRAY_ROWS rows; a ``substitute`` self-check's compile
-    calls it once per distinct pulse of the blocks its cache lacks.
+    rows of all its plans in one ``_synthesize`` pass, to the same bits,
+    which calls ``evolve`` for each row of a plan with fewer than
+    _ARRAY_ROWS rows; a ``substitute`` self-check's compile calls it once
+    per distinct pulse of the blocks its cache lacks.
     """
     if not terms:
         raise UnitaryError("evolve requires at least one term")
-    plan = _synthesis(tuple(h for _, _, h in terms))
-    return Unitary(plan.unitary([theta * (1.0 + eps) for theta, eps, _ in terms]))
+    try:
+        plan = _synthesis(tuple(h for _, _, h in terms))
+        scales = [theta * (1.0 + eps) for theta, eps, _ in terms]
+    except PauliError:
+        raise
+    except (TypeError, ValueError):
+        error = _malformed(terms)
+        if error is None:
+            raise
+        raise error from None
+    return Unitary(plan.unitary(scales))
+
+
+def _malformed(terms) -> Optional[UnitaryError]:
+    """The UnitaryError naming what of ``evolve``'s terms is not a
+    collection of (number, number, Hamiltonian) triples, or None."""
+    if isinstance(terms, str) or not isinstance(terms, Iterable):
+        return UnitaryError(f"terms {terms!r} are not a collection of (theta, eps, H) triples")
+    for term in terms:
+        try:
+            theta, eps, h = term
+        except (TypeError, ValueError):  # not iterable, or not three values
+            return UnitaryError(f"term {term!r} is not a (theta, eps, H) triple")
+        if not isinstance(h, Hamiltonian):
+            return UnitaryError(f"term {term!r} has {h!r}, not a Hamiltonian")
+        try:
+            theta * (1.0 + eps)
+        except TypeError:
+            return UnitaryError(f"term {term!r} has an angle or error that is not a number")
+    return None
 
 
 def _arc_report(m: np.ndarray) -> list[FidelityReport]:

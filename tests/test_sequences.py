@@ -222,6 +222,21 @@ class TestErrorAssignment:
         assert ErrorAssignment.uniform(["a"], 0.3).values == {"a": 0.3}
         assert ErrorAssignment([("a", 0.3)]).values == {"a": 0.3}
 
+    @pytest.mark.parametrize("pairs", [list, tuple, iter], ids=["list", "tuple", "iterator"])
+    def test_pairs_conflict_rejected(self, pairs):
+        message = r"^label 'a' has conflicting errors \[0\.1, 0\.2\]$"
+        with pytest.raises(CompileError, match=message):
+            ErrorAssignment(pairs([("a", 0.1), ("b", 0.0), ("a", 0.2)]))
+
+    def test_pairs_repeating_one_value_accepted(self):
+        # equal as floats, 0.0 and -0.0 alike, as a group's values are compared
+        e = ErrorAssignment([("a", 0.1), ("b", 0.0), ("a", 0.1), ("b", -0.0), ("b", 0)])
+        assert e.values == {"a": 0.1, "b": 0.0}
+
+    def test_repeated_pair_value_checked(self):
+        with pytest.raises(CompileError, match=r"^error 'x' for label 'a' is not a finite real"):
+            ErrorAssignment([("a", "x"), ("a", 0.1)])
+
     @pytest.mark.parametrize(
         "make, message",
         [
@@ -924,16 +939,13 @@ class TestCompile:
     def test_uncached_compile_memoizes_within_call(self, monkeypatch):
         seq = wj_chain(3, math.pi / 4)
         zero = ErrorAssignment.zero(seq.labels)
-        real, calls = unitary._Synthesis.unitaries, []
-        monkeypatch.setattr(
-            unitary._Synthesis,
-            "unitaries",
-            lambda plan, points: calls.append(points) or real(plan, points),
-        )
+        passes = record_synthesis(monkeypatch)
         plain = compile_sequence(seq, zero)
-        # each distinct pulse is synthesized once, not each of the 6220 slots
+        # each distinct pulse is synthesized once, not each of the 6220
+        # slots, and all of them in one pass
         assert seq.pulse_count == 6220
-        assert 0 < len(calls) < 300
+        assert len(passes) == 1
+        assert 0 < sum(len(rows) for _, rows in passes[0]) < 300
         cached = compile_sequence(seq, zero, CompileCache())
         assert np.array_equal(plain.matrix, cached.matrix)
 
@@ -961,20 +973,16 @@ class TestCompile:
     def test_cache_reused_across_calls(self, monkeypatch):
         seq = wj_chain(2, math.pi / 4)
         errors = ErrorAssignment.uniform(seq.labels, 1e-3)
-        real, calls = unitary._Synthesis.unitaries, []
-        monkeypatch.setattr(
-            unitary._Synthesis,
-            "unitaries",
-            lambda plan, points: calls.append(points) or real(plan, points),
-        )
+        passes = record_synthesis(monkeypatch)
         cache = CompileCache()
         compile_sequence(seq, errors, cache)
-        # repeated pulses and blocks are synthesized once per call ...
-        assert 0 < len(calls) < seq.pulse_count
-        del calls[:]
+        # repeated pulses and blocks are synthesized once per call, in one pass ...
+        assert len(passes) == 1
+        assert 0 < sum(len(rows) for _, rows in passes[0]) < seq.pulse_count
+        del passes[:]
         # ... and not at all by a later call sharing the cache
         compile_sequence(seq, errors, cache)
-        assert calls == []
+        assert passes == []
 
     def test_cache_traffic(self):
         class Counting(CompileCache):
@@ -1051,6 +1059,24 @@ class TestCompile:
         assert (len(sequences._SEQUENCES), len(sequences._PULSES)) == before
         assert [ref() for ref in proved] == [None] * 6
 
+    def test_compiled_matrix_shares_no_memory_with_the_node_array(self, monkeypatch):
+        # at one point the walk synthesizes straight into its node array, so
+        # that array is the synthesis pass's output
+        seq = wj_chain(2, math.pi / 4)
+        errors = ErrorAssignment.uniform(seq.labels, 1e-3)
+        arrays, real = [], unitary._synthesize
+        monkeypatch.setattr(
+            unitary, "_synthesize", lambda jobs, out: arrays.append(out) or real(jobs, out)
+        )
+        cache = CompileCache()
+        cached = compile_sequence(seq, errors, cache)
+        plain = compile_sequence(seq, errors)
+        assert [a.shape for a in arrays] == [(len(seq._program[0]), 4, 4)] * 2
+        (entry,) = cache._store.values()
+        for mat in (cached.matrix, plain.matrix, entry):
+            assert not any(np.shares_memory(mat, a) for a in arrays)
+        assert cached.matrix.tobytes() == plain.matrix.tobytes()
+
     def test_cache_key_includes_errors(self):
         seq = bb1_w(0.5, HX, HY, "a", "b")
         cache = CompileCache()
@@ -1067,7 +1093,7 @@ class TestCompileInputs:
 
     @pytest.fixture
     def synthesized(self, monkeypatch):
-        """The rows synthesized, one at a time or as a plan's stack."""
+        """The rows synthesized, one at a time, as a plan's stack or in a walk's pass."""
         calls = []
         for name in ("unitary", "unitaries"):
             real = getattr(unitary._Synthesis, name)
@@ -1076,6 +1102,10 @@ class TestCompileInputs:
                 name,
                 lambda plan, rows, real=real: calls.append(rows) or real(plan, rows),
             )
+        real = unitary._synthesize
+        monkeypatch.setattr(
+            unitary, "_synthesize", lambda jobs, out: calls.append(jobs) or real(jobs, out)
+        )
         return calls
 
     def test_mapping_as_errors_rejected(self, synthesized):
@@ -1234,14 +1264,10 @@ class TestStack:
         self, monkeypatch, seq, points, rows_per_pulse
     ):
         alone = [compile_sequence(seq, p).matrix.tobytes() for p in points]
-        real, calls = unitary._Synthesis.unitaries, []
-        monkeypatch.setattr(
-            unitary._Synthesis,
-            "unitaries",
-            lambda plan, rows: calls.append((plan, rows)) or real(plan, rows),
-        )
+        passes = record_synthesis(monkeypatch)
         stack, _ = compile_stack(seq, points)
-        synthesized = [(plan, tuple(row)) for plan, rows in calls for row in rows]
+        assert len(passes) == 1
+        synthesized = [(plan, tuple(row)) for plan, rows in passes[0] for row in rows]
         assert len(set(synthesized)) == len(synthesized)
         # a pulse whose errors agree at every point is synthesized once: each
         # plan synthesizes each distinct row among its pulses' rows once,
@@ -1449,15 +1475,17 @@ def post_order(seq):
     return list(order)
 
 
-def record_unitaries(monkeypatch):
-    """Wrap ``_Synthesis.unitaries``; the list it returns gets each call's (plan, rows)."""
-    calls, real = [], unitary._Synthesis.unitaries
+def record_synthesis(monkeypatch):
+    """Wrap ``unitary._synthesize``, the compile walk's one synthesis pass;
+    the list it returns gets each pass's jobs as a list of (plan, rows)."""
+    passes, real = [], unitary._synthesize
     monkeypatch.setattr(
-        unitary._Synthesis,
-        "unitaries",
-        lambda plan, rows: calls.append((plan, np.array(rows))) or real(plan, rows),
+        unitary,
+        "_synthesize",
+        lambda jobs, out: passes.append([(plan, np.array(rows)) for plan, rows in jobs])
+        or real(jobs, out),
     )
-    return calls
+    return passes
 
 
 class TestSchedule:
@@ -1490,8 +1518,10 @@ class TestSchedule:
                 expected.setdefault(tuple(h for _, _, h in p.terms), []).append(
                     [theta * (1.0 + values[l]) for l, theta, _ in p.terms]
                 )
-        calls = record_unitaries(monkeypatch)
+        passes = record_synthesis(monkeypatch)
         got = compile_sequence(seq, ErrorAssignment(values), cache)
+        assert len(passes) == 1  # every plan in one pass
+        calls = passes[0]
         assert len(calls) == len(expected) == 6
         assert {plan.hams: rows.tobytes() for plan, rows in calls} == {
             hams: np.array(rows).tobytes() for hams, rows in expected.items()
@@ -1504,9 +1534,9 @@ class TestSchedule:
         errors = ErrorAssignment({l: 1e-3 * (k + 1) for k, l in enumerate(sorted(seq.labels))})
         cache = CompileCache()
         first = compile_sequence(seq, errors, cache)
-        calls = record_unitaries(monkeypatch)
+        passes = record_synthesis(monkeypatch)
         assert compile_sequence(seq, errors, cache).matrix.tobytes() == first.matrix.tobytes()
-        assert calls == []
+        assert passes == []
 
     def test_point_loop_keeps_one_entry_per_assignment(self):
         seq = SCHEDULED["wj_chain(2)"]
@@ -1543,12 +1573,19 @@ class TestLevels:
     """Each level's constant blocks are multiplied together, at the bits of one at a time."""
 
     def test_chain_levels(self):
-        levels = wj_chain(3, 0.6183)._program[4]
+        nodes, _, children, _, levels = wj_chain(3, 0.6183)._program
         # (child count, blocks) by height: the bb1_w blocks, then one skeleton per nesting
-        assert [(k, len(blocks)) for k, blocks in levels] == [
+        assert [(k, len(blocks)) for k, blocks, _ in levels] == [
             (4, 32), (10, 16), (10, 8), (10, 4), (10, 1)
         ]
-        assert levels[-1][1] == (199,)  # the root is alone at the top
+        assert list(levels[-1][1]) == [199]  # the root is alone at the top
+        # each level is one run of slots, after the 139 pulses, with its children's slots
+        assert [(run.start, run.stop) for _, run, _ in levels] == [
+            (139, 171), (171, 187), (187, 195), (195, 199), (199, 200)
+        ]
+        for k, run, kids in levels:
+            assert kids.shape == (len(run), k)
+            assert [tuple(row) for row in kids.tolist()] == [children[i] for i in run]
 
     def test_one_point_chain_multiplied_per_level(self, monkeypatch):
         seq = wj_chain(3, 0.6183)

@@ -344,6 +344,34 @@ class TestEvolve:
             # synthesizing all rows at once peaked at out.nbytes + 20 to 34 chunks
             assert peak <= out.nbytes + 8 * chunk
 
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            (5, r"^terms 5 are not a collection of \(theta, eps, H\) triples$"),
+            ("XX", r"^terms 'XX' are not a collection of \(theta, eps, H\) triples$"),
+            (
+                [(1.0, Hamiltonian.single(0.5, "X"))],
+                r"^term \(1\.0, Hamiltonian\(.*\)\) is not a \(theta, eps, H\) triple$",
+            ),
+            (
+                [(1.0, 0.0, Hamiltonian.single(0.5, "X")), 3],
+                r"^term 3 is not a \(theta, eps, H\) triple$",
+            ),
+            (
+                [(1.0, 0.0, ["X"])],
+                r"^term \(1\.0, 0\.0, \['X'\]\) has \['X'\], not a Hamiltonian$",
+            ),
+            (
+                [("a", 0.0, Hamiltonian.single(0.5, "X"))],
+                r"^term \('a', 0\.0, .*\) has an angle or error that is not a number$",
+            ),
+        ],
+        ids=["int", "string", "pair", "non-term", "unhashable", "non-number"],
+    )
+    def test_malformed_terms_named(self, terms, message):
+        with pytest.raises(UnitaryError, match=message):
+            evolve(terms)
+
     @pytest.mark.parametrize("theta, eps", [(1e308, 1.0), (0.5, math.nan)])
     def test_non_finite_scale_names_word(self, theta, eps):
         with pytest.raises(PauliError, match="of ZZ is not finite"):

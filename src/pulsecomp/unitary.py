@@ -355,10 +355,10 @@ def _synthesize(jobs: list, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# Fewest rows for which a plan takes ``_synthesize``'s array form.  Inside a
-# compile walk's pass, which shares the closed form and the check among its
-# plans, the array form wins from two rows for a closed-form plan and from
-# three or four for an eigendecomposed one; one or two rows stay on evolve.
+# Fewest rows for which a plan takes ``_synthesize``'s array form.  Sharing
+# a chunk with other plans of a walk's pass, the array form beats evolve
+# from two rows for a closed-form plan and from four for an eigendecomposed
+# one (at three it costs up to a fifth more); one or two rows stay on evolve.
 _ARRAY_ROWS = 3
 
 # Most matrix entries ``_synthesize`` forms at once: 128 rows at d = 8, 512
